@@ -23,6 +23,7 @@ from .encoding import (
     HistoryOrder,
     canonical_order,
     encode,
+    encode_reachable,
     minimal_trace_histories,
 )
 from .errors import NotNormalizedError, NotReachableError
@@ -38,7 +39,6 @@ from .terms import (
     Par,
     Prefix,
     Process,
-    is_initial,
     is_wellformed,
     to_initial,
 )
@@ -66,9 +66,58 @@ def format_trace(trace: Trace) -> str:
     return "\n".join(f"{i + 1}. {step}" for i, step in enumerate(trace))
 
 
-def _log(trace: Trace | None, axiom: str, path: tuple[str, ...]) -> None:
-    if trace is not None:
-        trace.append(TraceStep(axiom, " ".join(path)))
+# --- one rewrite pass over a term DAG ----------------------------------------
+#
+# Terms are shared DAGs (plain processes are hash-consed, encodings share
+# their expanded subterms), so each pass below computes its result once per
+# node, by identity, within one call.  When a trace is wanted, each node's
+# derivation is kept relative to the node: a list of axiom names applied at
+# the node and ``(label, derivation)`` pairs for the steps of a subterm
+# reached through the path label ``label`` (``None``: the node rewritten in
+# place).  A shared node's derivation is spliced into every caller and
+# replayed under the caller's path at the end, so the trace is the one a
+# walk of the unfolded tree would log.
+
+class _Pass:
+    """One call of a memoized rewrite ``step(pass, node, log)``."""
+
+    def __init__(self, step, trace: Trace | None):
+        self.step = step
+        self.tracing = trace is not None
+        self.memo: dict = {}  # id(node) -> (result, derivation, node)
+        self.keys: dict = {}  # the memo of _brs_key, for passes that sort
+
+    def __call__(self, x, log: list | None, label: str | None):
+        """Result for ``x``; its derivation goes to ``log`` under ``label``."""
+        entry = self.memo.get(id(x))
+        if entry is None:
+            steps = [] if self.tracing else None
+            entry = (self.step(self, x, steps), steps, x)
+            self.memo[id(x)] = entry
+        if log is not None and entry[1]:
+            log.append((label, entry[1]))
+        return entry[0]
+
+    def run(self, x, trace: Trace | None, path: tuple[str, ...] = ()):
+        log = [] if self.tracing else None
+        result = self(x, log, None)
+        if log:
+            _replay(log, path, trace)
+        return result
+
+
+def _replay(derivation: list, path: tuple[str, ...], trace: Trace) -> None:
+    for item in derivation:
+        if type(item) is str:
+            trace.append(TraceStep(item, " ".join(path)))
+        else:
+            label, steps = item
+            _replay(steps, path if label is None else path + (label,), trace)
+
+
+def _log(log: list | None, axiom: str) -> None:
+    if log is not None:
+        log.append(axiom)
 
 
 # --- forward normal form ---------------------------------------------------
@@ -76,19 +125,27 @@ def _log(trace: Trace | None, axiom: str, path: tuple[str, ...]) -> None:
 def is_fnf(p: Process) -> bool:
     """Optional executed prefix over a sum of unexecuted prefixes whose
     continuations are initial and again in this form."""
+    memo: dict = {}  # id(continuation) -> (verdict, continuation)
     if isinstance(p, Prefix) and p.executed:
-        return is_initial(p.cont) and _is_fnf_sum(p.cont, top=True)
-    return _is_fnf_sum(p, top=True)
+        return p.cont.initial and _is_fnf_cont(p.cont, memo)
+    return _is_fnf_sum(p, True, memo)
 
 
-def _is_fnf_sum(p: Process, top: bool) -> bool:
+def _is_fnf_sum(p: Process, top: bool, memo: dict) -> bool:
     if isinstance(p, Nil):
         return top  # the empty sum; never a summand next to others
     if isinstance(p, Choice):
-        return _is_fnf_sum(p.left, top=False) and _is_fnf_sum(p.right, top=False)
+        return _is_fnf_sum(p.left, False, memo) and _is_fnf_sum(p.right, False, memo)
     if isinstance(p, Prefix) and not p.executed:
-        return is_initial(p.cont) and _is_fnf_sum(p.cont, top=True)
+        return p.cont.initial and _is_fnf_cont(p.cont, memo)
     return False
+
+
+def _is_fnf_cont(p: Process, memo: dict) -> bool:
+    got = memo.get(id(p))
+    if got is None:
+        got = memo[id(p)] = (_is_fnf_sum(p, True, memo), p)
+    return got[0]
 
 
 def _summands(p: Process) -> list[Prefix]:
@@ -123,6 +180,10 @@ def expansion_law_f(p1: Process, p2: Process, sync) -> Process:
     """
     if not is_fnf(p1) or not is_fnf(p2):
         raise NotNormalizedError("expansion requires both operands in F-nf")
+    return _expansion_f(p1, p2, sync)
+
+
+def _expansion_f(p1: Process, p2: Process, sync) -> Process:
     sync = frozenset(sync)
     head1, sums1 = _fnf_parts(p1)
     head2, sums2 = _fnf_parts(p2)
@@ -155,45 +216,45 @@ def normalize_f(p: Process, trace: Trace | None = None) -> Process:
     """
     if not is_wellformed(p):
         raise NotReachableError(f"{render(p)} is not well-formed")
-    return _normalize_f(p, trace, ())
+    return _Pass(_normalize_f, trace).run(p, trace)
 
 
-def _normalize_f(p: Process, trace: Trace | None, path: tuple[str, ...]) -> Process:
+def _normalize_f(rw: _Pass, p: Process, log: list | None) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Prefix):
-        q = _normalize_f(p.cont, trace, path + (f"{p.action}.",))
+        q = rw(p.cont, log, f"{p.action}.")
         if not p.executed:
             return Prefix(p.action, False, q)
-        if is_initial(q):
+        if q.initial:
             return Prefix(p.action, True, q)
-        _log(trace, "A_F,6", path)
+        _log(log, "A_F,6")
         return q
     if isinstance(p, Choice):
-        q1 = _normalize_f(p.left, trace, path + ("+l",))
-        q2 = _normalize_f(p.right, trace, path + ("+r",))
-        init1, init2 = is_initial(q1), is_initial(q2)
+        q1 = rw(p.left, log, "+l")
+        q2 = rw(p.right, log, "+r")
+        init1, init2 = q1.initial, q2.initial
         if init1 and init2:
             if isinstance(q1, Nil):
                 if not isinstance(q2, Nil):
-                    _log(trace, "A_F,2", path)
-                _log(trace, "A_F,3", path)
+                    _log(log, "A_F,2")
+                _log(log, "A_F,3")
                 return q2
             if isinstance(q2, Nil):
-                _log(trace, "A_F,3", path)
+                _log(log, "A_F,3")
                 return q1
             return Choice(q1, q2)
         if not init1:
-            _log(trace, "A_F,7", path)
+            _log(log, "A_F,7")
             return q1
-        _log(trace, "A_F,2", path)
-        _log(trace, "A_F,7", path)
+        _log(log, "A_F,2")
+        _log(log, "A_F,7")
         return q2
-    q1 = _normalize_f(p.left, trace, path + ("|l",))
-    q2 = _normalize_f(p.right, trace, path + ("|r",))
-    _log(trace, "A_F,8", path)
-    expanded = expansion_law_f(q1, q2, p.sync)
-    return _normalize_f(expanded, trace, path)
+    q1 = rw(p.left, log, "|l")
+    q2 = rw(p.right, log, "|r")
+    _log(log, "A_F,8")
+    # both operands are normal forms already
+    return rw(_expansion_f(q1, q2, p.sync), log, None)
 
 
 # --- reverse and forward-reverse normal forms ------------------------------
@@ -221,7 +282,7 @@ def _split_brs(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix], bool]:
         if isinstance(leaf, Nil):
             dropped = dropped or len(leaves) > 1
             continue
-        if leaf.executed or not is_initial(leaf.cont):
+        if leaf.executed or not leaf.cont.initial:
             if head is not None:
                 raise NotNormalizedError("two non-initial summands in one choice")
             head = leaf
@@ -233,21 +294,32 @@ def _split_brs(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix], bool]:
 def is_frnf(u: BrsProcess) -> bool:
     """Optional executed branch, then a sum of unexecuted prefixes with
     initial continuations in the same form (up to association)."""
+    return _is_frnf(u, {})
+
+
+def _is_frnf(u: BrsProcess, memo: dict) -> bool:
+    got = memo.get(id(u))
+    if got is None:
+        got = memo[id(u)] = (_is_frnf_node(u, memo), u)
+    return got[0]
+
+
+def _is_frnf_node(u: BrsProcess, memo: dict) -> bool:
     if isinstance(u, Nil):
         return True
     leaves = _brs_summands(u)
     if any(isinstance(leaf, Nil) for leaf in leaves):
         return False
     heads = [i for i, leaf in enumerate(leaves) if leaf.executed]
-    if any(not leaf.executed and not is_initial(leaf.cont) for leaf in leaves):
+    if any(not leaf.executed and not leaf.cont.initial for leaf in leaves):
         return False
     if len(heads) > 1 or (heads and heads[0] != 0):
         return False
     for i, leaf in enumerate(leaves):
         if i in heads:
-            if not is_frnf(leaf.cont):
+            if not _is_frnf(leaf.cont, memo):
                 return False
-        elif not (is_initial(leaf.cont) and is_frnf(leaf.cont)):
+        elif not (leaf.cont.initial and _is_frnf(leaf.cont, memo)):
             return False
     return True
 
@@ -262,35 +334,40 @@ def _copy_prefix(s: BrsPrefix, cont: BrsProcess, executed: bool | None = None) -
 def normalize_r(u: BrsProcess, trace: Trace | None = None,
                 _path: tuple[str, ...] = ()) -> BrsProcess:
     """Reverse normal form of an encoding: only the executed spine survives."""
+    return _Pass(_normalize_r, trace).run(u, trace, _path)
+
+
+def _normalize_r(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     head, rest, _ = _split_brs(u)
     if head is None:
         if not isinstance(u, Nil):
-            _log(trace, "A_R,3", _path)
+            _log(log, "A_R,3")
         return NIL
     if rest:
-        _log(trace, "A_R,4", _path)
-    return _copy_prefix(head, normalize_r(head.cont, trace, _path + (f"{head.action}!.",)))
+        _log(log, "A_R,4")
+    return _copy_prefix(head, rw(head.cont, log, f"{head.action}!."))
 
 
 def normalize_fr(u: BrsProcess, trace: Trace | None = None,
                  _path: tuple[str, ...] = ()) -> BrsProcess:
     """Forward-reverse normal form: drop 0 summands, executed branch first."""
+    return _Pass(_normalize_fr, trace).run(u, trace, _path)
+
+
+def _normalize_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     if isinstance(u, Nil):
         return u
     head, rest, dropped = _split_brs(u)
     if dropped:
-        _log(trace, "A_FR,3", _path)
+        _log(log, "A_FR,3")
     parts: list[BrsProcess] = []
     if head is not None:
         leaves = _brs_summands(u)
         if leaves and leaves[0] is not head:
-            _log(trace, "A_FR,2", _path)
-        parts.append(_copy_prefix(
-            head, normalize_fr(head.cont, trace, _path + (f"{head.action}!.",))
-        ))
+            _log(log, "A_FR,2")
+        parts.append(_copy_prefix(head, rw(head.cont, log, f"{head.action}!.")))
     parts.extend(
-        _copy_prefix(s, normalize_fr(s.cont, trace, _path + (f"{s.action}.",)))
-        for s in rest
+        _copy_prefix(s, rw(s.cont, log, f"{s.action}.")) for s in rest
     )
     return _sum(parts)
 
@@ -308,71 +385,71 @@ def canonical(x, theory: Theory, trace: Trace | None = None):
     if theory is Theory.F:
         if not is_fnf(x):
             raise NotNormalizedError("canonical(F) requires forward normal form")
-        return _canon_f(x, trace, ())
+        return _Pass(_canon_f, trace).run(x, trace)
     if theory is Theory.R:
         if not is_rnf(x):
             raise NotNormalizedError("canonical(R) requires reverse normal form")
         return x
     if not is_frnf(x):
         raise NotNormalizedError("canonical(FR) requires forward-reverse normal form")
-    return _canon_fr(x, trace, ())
+    return _Pass(_canon_fr, trace).run(x, trace)
 
 
-def _canon_f(p: Process, trace: Trace | None, path: tuple[str, ...]) -> Process:
+def _canon_f(rw: _Pass, p: Process, log: list | None) -> Process:
     head, sums = _fnf_parts(p)
-    canon = [
-        Prefix(s.action, False, _canon_f(s.cont, trace, path + (f"{s.action}.",)))
-        for s in sums
-    ]
+    canon = [Prefix(s.action, False, rw(s.cont, log, f"{s.action}.")) for s in sums]
     keyed = sorted({render(s): s for s in canon}.items())
     if len(keyed) < len(canon):
-        _log(trace, "A_F,4", path)
+        _log(log, "A_F,4")
     body = _sum([s for _, s in keyed])
     if head is None:
         return body
     if head != PAST:
-        _log(trace, "A_F,5", path)
+        _log(log, "A_F,5")
     return Prefix(PAST, True, body)
 
 
-def _brs_key(u: BrsProcess):
-    """Display-insensitive sort key (ready sets compared as sets)."""
+def _brs_key(u: BrsProcess, memo: dict):
+    """Display-insensitive sort key (ready sets compared as sets); ``memo``
+    maps ``id(node)`` to ``(key, node)`` within one call."""
+    got = memo.get(id(u))
+    if got is not None:
+        return got[0]
     if isinstance(u, Nil):
-        return (0,)
-    if isinstance(u, BrsPrefix):
-        return (1, u.action, u.executed, tuple(sorted(u.ready)), _brs_key(u.cont))
-    return (2, _brs_key(u.left), _brs_key(u.right))
+        key = (0,)
+    elif isinstance(u, BrsPrefix):
+        key = (1, u.action, u.executed, tuple(sorted(u.ready)), _brs_key(u.cont, memo))
+    else:
+        key = (2, _brs_key(u.left, memo), _brs_key(u.right, memo))
+    memo[id(u)] = (key, u)
+    return key
 
 
 def structural_key(u: BrsProcess):
     """Hashable identity of a ready-set term, for grouping decider outputs."""
-    return _brs_key(u)
+    return _brs_key(u, {})
 
 
-def _canon_fr(u: BrsProcess, trace: Trace | None, path: tuple[str, ...]) -> BrsProcess:
+def _canon_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     if isinstance(u, Nil):
         return u
     head, rest, _ = _split_brs(u)
-    canon_rest = [
-        _copy_prefix(s, _canon_fr(s.cont, trace, path + (f"{s.action}.",)))
-        for s in rest
-    ]
+    canon_rest = [_copy_prefix(s, rw(s.cont, log, f"{s.action}.")) for s in rest]
     parts: list[BrsProcess] = []
     if head is not None:
-        canon_head = _copy_prefix(
-            head, _canon_fr(head.cont, trace, path + (f"{head.action}!.",))
-        )
-        # the rollback loses its executed-branch-first ordering, so resort it
-        rollback = _canon_fr(to_initial(canon_head), None, path)
+        canon_head = _copy_prefix(head, rw(head.cont, log, f"{head.action}!."))
+        # the rollback loses its executed-branch-first ordering, so resort it;
+        # that re-sorting is not part of the derivation
+        rollback = rw(to_initial(canon_head), None, None)
         kept = [s for s in canon_rest if s != rollback]
         if len(kept) < len(canon_rest):
-            _log(trace, "A_FR,4", path)
+            _log(log, "A_FR,4")
         canon_rest = kept
         parts.append(canon_head)
     deduped: list[BrsProcess] = []
-    for s in sorted(canon_rest, key=_brs_key):
+    for s in sorted(canon_rest, key=lambda v: _brs_key(v, rw.keys)):
         if any(s == seen for seen in deduped):
-            _log(trace, "A_FR,4", path)
+            _log(log, "A_FR,4")
         else:
             deduped.append(s)
     parts.extend(deduped)
@@ -391,11 +468,13 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     so that symmetric arrangements of the same behavior pick compatible
     serializations.
     """
+    if not is_reachable(p):
+        raise NotReachableError(f"{render(p)} is not reachable")
     if theory is Theory.R:
-        return encode(p, canonical_order(p))
+        return encode_reachable(p, canonical_order(p))
     best = None
     for hist in minimal_trace_histories(p):
-        u = encode(p, HistoryOrder(hist))
+        u = encode_reachable(p, HistoryOrder(hist))
         key = structural_key(canonical(normalize_fr(u), Theory.FR))
         if best is None or key < best[0]:
             best = (key, u)

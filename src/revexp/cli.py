@@ -236,6 +236,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: term nested too deeply for this tool", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

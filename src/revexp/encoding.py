@@ -246,19 +246,31 @@ def canonical_order(p: Process) -> ExecutionOrder:
 
 
 # --- the encoding ----------------------------------------------------------
+#
+# The branch trace is kept as its recency order: the distinct actions marked
+# along the branch, ordered by their last occurrence, oldest first.  That is
+# all the display order of a ready set reads from the trace, so two branches
+# with the same recency order, operands and environment expand to the same
+# subterm, and the expansion is memoized on exactly that.  The result is a
+# shared DAG; walk it with a memo, not as a tree.
 
-def _ready_of(env: Process, trace: tuple[str, ...]) -> tuple[frozenset[str], tuple[str, ...]]:
-    s = brs(env)
-    last = {}
-    for i, a in enumerate(trace):
-        last[a] = i
-    order = tuple(sorted(s, key=lambda a: (last.get(a, -1), a)))
-    return s, order
+def _touch(recency: tuple[str, ...], action: str) -> tuple[str, ...]:
+    """The recency order after ``action`` is marked: it becomes the newest."""
+    if recency and recency[-1] == action:
+        return recency
+    if action in recency:
+        i = recency.index(action)
+        recency = recency[:i] + recency[i + 1:]
+    return recency + (action,)
 
 
-def _emit(action: str, executed: bool, env: Process, trace: tuple[str, ...],
+def _emit(action: str, executed: bool, env: Process, recency: tuple[str, ...],
           phi: ProofTerm, cont: BrsProcess) -> BrsPrefix:
-    ready, order = _ready_of(env, trace)
+    # actions never marked on the branch come first, alphabetically
+    ready = env.backward_ready
+    order = tuple(sorted(a for a in ready if a not in recency)) + tuple(
+        a for a in recency if a in ready
+    )
     return BrsPrefix(action, executed, ready, cont, ready_order=order, proof=phi)
 
 
@@ -266,29 +278,34 @@ def encode(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
     """Sequential ready-set form of a reachable process."""
     if not is_reachable(p):
         raise NotReachableError(f"{render(p)} is not reachable")
+    return encode_reachable(p, order)
+
+
+def encode_reachable(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
+    """:func:`encode` for a process already known to be reachable."""
     if order is None:
         order = default_order(p)
     return _encode(p, (), to_initial(p), (), order)
 
 
 def _encode(p: Process, sigma: ProofPath, env: Process,
-            trace: tuple[str, ...], order: ExecutionOrder) -> BrsProcess:
+            recency: tuple[str, ...], order: ExecutionOrder) -> BrsProcess:
     if isinstance(p, Nil):
         return NIL
     if isinstance(p, Prefix):
         phi = compose(sigma, Act(p.action))
         env2 = upd(env, phi)
-        trace2 = trace + (p.action,)
-        cont = _encode(p.cont, sigma + (Dot,), env2, trace2, order)
-        return _emit(p.action, p.executed, env2, trace2, phi, cont)
+        recency2 = _touch(recency, p.action)
+        cont = _encode(p.cont, sigma + (Dot,), env2, recency2, order)
+        return _emit(p.action, p.executed, env2, recency2, phi, cont)
     if isinstance(p, Choice):
         return Choice(
-            _encode(p.left, sigma + (PlusL,), env, trace, order),
-            _encode(p.right, sigma + (PlusR,), env, trace, order),
+            _encode(p.left, sigma + (PlusL,), env, recency, order),
+            _encode(p.right, sigma + (PlusR,), env, recency, order),
         )
-    u1 = _encode(p.left, (), to_initial(p.left), (), order.project(sigma + (ParL,)))
-    u2 = _encode(p.right, (), to_initial(p.right), (), order.project(sigma + (ParR,)))
-    return _expand(u1, u2, frozenset(p.sync), sigma, env, trace, order)
+    u1 = encode_reachable(p.left, order.project(sigma + (ParL,)))
+    u2 = encode_reachable(p.right, order.project(sigma + (ParR,)))
+    return _expand(u1, u2, frozenset(p.sync), sigma, env, recency, order, {})
 
 
 def _flatten(u: BrsProcess) -> list[BrsPrefix]:
@@ -308,7 +325,7 @@ def _decompose(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
             raise EncodingInputError(
                 "expansion operands must carry proof annotations; use encode()"
             )
-        if s.executed or not is_initial(s.cont):
+        if s.executed or not s.cont.initial:
             if head is not None:
                 raise EncodingInputError("operand has two non-initial summands")
             head = s
@@ -337,7 +354,7 @@ def expand_parallel(u1: BrsProcess, u2: BrsProcess, sync, env: Process,
     if order is None:
         order = default_order()
     cleared = _clear_at(env, sigma)
-    return _expand(u1, u2, frozenset(sync), tuple(sigma), cleared, (), order)
+    return _expand(u1, u2, frozenset(sync), tuple(sigma), cleared, (), order, {})
 
 
 def _clear_at(env: Process, sigma: ProofPath) -> Process:
@@ -358,7 +375,15 @@ def _clear_at(env: Process, sigma: ProofPath) -> Process:
 
 
 def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPath,
-            env: Process, trace: tuple[str, ...], order: ExecutionOrder) -> BrsProcess:
+            env: Process, recency: tuple[str, ...], order: ExecutionOrder,
+            memo: dict) -> BrsProcess:
+    """Expansion of ``u1 || u2`` under ``env``; ``memo`` is shared by one
+    expansion and maps operand, environment and recency to the result (the
+    value keeps the nodes alive, so their ids stay unique)."""
+    key = (id(u1), id(u2), id(env), recency)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[0]
     head1, alts1 = _decompose(u1)
     head2, alts2 = _decompose(u2)
     out: list[BrsProcess] = []
@@ -366,9 +391,9 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
     def emit(phi: ProofTerm, action: str, executed: bool,
              left: BrsProcess, right: BrsProcess) -> None:
         env2 = upd(env, phi)
-        trace2 = trace + (action,)
-        cont = _expand(left, right, sync, sigma, env2, trace2, order)
-        out.append(_emit(action, executed, env2, trace2, phi, cont))
+        recency2 = _touch(recency, action)
+        cont = _expand(left, right, sync, sigma, env2, recency2, order, memo)
+        out.append(_emit(action, executed, env2, recency2, phi, cont))
 
     def left_moves(frag2: BrsProcess) -> None:
         for s in alts1:
@@ -483,7 +508,9 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
             sync_moves()
         else:  # pragma: no cover - guarded by the totality of orders
             raise OrderUndefinedError("cannot order the two executed actions")
-    return _sum(out)
+    result = _sum(out)
+    memo[key] = (result, u1, u2, env)
+    return result
 
 
 # --- correctness checks ----------------------------------------------------
@@ -530,14 +557,12 @@ def verify_correspondence(p0: Process, depth: int | None = None,
             continue
         seen.add(key)
         report.states_checked += 1
-        encoded = _encode(p, (), to_initial(p), (), HistoryOrder(hist))
+        encoded = encode_reachable(p, HistoryOrder(hist))
         steps = forward_steps(p)
         expected = []
         nexts = []
         for theta, target in steps:
-            enc_target = _encode(
-                target, (), to_initial(target), (), HistoryOrder(hist + (theta,))
-            )
+            enc_target = encode_reachable(target, HistoryOrder(hist + (theta,)))
             expected.append((act(theta), brs(target), comparison_key(enc_target)))
             nexts.append((theta, target))
         actual = [
@@ -643,8 +668,8 @@ def brs_preserved_shape(p: Process, order: ExecutionOrder | None = None) -> bool
         return False
     if is_initial(p.left) or is_initial(p.right):
         return True
-    b1 = last_executed(_encode(p.left, (), to_initial(p.left), (), order))
-    b2 = last_executed(_encode(p.right, (), to_initial(p.right), (), order))
+    b1 = last_executed(encode_reachable(p.left, order))
+    b2 = last_executed(encode_reachable(p.right, order))
     if b1 == b2:
         return True
     return b1 in p.sync or b2 in p.sync

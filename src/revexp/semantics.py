@@ -52,7 +52,7 @@ def forward_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
         return []
     if isinstance(p, Prefix):
         if not p.executed:
-            if is_initial(p.cont):
+            if p.cont.initial:
                 return [(Act(p.action), Prefix(p.action, True, p.cont))]
             return []
         return [
@@ -61,12 +61,12 @@ def forward_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
         ]
     if isinstance(p, Choice):
         steps: list[tuple[ProofTerm, Process]] = []
-        if is_initial(p.right):
+        if p.right.initial:
             steps.extend(
                 (PlusL(theta), Choice(left, p.right))
                 for theta, left in forward_steps(p.left)
             )
-        if is_initial(p.left):
+        if p.left.initial:
             steps.extend(
                 (PlusR(theta), Choice(p.left, right))
                 for theta, right in forward_steps(p.right)
@@ -166,26 +166,28 @@ def _unflag_one(p: Process) -> list[Process]:
 
 
 def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:
-    """Replay forward steps from the initial version of ``p`` until it shows up."""
+    """Replay forward steps from the initial version of ``p`` until it shows up.
+
+    Terms are hash-consed, so states are compared by identity; the seen
+    table maps ``id`` to the node, which keeps the ids unique.
+    """
     if not is_wellformed(p):
         return False
-    target = render(p)
     start = to_initial(p)
-    seen = {render(start)}
-    frontier = [start]
-    if render(start) == target:
+    if start is p:
         return True
+    seen = {id(start): start}
+    frontier = [start]
     while frontier:
         q = frontier.pop()
         for _, nxt in forward_steps(q):
-            key = render(nxt)
-            if key in seen:
-                continue
-            if key == target:
+            if nxt is p:
                 return True
+            if id(nxt) in seen:
+                continue
             if len(seen) >= cap:
                 raise StateBudgetError(f"state budget of {cap} states exceeded")
-            seen.add(key)
+            seen[id(nxt)] = nxt
             frontier.append(nxt)
     return False
 

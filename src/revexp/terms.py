@@ -14,8 +14,9 @@ when its prefixes are ``Prefix`` nodes and a ready-set process when they are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
+from weakref import KeyedRef
 
 from .errors import ActUndefinedError
 
@@ -26,69 +27,235 @@ TAU = "tau"
 PAST = "#past"
 
 
-@dataclass(frozen=True, slots=True)
-class Nil:
-    pass
+# --- process nodes -----------------------------------------------------------
+#
+# Every node carries, computed from its children when it is built, its hash,
+# whether it is initial, whether it is well-formed, and its backward ready
+# set, so these read in O(1) at any depth.  Plain-process nodes (``Nil``,
+# ``Prefix``, ``Par``, and ``Choice`` over plain operands) are hash-consed:
+# equal plain processes are the same object, so ``==`` on them is identity
+# and ``upd``, ``to_initial`` and ``forward_steps`` return shared nodes.
+
+_EMPTY: frozenset[str] = frozenset()
+
+# The intern table: constructor arguments, children by identity, to a weak
+# reference.  Children are interned too, so identity stands for structural
+# equality; a live entry keeps its children alive, so their ids stay
+# unique.  The table never keeps a node alive: a node's entry goes when the
+# node dies.
+_interned: dict = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Prefix:
-    action: str
-    executed: bool
-    cont: "Process"
+def _forget(ref, table=_interned) -> None:
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
-@dataclass(frozen=True, slots=True)
-class Choice:
-    left: "ProcessLike"
-    right: "ProcessLike"
+class _Node:
+    """Term node.  Nodes are immutable by contract: the constructors fill
+    their slots and nothing assigns to them afterwards (a frozen-attribute
+    guard would cost more than the rest of building a node)."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True, slots=True)
-class Par:
-    sync: tuple[str, ...]
-    left: "Process"
-    right: "Process"
+class Nil(_Node):
+    __slots__ = ()
+    __match_args__ = ()
+    plain = True
+    initial = True
+    wellformed = True
+    backward_ready = _EMPTY
+    _hash = hash(())
 
-    def __post_init__(self):
-        if TAU in self.sync:
+    def __new__(cls):
+        return NIL
+
+    def __repr__(self) -> str:
+        return "Nil()"
+
+
+class Prefix(_Node):
+    __slots__ = ("action", "executed", "cont", "initial", "wellformed",
+                 "backward_ready", "_hash", "_rollback", "__weakref__")
+    __match_args__ = ("action", "executed", "cont")
+    plain = True
+
+    def __new__(cls, action: str, executed: bool, cont: "Process"):
+        key = (cls, action, executed, id(cont))
+        ref = _interned.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.action = action
+        node.executed = executed
+        node.cont = cont
+        _fill_prefix(node, action, executed, cont)
+        node._hash = hash((action, executed, cont._hash))
+        _interned[key] = KeyedRef(node, _forget, key)
+        return node
+
+    def __repr__(self) -> str:
+        return f"Prefix(action={self.action!r}, executed={self.executed!r}, cont={self.cont!r})"
+
+
+def _fill_prefix(node, action: str, executed: bool, cont) -> None:
+    """The cached slots shared by ``Prefix`` and ``BrsPrefix``."""
+    ci = cont.initial
+    if executed:
+        node.initial = False
+        node.wellformed = cont.wellformed
+        node.backward_ready = frozenset((action,)) if ci else cont.backward_ready
+    else:
+        node.initial = ci
+        node.wellformed = ci
+        node.backward_ready = _EMPTY
+    node._rollback = None
+
+
+class Choice(_Node):
+    """Binary choice, of plain processes or of ready-set processes.
+
+    A choice of two plain processes is hash-consed; one over ready-set
+    operands is not, and compares structurally.
+    """
+
+    __slots__ = ("left", "right", "plain", "initial", "wellformed",
+                 "backward_ready", "_hash", "_rollback", "__weakref__")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: "ProcessLike", right: "ProcessLike"):
+        plain = left.plain and right.plain
+        if plain:
+            key = (cls, id(left), id(right))
+            ref = _interned.get(key)
+            if ref is not None:
+                node = ref()
+                if node is not None:
+                    return node
+        node = object.__new__(cls)
+        li, ri = left.initial, right.initial
+        node.left = left
+        node.right = right
+        node.plain = plain
+        node.initial = li and ri
+        node.wellformed = (left.wellformed and ri) or (li and right.wellformed)
+        node.backward_ready = right.backward_ready if li else left.backward_ready
+        node._hash = hash((left._hash, right._hash))
+        node._rollback = None
+        if plain:
+            _interned[key] = KeyedRef(node, _forget, key)
+        return node
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Choice:
+            return NotImplemented
+        return (self._hash == other._hash and self.left == other.left
+                and self.right == other.right)
+
+    __hash__ = _Node.__hash__
+
+    def __repr__(self) -> str:
+        return f"Choice(left={self.left!r}, right={self.right!r})"
+
+
+class Par(_Node):
+    __slots__ = ("sync", "left", "right", "initial", "wellformed",
+                 "backward_ready", "_hash", "_rollback", "__weakref__")
+    __match_args__ = ("sync", "left", "right")
+    plain = True
+
+    def __new__(cls, sync, left: "Process", right: "Process"):
+        if type(sync) is not tuple or len(sync) > 1:
+            sync = tuple(sorted(set(sync)))
+        key = (cls, sync, id(left), id(right))
+        ref = _interned.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if TAU in sync:
             raise ValueError("tau cannot belong to a synchronization set")
-        canon = tuple(sorted(set(self.sync)))
-        if canon != self.sync:
-            object.__setattr__(self, "sync", canon)
+        node = object.__new__(cls)
+        node.sync = sync
+        node.left = left
+        node.right = right
+        node.initial = left.initial and right.initial
+        node.wellformed = left.wellformed and right.wellformed
+        bl, br_ = left.backward_ready, right.backward_ready
+        if not sync:
+            node.backward_ready = bl | br_ if bl and br_ else bl or br_
+        else:
+            s = frozenset(sync)
+            node.backward_ready = (bl - s) | (br_ - s) | (bl & br_ & s)
+        node._hash = hash((sync, left._hash, right._hash))
+        node._rollback = None
+        _interned[key] = KeyedRef(node, _forget, key)
+        return node
+
+    def __repr__(self) -> str:
+        return f"Par(sync={self.sync!r}, left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class BrsPrefix:
+class BrsPrefix(_Node):
     """Prefix of a ready-set process: action, executed flag, ready set.
 
     ``ready_order`` is a display hint (the order in which the actions of the
     ready set were executed, oldest first); it does not take part in equality.
     ``proof`` records which action occurrence of the source process this
     prefix stands for; it is attached by the encoder and also excluded from
-    equality.
+    equality.  Ready-set prefixes are not hash-consed, since equal ones may
+    differ in these two attributes.
     """
 
-    action: str
-    executed: bool
-    ready: frozenset[str]
-    cont: "BrsProcess"
-    ready_order: tuple[str, ...] = field(default=(), compare=False, repr=False)
-    proof: "ProofTerm | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ("action", "executed", "ready", "cont", "ready_order", "proof",
+                 "initial", "wellformed", "backward_ready", "_hash", "_rollback")
+    __match_args__ = ("action", "executed", "ready", "cont")
+    plain = False
 
-    def __post_init__(self):
-        if not self.ready_order:
-            object.__setattr__(self, "ready_order", tuple(sorted(self.ready)))
+    def __init__(self, action: str, executed: bool, ready: frozenset[str],
+                 cont: "BrsProcess", ready_order: tuple[str, ...] = (),
+                 proof: "ProofTerm | None" = None):
+        self.action = action
+        self.executed = executed
+        self.ready = ready
+        self.cont = cont
+        self.ready_order = ready_order or tuple(sorted(ready))
+        self.proof = proof
+        _fill_prefix(self, action, executed, cont)
+        self._hash = hash((action, executed, ready, cont._hash))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not BrsPrefix:
+            return NotImplemented
+        return (self._hash == other._hash and self.action == other.action
+                and self.executed == other.executed and self.ready == other.ready
+                and self.cont == other.cont)
+
+    __hash__ = _Node.__hash__
 
     def display_ready(self) -> tuple[str, ...]:
         return self.ready_order
+
+    def __repr__(self) -> str:
+        return (f"BrsPrefix(action={self.action!r}, executed={self.executed!r}, "
+                f"ready={self.ready!r}, cont={self.cont!r})")
 
 
 Process = Union[Nil, Prefix, Choice, Par]
 BrsProcess = Union[Nil, BrsPrefix, Choice]
 ProcessLike = Union[Process, BrsProcess]
 
-NIL = Nil()
+NIL = object.__new__(Nil)
 
 
 # --- proof terms -----------------------------------------------------------
@@ -164,13 +331,7 @@ def act(t: ProofTerm) -> str:
 
 def is_initial(p: ProcessLike) -> bool:
     """True when no prefix of ``p`` is flagged as executed."""
-    if isinstance(p, Nil):
-        return True
-    if isinstance(p, (Prefix, BrsPrefix)):
-        return not p.executed and is_initial(p.cont)
-    if isinstance(p, Choice):
-        return is_initial(p.left) and is_initial(p.right)
-    return is_initial(p.left) and is_initial(p.right)
+    return p.initial
 
 
 def is_wellformed(p: ProcessLike) -> bool:
@@ -180,33 +341,33 @@ def is_wellformed(p: ProcessLike) -> bool:
     prefix by a well-formed one, and at most one side of a choice may be
     non-initial.  Parallel composition requires both sides well-formed.
     """
-    if isinstance(p, Nil):
-        return True
-    if isinstance(p, (Prefix, BrsPrefix)):
-        if p.executed:
-            return is_wellformed(p.cont)
-        return is_initial(p.cont)
-    if isinstance(p, Choice):
-        return (is_wellformed(p.left) and is_initial(p.right)) or (
-            is_initial(p.left) and is_wellformed(p.right)
-        )
-    return is_wellformed(p.left) and is_wellformed(p.right)
+    return p.wellformed
 
 
 def to_initial(p: ProcessLike) -> ProcessLike:
-    """Erase every executed flag of ``p``."""
-    if isinstance(p, Nil):
+    """Erase every executed flag of ``p``.
+
+    An initial term is returned as it is; otherwise the result is computed
+    once and kept on the node, so repeated calls return the same object.
+    """
+    if p.initial:
         return p
+    q = p._rollback
+    if q is not None:
+        return q
     if isinstance(p, Prefix):
-        return Prefix(p.action, False, to_initial(p.cont))
-    if isinstance(p, BrsPrefix):
-        return BrsPrefix(
+        q = Prefix(p.action, False, to_initial(p.cont))
+    elif isinstance(p, BrsPrefix):
+        q = BrsPrefix(
             p.action, False, p.ready, to_initial(p.cont),
             ready_order=p.ready_order, proof=p.proof,
         )
-    if isinstance(p, Choice):
-        return Choice(to_initial(p.left), to_initial(p.right))
-    return Par(p.sync, to_initial(p.left), to_initial(p.right))
+    elif isinstance(p, Choice):
+        q = Choice(to_initial(p.left), to_initial(p.right))
+    else:
+        q = Par(p.sync, to_initial(p.left), to_initial(p.right))
+    p._rollback = q
+    return q
 
 
 # --- ready sets ------------------------------------------------------------
@@ -231,22 +392,7 @@ def frs(p: ProcessLike) -> frozenset[str]:
 
 def brs(p: ProcessLike) -> frozenset[str]:
     """Backward ready set: the actions whose execution led to ``p``."""
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, (Prefix, BrsPrefix)):
-        if not p.executed:
-            return frozenset()
-        if is_initial(p.cont):
-            return frozenset((p.action,))
-        return brs(p.cont)
-    if isinstance(p, Choice):
-        li, ri = is_initial(p.left), is_initial(p.right)
-        if li and ri:
-            return frozenset()
-        return brs(p.left) if not li else brs(p.right)
-    bar = lambda s: s - frozenset(p.sync)
-    bl, br_ = brs(p.left), brs(p.right)
-    return bar(bl) | bar(br_) | (bl & br_ & frozenset(p.sync))
+    return p.backward_ready
 
 
 # --- measures and updates --------------------------------------------------

@@ -121,3 +121,11 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--max-size", "2", "--alphabet", "a,b")
     assert code == 0
     assert "PASS completeness F vs FB:ps" in out
+
+
+def test_deep_terms_are_an_error_not_a_verdict(capsys):
+    chain = "a." * 1200 + "0"
+    code, out, err = run(capsys, "check", "--variant", "fb", chain, "a.0")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "encode", chain)
+    assert code == 2 and out == "" and err.startswith("error:")

@@ -1,0 +1,151 @@
+"""Hash-consed terms, the shared encoding DAG, and the lifetime of caches."""
+
+from __future__ import annotations
+
+import gc
+import sys
+
+import pytest
+
+import revexp
+from revexp import (
+    NIL,
+    Choice,
+    Par,
+    Prefix,
+    Theory,
+    brs,
+    encode,
+    is_initial,
+    parse,
+    prove_eq,
+    to_initial,
+    upd,
+)
+from revexp.axioms import theory_encoding
+from revexp.errors import NotReachableError
+from revexp.terms import BrsPrefix, ParL
+
+REFERENCE_K4 = " |[]| ".join(["(a.b.0 + c.0)"] * 4)
+
+
+def test_equal_plain_terms_are_one_node():
+    assert Prefix("a", False, NIL) is Prefix("a", False, NIL)
+    assert parse("a!.b.0 |[c]| (c.0 + d.0)") is parse("a!.b.0 |[c]| (c.0 + d.0)")
+    assert Par(("b", "a", "b"), NIL, NIL) is Par(("a", "b"), NIL, NIL)
+    p = parse("a.0 |[]| b.0")
+    stepped = upd(p, ParL(revexp.Act("a")))
+    assert stepped is parse("a!.0 |[]| b.0")
+    assert to_initial(stepped) is p
+
+
+def test_ready_set_terms_compare_structurally():
+    u1 = BrsPrefix("a", True, frozenset("ab"), NIL, ready_order=("b", "a"))
+    u2 = BrsPrefix("a", True, frozenset("ab"), NIL)
+    assert u1 is not u2 and u1 == u2 and hash(u1) == hash(u2)
+    assert Choice(u1, NIL) == Choice(u2, NIL)
+    assert u1 != BrsPrefix("a", True, frozenset("a"), NIL)
+
+
+def test_cached_attributes_on_a_deep_chain():
+    chain = NIL
+    for _ in range(5000):
+        chain = Prefix("a", True, chain)
+    assert not is_initial(chain)
+    assert brs(chain) == frozenset("a")
+    assert isinstance(hash(chain), int)
+    composed = Par((), chain, Choice(Prefix("b", False, NIL), NIL))
+    assert not is_initial(composed)
+    assert brs(composed) == frozenset("a")
+
+
+def _tree_and_distinct(u) -> tuple[int, int]:
+    """Nodes of ``u`` unfolded into a tree, and its distinct subterms (ready
+    sets as sets), counted over the DAG."""
+    sizes: dict = {}
+    table: dict = {}
+
+    def walk(v):
+        got = sizes.get(id(v))
+        if got is not None:
+            return got[:2]
+        if isinstance(v, BrsPrefix):
+            size, child = walk(v.cont)
+            key = ("p", v.action, v.executed, v.ready, child)
+            size += 1
+        elif isinstance(v, Choice):
+            (left, lid), (right, rid) = walk(v.left), walk(v.right)
+            key, size = ("+", lid, rid), 1 + left + right
+        else:
+            key, size = ("0",), 1
+        got = sizes[id(v)] = (size, table.setdefault(key, len(table)), v)
+        return got[:2]
+
+    return walk(u)[0], len(table)
+
+
+def test_the_encoding_is_a_shared_dag_of_the_same_tree():
+    u = encode(parse(REFERENCE_K4))
+    assert _tree_and_distinct(u) == (28967, 248)
+    nodes = set()
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        if id(v) not in nodes:
+            nodes.add(id(v))
+            stack.extend(getattr(v, name) for name in ("cont", "left", "right")
+                         if hasattr(v, name))
+    assert len(nodes) < 28967 // 5
+
+
+def _module_cache_sizes() -> dict:
+    """Entries of every container and function cache bound at module level
+    in the package."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name != "revexp" and not name.startswith("revexp."):
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__"):
+                continue
+            if isinstance(value, (dict, set, list)):
+                sizes[f"{name}.{attr}"] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[f"{name}.{attr}"] = value.cache_info().currsize
+    return sizes
+
+
+def test_no_module_level_cache_outlives_a_query():
+    # the reference, and a renaming of it that no other test builds, so that
+    # a cache filled by an earlier test cannot hide its growth here
+    pairs = [(REFERENCE_K4, " |[]| ".join(["(c.0 + a.b.0)"] * 4)),
+             (REFERENCE_K4.replace("a", "x").replace("b", "y").replace("c", "z"),
+              " |[]| ".join(["(z.0 + x.y.0)"] * 4))]
+    gc.collect()
+    before = _module_cache_sizes()
+    for p_text, q_text in pairs:
+        p, q = parse(p_text), parse(q_text)
+        results = [encode(p)] + [prove_eq(p, q, theory) for theory in Theory]
+        assert results[1:] == [True, True, True]
+    del p, q, results
+    gc.collect()
+    after = _module_cache_sizes()
+    grown = {name: (before.get(name, 0), size) for name, size in after.items()
+             if size > before.get(name, 0)}
+    assert grown == {}
+
+
+@pytest.mark.parametrize("text", ["a!.0 |[a]| 0", "a!.0 + b!.0"])
+def test_unreachable_input_is_refused_everywhere(text):
+    p = parse(text, allow_illformed=True)
+    fine = parse("a.0")
+    with pytest.raises(NotReachableError):
+        encode(p)
+    for theory in (Theory.R, Theory.FR):
+        with pytest.raises(NotReachableError):
+            theory_encoding(p, theory)
+    for theory in Theory:
+        with pytest.raises(NotReachableError):
+            prove_eq(p, fine, theory)
+        with pytest.raises(NotReachableError):
+            prove_eq(fine, p, theory)
