@@ -85,7 +85,6 @@ class _Pass:
         self.step = step
         self.tracing = trace is not None
         self.memo: dict = {}  # id(node) -> (result, derivation, node)
-        self.keys: dict = {}  # the memo of _brs_key, for passes that sort
 
     def __call__(self, x, log: list | None, label: str | None):
         """Result for ``x``; its derivation goes to ``log`` under ``label``."""
@@ -409,25 +408,22 @@ def _canon_f(rw: _Pass, p: Process, log: list | None) -> Process:
     return Prefix(PAST, True, body)
 
 
-def _brs_key(u: BrsProcess, memo: dict):
-    """Display-insensitive sort key (ready sets compared as sets); ``memo``
-    maps ``id(node)`` to ``(key, node)`` within one call."""
-    got = memo.get(id(u))
-    if got is not None:
-        return got[0]
-    if isinstance(u, Nil):
-        key = (0,)
-    elif isinstance(u, BrsPrefix):
-        key = (1, u.action, u.executed, tuple(sorted(u.ready)), _brs_key(u.cont, memo))
-    else:
-        key = (2, _brs_key(u.left, memo), _brs_key(u.right, memo))
-    memo[id(u)] = (key, u)
+def _brs_key(u: BrsProcess):
+    """Display-insensitive sort key (ready sets compared as sets), kept on
+    the node once computed."""
+    key = u._key
+    if key is None:
+        if isinstance(u, BrsPrefix):
+            key = (1, u.action, u.executed, tuple(sorted(u.ready)), _brs_key(u.cont))
+        else:
+            key = (2, _brs_key(u.left), _brs_key(u.right))
+        u._key = key
     return key
 
 
 def structural_key(u: BrsProcess):
     """Hashable identity of a ready-set term, for grouping decider outputs."""
-    return _brs_key(u, {})
+    return _brs_key(u)
 
 
 def _canon_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
@@ -447,7 +443,7 @@ def _canon_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
         canon_rest = kept
         parts.append(canon_head)
     deduped: list[BrsProcess] = []
-    for s in sorted(canon_rest, key=lambda v: _brs_key(v, rw.keys)):
+    for s in sorted(canon_rest, key=_brs_key):
         if any(s == seen for seen in deduped):
             _log(log, "A_FR,4")
         else:

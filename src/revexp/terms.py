@@ -35,6 +35,9 @@ PAST = "#past"
 # ``Prefix``, ``Par``, and ``Choice`` over plain operands) are hash-consed:
 # equal plain processes are the same object, so ``==`` on them is identity
 # and ``upd``, ``to_initial`` and ``forward_steps`` return shared nodes.
+# Two slots are filled on first use: ``_rollback`` keeps ``to_initial`` of a
+# non-initial node, and ``_key`` the structural key of a ready-set node
+# (``axioms.structural_key``), so a shared subterm is keyed once.
 
 _EMPTY: frozenset[str] = frozenset()
 
@@ -70,6 +73,7 @@ class Nil(_Node):
     wellformed = True
     backward_ready = _EMPTY
     _hash = hash(())
+    _key = (0,)
 
     def __new__(cls):
         return NIL
@@ -126,7 +130,7 @@ class Choice(_Node):
     """
 
     __slots__ = ("left", "right", "plain", "initial", "wellformed",
-                 "backward_ready", "_hash", "_rollback", "__weakref__")
+                 "backward_ready", "_hash", "_rollback", "_key", "__weakref__")
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: "ProcessLike", right: "ProcessLike"):
@@ -148,6 +152,7 @@ class Choice(_Node):
         node.backward_ready = right.backward_ready if li else left.backward_ready
         node._hash = hash((left._hash, right._hash))
         node._rollback = None
+        node._key = None
         if plain:
             _interned[key] = KeyedRef(node, _forget, key)
         return node
@@ -216,7 +221,8 @@ class BrsPrefix(_Node):
     """
 
     __slots__ = ("action", "executed", "ready", "cont", "ready_order", "proof",
-                 "initial", "wellformed", "backward_ready", "_hash", "_rollback")
+                 "initial", "wellformed", "backward_ready", "_hash", "_rollback",
+                 "_key")
     __match_args__ = ("action", "executed", "ready", "cont")
     plain = False
 
@@ -231,6 +237,7 @@ class BrsPrefix(_Node):
         self.proof = proof
         _fill_prefix(self, action, executed, cont)
         self._hash = hash((action, executed, ready, cont._hash))
+        self._key = None
 
     def __eq__(self, other):
         if self is other:
