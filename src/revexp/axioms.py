@@ -84,7 +84,8 @@ class _Pass:
     def __init__(self, step, trace: Trace | None):
         self.step = step
         self.tracing = trace is not None
-        self.memo: dict = {}  # id(node) -> (result, derivation, node)
+        # id(node) -> (result, derivation, node); holding the node keeps its id unique
+        self.memo: dict = {}
 
     def __call__(self, x, log: list | None, label: str | None):
         """Result for ``x``; its derivation goes to ``log`` under ``label``."""
