@@ -21,6 +21,8 @@ from enum import Enum
 from .encoding import (
     ExecutionOrder,
     HistoryOrder,
+    _flatten,
+    _sum,
     canonical_order,
     encode,
     encode_reachable,
@@ -148,27 +150,10 @@ def _is_fnf_cont(p: Process, memo: dict) -> bool:
     return got[0]
 
 
-def _summands(p: Process) -> list[Prefix]:
-    if isinstance(p, Nil):
-        return []
-    if isinstance(p, Choice):
-        return _summands(p.left) + _summands(p.right)
-    return [p]
-
-
 def _fnf_parts(p: Process) -> tuple[str | None, list[Prefix]]:
     if isinstance(p, Prefix) and p.executed:
-        return p.action, _summands(p.cont)
-    return None, _summands(p)
-
-
-def _sum(parts: list) -> Process:
-    if not parts:
-        return NIL
-    out = parts[0]
-    for part in parts[1:]:
-        out = Choice(out, part)
-    return out
+        return p.action, _flatten(p.cont)
+    return None, _flatten(p)
 
 
 def expansion_law_f(p1: Process, p2: Process, sync) -> Process:
@@ -465,17 +450,28 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     so that symmetric arrangements of the same behavior pick compatible
     serializations.
     """
+    if theory is not Theory.R:
+        return _fr_encoding(p, False)[0]
     if not is_reachable(p):
         raise NotReachableError(f"{render(p)} is not reachable")
-    if theory is Theory.R:
-        return encode_reachable(p, canonical_order(p))
+    return encode_reachable(p, canonical_order(p))
+
+
+def _fr_encoding(p: Process, traced: bool):
+    """The forward-reverse :func:`theory_encoding` of ``p``, its canonical
+    normal form, and the derivation of that form (normalization, then
+    canonicalization) when ``traced`` is set, else ``None``."""
+    if not is_reachable(p):
+        raise NotReachableError(f"{render(p)} is not reachable")
     best = None
     for hist in minimal_trace_histories(p):
         u = encode_reachable(p, HistoryOrder(hist))
-        key = structural_key(canonical(normalize_fr(u), Theory.FR))
+        steps = [] if traced else None
+        form = canonical(normalize_fr(u, steps), Theory.FR, steps)
+        key = structural_key(form)
         if best is None or key < best[0]:
-            best = (key, u)
-    return best[1]
+            best = (key, u, form, steps)
+    return best[1:]
 
 
 def prove_eq(p1: Process, p2: Process, theory: Theory,
@@ -494,6 +490,13 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
                 raise NotReachableError(f"{render(p)} is not reachable")
         n1 = canonical(normalize_f(p1, trace), Theory.F, trace)
         n2 = canonical(normalize_f(p2, trace), Theory.F, trace)
+        return n1 == n2
+    if order is None and theory is Theory.FR:
+        # choosing the encodings already normalized them
+        _, n1, steps1 = _fr_encoding(p1, trace is not None)
+        _, n2, steps2 = _fr_encoding(p2, trace is not None)
+        if trace is not None:
+            trace += steps1 + steps2
         return n1 == n2
     if order is not None:
         u1, u2 = encode(p1, order), encode(p2, order)

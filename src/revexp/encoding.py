@@ -50,6 +50,7 @@ from .terms import (
     PlusR,
     Prefix,
     Process,
+    ProcessLike,
     ProofPath,
     ProofTerm,
     Syn,
@@ -140,43 +141,15 @@ def canonical_history(p: Process) -> tuple[ProofTerm, ...]:
     Chooses, among all ways of undoing the executed actions of ``p`` back to
     its initial version, the one whose sequence of observations (action and
     backward ready set of the state each step leaves) is lexicographically
-    least, breaking exact observation ties by the rendered proofs.  The
-    observation sequence read backward is precisely the executed spine the
-    serialization produces, so equivalent processes pick compatible
-    histories regardless of which side of a parallel composition their
-    actions sit on.  Every executed occurrence of ``p`` is covered: each
-    undo removes one flag (a synchronized pair removes two under one joint
-    proof).
+    least, breaking exact observation ties by the rendered proofs, newest
+    first.  The observation sequence read backward is precisely the executed
+    spine the serialization produces, so equivalent processes pick
+    compatible histories regardless of which side of a parallel composition
+    their actions sit on.  Every executed occurrence of ``p`` is covered:
+    each undo removes one flag (a synchronized pair removes two under one
+    joint proof).  It is the first of :func:`minimal_trace_histories`.
     """
-    memo: dict = {}
-
-    def best(q: Process):
-        got = memo.get(q)
-        if got is not None:
-            return got
-        if is_initial(q):
-            result = ((), (), ())
-        else:
-            edges = undo_steps(q)
-            if not edges:
-                raise NotReachableError(
-                    f"{render(q)} has executed actions that cannot be undone"
-                )
-            candidates = []
-            for theta, pred in edges:
-                labels, renders, hist = best(pred)
-                label = (act(theta), tuple(sorted(brs(q))))
-                candidates.append((
-                    (label,) + labels,
-                    (render_proof(theta),) + renders,
-                    hist + (theta,),
-                ))
-            result = min(candidates)
-        memo[q] = result
-        return result
-
-    _, _, hist = best(p)
-    return hist
+    return minimal_trace_histories(p, 1)[0]
 
 
 def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm, ...], ...]:
@@ -184,17 +157,20 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
 
     When independent executed actions carry identical observations, several
     serializations share the minimal trace; deciders that depend on the full
-    encoding structure canonicalize over this tie set.  Deterministic order;
-    at most ``cap`` histories are returned.
+    encoding structure canonicalize over this tie set.  The histories come
+    ordered by their rendered proofs, newest first; at most ``cap`` are
+    returned.
     """
-    label_memo: dict = {}
+    # state -> (its least observation trace, newest first; the undo edges
+    # that start that trace, sorted by rendered proof)
+    least: dict = {}
 
-    def best_labels(q: Process):
-        got = label_memo.get(q)
+    def search(q: Process):
+        got = least.get(q)
         if got is not None:
             return got
         if is_initial(q):
-            result = ()
+            got = ((), [])
         else:
             edges = undo_steps(q)
             if not edges:
@@ -202,35 +178,33 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
                     f"{render(q)} has executed actions that cannot be undone"
                 )
             obs = tuple(sorted(brs(q)))
-            result = min(((act(t), obs),) + best_labels(pred) for t, pred in edges)
-        label_memo[q] = result
-        return result
+            traces = [((act(t), obs),) + search(pred)[0] for t, pred in edges]
+            trace = min(traces)
+            kept = [e for e, tr in zip(edges, traces) if tr == trace]
+            got = (trace, sorted(kept, key=lambda e: render_proof(e[0])))
+        least[q] = got
+        return got
 
-    hist_memo: dict = {}
+    search(p)
+    histories: dict = {}
 
-    def all_min(q: Process):
-        got = hist_memo.get(q)
+    def unfold(q: Process):
+        got = histories.get(q)
         if got is not None:
             return got
-        if is_initial(q):
-            result = [()]
-        else:
-            target = best_labels(q)
-            obs = tuple(sorted(brs(q)))
-            result = []
-            for theta, pred in sorted(undo_steps(q), key=lambda e: render_proof(e[0])):
-                if ((act(theta), obs),) + best_labels(pred) != target:
-                    continue
-                for hist in all_min(pred):
-                    result.append(hist + (theta,))
-                    if len(result) >= cap:
-                        break
-                if len(result) >= cap:
+        edges = least[q][1]
+        got = [] if edges else [()]
+        for theta, pred in edges:
+            for hist in unfold(pred):
+                got.append(hist + (theta,))
+                if len(got) >= cap:
                     break
-        hist_memo[q] = result
-        return result
+            if len(got) >= cap:
+                break
+        histories[q] = got
+        return got
 
-    return tuple(all_min(p))
+    return tuple(unfold(p))
 
 
 def default_order(p: Process | None = None) -> ExecutionOrder:
@@ -308,12 +282,13 @@ def _encode(p: Process, sigma: ProofPath, env: Process,
     return _expand(u1, u2, frozenset(p.sync), sigma, env, recency, order, {})
 
 
-def _flatten(u: BrsProcess) -> list[BrsPrefix]:
+def _flatten(u: ProcessLike) -> list:
+    """The summands of a choice tree, left to right, without its 0 leaves."""
     if isinstance(u, Nil):
         return []
-    if isinstance(u, BrsPrefix):
-        return [u]
-    return _flatten(u.left) + _flatten(u.right)
+    if isinstance(u, Choice):
+        return _flatten(u.left) + _flatten(u.right)
+    return [u]
 
 
 def _decompose(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
@@ -334,7 +309,8 @@ def _decompose(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
     return head, rest
 
 
-def _sum(summands: list[BrsProcess]) -> BrsProcess:
+def _sum(summands: list) -> ProcessLike:
+    """The left-nested choice of ``summands``; 0 when there are none."""
     if not summands:
         return NIL
     out = summands[0]
@@ -473,41 +449,17 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
                  head1.cont, head2.cont)
             replay_head1()
             replay_head2()
-            for s in alts1:
-                if s.action not in sync:
-                    emit(compose(sigma, ParL(s.proof)), s.action, False,
-                         s.cont, to_initial(u2))
-            for s in alts2:
-                if s.action not in sync:
-                    emit(compose(sigma, ParR(s.proof)), s.action, False,
-                         to_initial(u1), s.cont)
-            sync_moves()
         elif not in1 and (in2 or order.leq(phi1, phi2)):
             emit(phi1, head1.action, True, head1.cont, u2)
             replay_head2()
-            for s in alts1:
-                if s.action not in sync:
-                    emit(compose(sigma, ParL(s.proof)), s.action, False,
-                         s.cont, to_initial(u2))
-            for s in alts2:
-                if s.action not in sync:
-                    emit(compose(sigma, ParR(s.proof)), s.action, False,
-                         to_initial(u1), s.cont)
-            sync_moves()
         elif not in2:
             emit(phi2, head2.action, True, u1, head2.cont)
             replay_head1()
-            for s in alts1:
-                if s.action not in sync:
-                    emit(compose(sigma, ParL(s.proof)), s.action, False,
-                         s.cont, to_initial(u2))
-            for s in alts2:
-                if s.action not in sync:
-                    emit(compose(sigma, ParR(s.proof)), s.action, False,
-                         to_initial(u1), s.cont)
-            sync_moves()
         else:  # pragma: no cover - guarded by the totality of orders
             raise OrderUndefinedError("cannot order the two executed actions")
+        left_moves(to_initial(u2))
+        right_moves(to_initial(u1))
+        sync_moves()
     result = _sum(out)
     memo[key] = (result, u1, u2, env)
     return result
@@ -610,13 +562,7 @@ def comparison_key(u: BrsProcess):
     """
     if isinstance(u, Nil):
         return ("0",)
-    head = None
-    rest = []
-    for s in _flatten(u):
-        if s.executed or not is_initial(s.cont):
-            head = s
-        else:
-            rest.append(s)
+    head, rest = _split_plain(u)
     keys = {_summand_key(s) for s in rest}
     if head is None:
         return ("+",) + tuple(sorted(keys))

@@ -48,33 +48,58 @@ def forward_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
     actions inside it.  Order: prefix rules, then left choice, right choice,
     left par, right par, synchronizations (left-major).
     """
+    return _steps(p, False)
+
+
+def undo_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
+    """The incoming transitions of ``p``, viewed backward.
+
+    By the loop property these are the forward rules read from target to
+    source: an executed prefix over an initial continuation is undone, and
+    every other rule is the forward one.  Each pair is a proof and the
+    predecessor it leaves from, in the derivation order of
+    :func:`forward_steps`.  An ill-formed process has none.
+    """
+    if not p.wellformed:
+        return []
+    return _steps(p, True)
+
+
+def _steps(p: Process, back: bool) -> list[tuple[ProofTerm, Process]]:
+    """Forward steps of ``p``, or its backward steps when ``back`` is set.
+
+    Only the prefix rule depends on the direction: a forward step fires an
+    unexecuted prefix, a backward step undoes an executed one, in both cases
+    over an initial continuation; otherwise an executed prefix propagates
+    the moves of its continuation.
+    """
     if isinstance(p, Nil):
         return []
     if isinstance(p, Prefix):
+        if p.executed == back and p.cont.initial:
+            return [(Act(p.action), Prefix(p.action, not back, p.cont))]
         if not p.executed:
-            if p.cont.initial:
-                return [(Act(p.action), Prefix(p.action, True, p.cont))]
             return []
         return [
             (Dot(theta), Prefix(p.action, True, cont))
-            for theta, cont in forward_steps(p.cont)
+            for theta, cont in _steps(p.cont, back)
         ]
     if isinstance(p, Choice):
         steps: list[tuple[ProofTerm, Process]] = []
         if p.right.initial:
             steps.extend(
                 (PlusL(theta), Choice(left, p.right))
-                for theta, left in forward_steps(p.left)
+                for theta, left in _steps(p.left, back)
             )
         if p.left.initial:
             steps.extend(
                 (PlusR(theta), Choice(p.left, right))
-                for theta, right in forward_steps(p.right)
+                for theta, right in _steps(p.right, back)
             )
         return steps
     sync = frozenset(p.sync)
-    lsteps = forward_steps(p.left)
-    rsteps = forward_steps(p.right)
+    lsteps = _steps(p.left, back)
+    rsteps = _steps(p.right, back)
     steps = [
         (ParL(theta), Par(p.sync, left, p.right))
         for theta, left in lsteps
@@ -127,42 +152,6 @@ def brs_forward_steps(
             for (theta, ready), right in brs_forward_steps(u.right)
         )
     return steps
-
-
-def undo_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
-    """The incoming transitions of ``p``, viewed backward.
-
-    A predecessor differs from ``p`` by exactly one executed flag (two for a
-    synchronization), so candidates are found by unflagging one executed
-    prefix and replaying the forward step.
-    """
-    edges: list[tuple[ProofTerm, Process]] = []
-    for cand in _unflag_one(p):
-        if not is_wellformed(cand):
-            continue
-        for theta, target in forward_steps(cand):
-            if target == p:
-                edges.append((theta, cand))
-    return edges
-
-
-def _unflag_one(p: Process) -> list[Process]:
-    out: list[Process] = []
-    if isinstance(p, Prefix):
-        if p.executed:
-            out.append(Prefix(p.action, False, p.cont))
-        out.extend(Prefix(p.action, p.executed, c) for c in _unflag_one(p.cont))
-    elif isinstance(p, Choice):
-        out.extend(Choice(l, p.right) for l in _unflag_one(p.left))
-        out.extend(Choice(p.left, r) for r in _unflag_one(p.right))
-    elif isinstance(p, Par):
-        out.extend(Par(p.sync, l, p.right) for l in _unflag_one(p.left))
-        out.extend(Par(p.sync, p.left, r) for r in _unflag_one(p.right))
-        # a synchronized pair is undone in one joint step
-        for l in _unflag_one(p.left):
-            for r in _unflag_one(p.right):
-                out.append(Par(p.sync, l, r))
-    return out
 
 
 def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:

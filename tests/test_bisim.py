@@ -149,7 +149,7 @@ def test_discrete_lts_partitions():
     merged, off = merge_lts(build_lts(P("0")), build_lts(P("a!.0")))
     blocks, _ = refine(merged, Variant.FBPS)
     # the initiality flag splits even transition-free states
-    assert blocks[0] != blocks[1 + off - 1] or True
+    assert blocks[0] != blocks[off]
     assert len(set(blocks)) == 2
 
 

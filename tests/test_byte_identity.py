@@ -20,6 +20,7 @@ from revexp.axioms import (
     format_trace,
     normalize_f,
     normalize_fr,
+    prove_eq,
     theory_encoding,
 )
 
@@ -55,10 +56,10 @@ def _products() -> list:
     return out
 
 
-def _derivation(normal_form, theory, x) -> str:
+def _derivation(normal_form, theory, x) -> list:
     trace = []
     canonical(normal_form(x, trace), theory, trace)
-    return format_trace(trace)
+    return trace
 
 
 def digests(terms) -> dict:
@@ -69,8 +70,8 @@ def digests(terms) -> dict:
             "encode": render(encode(p)),
             "R": render(theory_encoding(p, Theory.R)),
             "FR": render(fr),
-            "F trace": _derivation(normalize_f, Theory.F, p),
-            "FR trace": _derivation(normalize_fr, Theory.FR, fr),
+            "F trace": format_trace(_derivation(normalize_f, Theory.F, p)),
+            "FR trace": format_trace(_derivation(normalize_fr, Theory.FR, fr)),
         }
         for name, text in texts.items():
             hashes[name].update(text.encode())
@@ -82,3 +83,14 @@ def test_outputs_are_byte_identical():
     terms = list(enumerate_processes(4, ("a", "b"))) + _products()
     assert len(terms) == 7005 + 54
     assert digests(terms) == EXPECTED
+
+
+def test_prove_eq_fr_trace_is_the_derivation_of_each_side():
+    products = _products()
+    for p, q in zip(products, products[1:]):
+        trace = []
+        prove_eq(p, q, Theory.FR, trace)
+        assert trace == [
+            step for x in (p, q)
+            for step in _derivation(normalize_fr, Theory.FR, theory_encoding(x, Theory.FR))
+        ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -150,6 +151,22 @@ def test_undo_steps_are_the_incoming_transitions():
     lts = build_lts(parse("a.0 |[]| b.0"))
     sid = lts.state_of(p)
     assert len(edges) == len(incoming(lts, sid))
+    # every state of every size-3 seed, and a two-action synchronization set
+    roots = seed_terms(3, ("a", "b")) + [parse("(a.b.0 + c.0) |[a,b]| (a.b.0 |[]| c.0)")]
+    for root in roots:
+        lts = build_lts(root)
+        for sid, state in enumerate(lts.terms):
+            backward = Counter(
+                (render_proof(t), render(q)) for t, q in undo_steps(state)
+            )
+            into = Counter(
+                (render_proof(t.label), lts.renders[t.source]) for t in incoming(lts, sid)
+            )
+            assert backward == into, lts.renders[sid]
+
+
+def test_undo_steps_of_an_illformed_term_is_empty():
+    assert undo_steps(parse("a.b!.0 |[]| c!.0", allow_illformed=True)) == []
 
 
 def test_export_dot():
