@@ -70,25 +70,29 @@ class Verdict:
     counterexample: Counterexample | None = None
 
 
-def _observation(lts: Lts, t):
+def _transfer_table(lts: Lts) -> tuple[list, list[int], list[int]]:
+    """Observation, source and target of every transition, by transition id."""
     if lts.kind == "proved":
-        return act(t.label)
-    return (act(t.proof), tuple(sorted(set(t.ready))))
+        obs = [act(t.label) for t in lts.transitions]
+    else:
+        obs = [(act(t.proof), tuple(sorted(set(t.ready)))) for t in lts.transitions]
+    return (obs, [t.source for t in lts.transitions],
+            [t.target for t in lts.transitions])
 
 
-def _signature(lts: Lts, blocks: list[int], sid: int, variant: Variant):
-    parts = []
-    if variant.forward:
-        parts.append(tuple(sorted({
-            (_observation(lts, lts.transitions[i]), blocks[lts.transitions[i].target])
-            for i in lts.outgoing[sid]
-        })))
-    if variant.backward:
-        parts.append(tuple(sorted({
-            (_observation(lts, lts.transitions[i]), blocks[lts.transitions[i].source])
-            for i in lts.incoming_ids[sid]
-        })))
-    return tuple(parts)
+def _signatures(lts: Lts, table, blocks: list[int], variant: Variant) -> list:
+    """Each state's (observation, block) sets, one per observed direction."""
+    obs, src, dst = table
+    forward, backward = variant.forward, variant.backward
+    sigs = []
+    for out, inc in zip(lts.outgoing, lts.incoming_ids):
+        parts = []
+        if forward:
+            parts.append(tuple(sorted({(obs[i], blocks[dst[i]]) for i in out})))
+        if backward:
+            parts.append(tuple(sorted({(obs[i], blocks[src[i]]) for i in inc})))
+        sigs.append(tuple(parts))
+    return sigs
 
 
 def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
@@ -97,6 +101,7 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     Returns ``(blocks, split)`` where ``blocks`` maps state id to block id and
     ``split`` is ``None`` or ``(sig_left, sig_right)`` captured at the first
     refinement round on which the watched pair lands in different blocks.
+    Each transition's observation is computed once per call.
     """
     n = lts.num_states
     if variant.past_sensitive:
@@ -106,22 +111,23 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     split = None
     if watch is not None and blocks[watch[0]] != blocks[watch[1]]:
         split = ((), ())  # separated by the initiality seed itself
+    table = _transfer_table(lts)
     while True:
-        sigs = [(blocks[s], _signature(lts, blocks, s, variant)) for s in range(n)]
+        sigs = _signatures(lts, table, blocks, variant)
         ids: dict = {}
         new_blocks = []
-        for sig in sigs:
-            bid = ids.get(sig)
+        for key in zip(blocks, sigs):
+            bid = ids.get(key)
             if bid is None:
                 bid = len(ids)
-                ids[sig] = bid
+                ids[key] = bid
             new_blocks.append(bid)
         if (
             watch is not None
             and split is None
             and new_blocks[watch[0]] != new_blocks[watch[1]]
         ):
-            split = (sigs[watch[0]][1], sigs[watch[1]][1])
+            split = (sigs[watch[0]], sigs[watch[1]])
         if len(ids) == len(set(blocks)):
             return blocks, split
         blocks = new_blocks
@@ -191,7 +197,7 @@ def check(p1: Process, p2: Process, variant: Variant,
     lts1 = build_lts(to_initial(p1), max_states)
     lts2 = build_lts(to_initial(p2), max_states)
     for p, lts in ((p1, lts1), (p2, lts2)):
-        if render(p) not in lts.index:
+        if p not in lts.index:
             raise NotReachableError(f"{render(p)} is not reachable")
     return _check_on(lts1, lts2, p1, p2, variant)
 
@@ -204,7 +210,7 @@ def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
     lts1 = build_brs_lts(to_initial(u1), max_states)
     lts2 = build_brs_lts(to_initial(u2), max_states)
     for u, lts in ((u1, lts1), (u2, lts2)):
-        if render(u) not in lts.index:
+        if u not in lts.index:
             raise NotReachableError(f"{render(u)} is not reachable")
     return _check_on(lts1, lts2, u1, u2, variant)
 
@@ -231,10 +237,11 @@ def verify_partition(lts: Lts, blocks: list[int], variant: Variant) -> str | Non
     members: dict[int, list[int]] = {}
     for sid, bid in enumerate(blocks):
         members.setdefault(bid, []).append(sid)
+    sigs = _signatures(lts, _transfer_table(lts), blocks, variant)
     for bid, states in members.items():
-        sigs = [_signature(lts, blocks, s, variant) for s in states]
-        for s, sig in zip(states, sigs):
-            if sig != sigs[0]:
+        first = sigs[states[0]]
+        for s in states:
+            if sigs[s] != first:
                 return (
                     f"states {lts.renders[states[0]]} and {lts.renders[s]} share a "
                     f"block but have different signatures"

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the command succeeds (and, for verdict-producing
 commands, the answer is "equivalent"), 1 when the answer is "not
-equivalent" or a self-test fails, 2 on any error.  ``REVEXP_STATE_CAP``
-overrides the default state budget for system construction.
+equivalent" or a self-test fails, 2 on any error.  ``REVEXP_STATE_CAP``, a
+positive integer, overrides the default state budget for system
+construction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,15 @@ _THEORIES = {t.value: t for t in Theory}
 
 def _state_cap() -> int:
     value = os.environ.get("REVEXP_STATE_CAP")
-    return int(value) if value else DEFAULT_STATE_CAP
+    if not value:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"REVEXP_STATE_CAP must be a positive integer, not {value!r}")
+    return cap
 
 
 def _parse_term(text: str, allow_illformed: bool):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .semantics import DEFAULT_STATE_CAP, build_lts
-from .syntax import render
 from .terms import NIL, Choice, Nil, Par, Prefix, Process, height, size
 
 
@@ -51,14 +50,13 @@ def seed_terms(max_size: int, alphabet) -> list[Process]:
     """The deterministic seed family described in the module docstring."""
     alphabet = tuple(alphabet)
     seeds: list[Process] = []
-    seen: set[str] = set()
+    seen: set[Process] = set()
 
     def add(term: Process) -> None:
         if size(term) > max_size or height(term) > max_size:
             return
-        key = render(term)
-        if key not in seen:
-            seen.add(key)
+        if term not in seen:
+            seen.add(term)
             seeds.append(term)
 
     for chain in _chains(max_size, alphabet):
@@ -101,11 +99,9 @@ def _wrap(chain: Process, core: Process) -> Process:
 def enumerate_processes(max_size: int, alphabet,
                         max_states: int = DEFAULT_STATE_CAP) -> Iterator[Process]:
     """All reachable states of all seeds, deduplicated, in deterministic order."""
-    seen: set[str] = set()
+    seen: set[Process] = set()
     for seed in seed_terms(max_size, alphabet):
-        lts = build_lts(seed, max_states)
-        for sid in range(lts.num_states):
-            key = lts.renders[sid]
-            if key not in seen:
-                seen.add(key)
-                yield lts.terms[sid]
+        for term in build_lts(seed, max_states).terms:
+            if term not in seen:
+                seen.add(term)
+                yield term

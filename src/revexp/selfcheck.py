@@ -58,14 +58,14 @@ def class_ids(terms: list[Process], variant: Variant,
     """Bisimilarity class of each term, from one refinement over their union."""
     union = build_union([to_initial(t) for t in terms], "proved", max_states)
     blocks, _ = refine(union, variant)
-    return [blocks[union.index[render(t)]] for t in terms]
+    return [blocks[union.index[t]] for t in terms]
 
 
 def brs_class_ids(encodings: list, variant: Variant,
                   max_states: int = DEFAULT_STATE_CAP) -> list[int]:
     union = build_union([to_initial(u) for u in encodings], "brs", max_states)
     blocks, _ = refine(union, variant)
-    return [blocks[union.index[render(u)]] for u in encodings]
+    return [blocks[union.index[u]] for u in encodings]
 
 
 def _partitions_agree(name: str, terms: list[Process],

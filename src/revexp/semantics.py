@@ -9,6 +9,7 @@ state space of any term is finite and :func:`build_lts` terminates.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import NotReachableError, StateBudgetError, UnknownStateError
@@ -97,26 +98,27 @@ def _steps(p: Process, back: bool) -> list[tuple[ProofTerm, Process]]:
                 for theta, right in _steps(p.right, back)
             )
         return steps
-    sync = frozenset(p.sync)
+    sync = p.sync
     lsteps = _steps(p.left, back)
     rsteps = _steps(p.right, back)
     steps = [
-        (ParL(theta), Par(p.sync, left, p.right))
+        (ParL(theta), Par(sync, left, p.right))
         for theta, left in lsteps
-        if act(theta) not in sync
+        if not sync or act(theta) not in sync
     ]
     steps.extend(
-        (ParR(theta), Par(p.sync, p.left, right))
+        (ParR(theta), Par(sync, p.left, right))
         for theta, right in rsteps
-        if act(theta) not in sync
+        if not sync or act(theta) not in sync
     )
-    for theta1, left in lsteps:
-        a = act(theta1)
-        if a not in sync:
-            continue
-        for theta2, right in rsteps:
-            if act(theta2) == a:
-                steps.append((Syn(theta1, theta2), Par(p.sync, left, right)))
+    if sync:
+        for theta1, left in lsteps:
+            a = act(theta1)
+            if a not in sync:
+                continue
+            for theta2, right in rsteps:
+                if act(theta2) == a:
+                    steps.append((Syn(theta1, theta2), Par(sync, left, right)))
     return steps
 
 
@@ -196,79 +198,100 @@ class BrsTransition:
     target: int
 
 
+class Renders(Sequence):
+    """The text of every state of a system, each rendered on first read."""
+
+    __slots__ = ("_terms", "_texts")
+
+    def __init__(self, terms: list):
+        self._terms = terms
+        self._texts: list[str | None] = [None] * len(terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __getitem__(self, sid: int) -> str:
+        text = self._texts[sid]
+        if text is None:
+            text = self._texts[sid] = render(self._terms[sid])
+        return text
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class Lts:
     """Finite proved transition system with interned states.
 
     ``kind`` is ``"proved"`` for plain processes and ``"brs"`` for ready-set
-    processes.  States are interned by their canonical text rendering, so
-    construction is deterministic.
+    processes.  ``index`` maps each state to its number by the node's hash
+    and ``==``: identity for hash-consed plain processes, structural
+    equality (which ignores display order) for ready-set processes.  States
+    are numbered in breadth-first order, so construction is deterministic.
+    ``renders`` holds the states' texts, rendered when first read.
     """
 
     kind: str
     root: int
     terms: list
-    renders: list[str]
     initial: list[bool]
     transitions: list
     outgoing: list[list[int]] = field(repr=False)
     incoming_ids: list[list[int]] = field(repr=False)
-    index: dict[str, int] = field(default_factory=dict, repr=False)
+    index: dict = field(default_factory=dict, repr=False)
+    renders: Renders = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.renders = Renders(self.terms)
 
     @property
     def num_states(self) -> int:
         return len(self.terms)
 
     def state_of(self, term) -> int:
-        key = render(term)
-        if key not in self.index:
-            raise UnknownStateError(f"{key} is not a state of this system")
-        return self.index[key]
+        sid = self.index.get(term)
+        if sid is None:
+            raise UnknownStateError(f"{render(term)} is not a state of this system")
+        return sid
 
 
 def _build(kind: str, roots: list, step_fn, label_fn, max_states: int) -> Lts:
     terms = []
-    renders = []
-    index: dict[str, int] = {}
+    index: dict = {}
     transitions = []
     outgoing: list[list[int]] = []
     incoming_ids: list[list[int]] = []
-    queue = []
     for root in roots:
-        key = render(root)
-        if key in index:
+        if root in index:
             continue
-        index[key] = len(terms)
-        queue.append(len(terms))
+        index[root] = len(terms)
         terms.append(root)
-        renders.append(key)
         outgoing.append([])
         incoming_ids.append([])
-    qi = 0
-    while qi < len(queue):
-        sid = queue[qi]
-        qi += 1
+    sid = 0
+    while sid < len(terms):
         for label, target in step_fn(terms[sid]):
-            key = render(target)
-            tid = index.get(key)
+            tid = index.get(target)
             if tid is None:
                 if len(terms) >= max_states:
                     raise StateBudgetError(
                         f"state budget of {max_states} states exceeded"
                     )
                 tid = len(terms)
-                index[key] = tid
+                index[target] = tid
                 terms.append(target)
-                renders.append(key)
                 outgoing.append([])
                 incoming_ids.append([])
-                queue.append(tid)
             tr_id = len(transitions)
             transitions.append(label_fn(sid, label, tid))
             outgoing[sid].append(tr_id)
             incoming_ids[tid].append(tr_id)
-    initial = [is_initial(t) for t in terms]
-    return Lts(kind, 0, terms, renders, initial, transitions, outgoing, incoming_ids, index)
+        sid += 1
+    initial = [t.initial for t in terms]
+    return Lts(kind, 0, terms, initial, transitions, outgoing, incoming_ids, index)
 
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
@@ -330,8 +353,8 @@ def merge_lts(a: Lts, b: Lts) -> tuple[Lts, int]:
         [i + n_a for i in ids] for ids in b.incoming_ids
     ]
     merged = Lts(
-        a.kind, a.root, a.terms + b.terms, a.renders + b.renders,
-        a.initial + b.initial, transitions, outgoing, incoming_ids, {},
+        a.kind, a.root, a.terms + b.terms, a.initial + b.initial,
+        transitions, outgoing, incoming_ids, {},
     )
     return merged, off
 

@@ -167,6 +167,19 @@ def test_witness_partitions_are_stable():
         assert verify_partition(merged, blocks, v) is None
 
 
+def test_verify_partition_rejects_unstable_partitions():
+    diamond = build_lts(P("a.0 |[]| b.0"))
+    assert verify_partition(diamond, [0] * diamond.num_states, Variant.FB) == (
+        "states a.0 |[]| b.0 and a!.0 |[]| b.0 share a block but have "
+        "different signatures"
+    )
+    merged, _ = merge_lts(build_lts(P("0")), build_lts(P("a!.0")))
+    assert verify_partition(merged, [0, 0], Variant.FB) is None
+    assert verify_partition(merged, [0, 0], Variant.FBPS) == (
+        "block 0 mixes initial and non-initial states"
+    )
+
+
 def test_counterexample_reporting():
     verdict = check(P("a!.0 |[]| b!.0"), P("a!.b!.0 + b.a.0"), Variant.RB)
     assert not verdict.equivalent

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from revexp.cli import main
 
 
@@ -55,6 +57,16 @@ def test_lts_state_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("REVEXP_STATE_CAP", "2")
     code, _, err = run(capsys, "lts", "a.0 |[]| b.0")
     assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_lts_state_cap_env_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("REVEXP_STATE_CAP", value)
+    code, out, err = run(capsys, "lts", "a.0")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: REVEXP_STATE_CAP must be a positive integer, not {value!r}\n"
+    )
 
 
 def test_encode(capsys):

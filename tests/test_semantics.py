@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -23,11 +24,14 @@ from revexp import (
     parse,
     render,
 )
+from revexp import semantics
+from revexp.bisim import Variant
 from revexp.errors import StateBudgetError, UnknownStateError
 from revexp.generate import seed_terms
-from revexp.semantics import undo_steps
+from revexp.selfcheck import brs_class_ids
+from revexp.semantics import build_union, undo_steps
 from revexp.syntax import render_proof
-from revexp.terms import Par, act
+from revexp.terms import Choice, Par, act, to_initial
 
 
 def test_forward_steps_duplicate_choice():
@@ -104,6 +108,53 @@ def test_build_is_deterministic():
     b = build_lts(parse("a.0 |[a]| (a.0 + b.0)"))
     assert a.renders == b.renders
     assert a.transitions == b.transitions
+
+
+def test_state_of_finds_a_state_from_its_text():
+    for seed in seed_terms(3, ("a", "b")):
+        lts = build_lts(seed)
+        for sid, term in enumerate(lts.terms):
+            assert lts.state_of(parse(render(term))) == sid
+
+
+def test_state_of_an_unknown_state_names_it():
+    lts = build_lts(parse("a.0 |[]| b.0"))
+    with pytest.raises(UnknownStateError,
+                       match=re.escape("c!.0 is not a state of this system")):
+        lts.state_of(parse("c!.0"))
+
+
+def test_states_are_rendered_when_first_read(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(semantics, "render",
+                        lambda p: rendered.append(p) or render(p))
+    lts = build_lts(parse("a.0 |[]| b.0"))
+    assert rendered == []
+    assert lts.renders[1] == lts.renders[1] == "a!.0 |[]| b.0"
+    assert rendered == [lts.terms[1]]
+
+
+def _redisplayed(u):
+    """``u`` with every ready set displayed in the reverse order."""
+    if isinstance(u, BrsPrefix):
+        return BrsPrefix(u.action, u.executed, u.ready, _redisplayed(u.cont),
+                         ready_order=u.ready_order[::-1], proof=u.proof)
+    if isinstance(u, Choice):
+        return Choice(_redisplayed(u.left), _redisplayed(u.right))
+    return u
+
+
+def test_union_shares_states_that_differ_only_in_display_order():
+    for text in ("a.0 |[]| b.0", "a!.0 |[]| b.c.0"):
+        u = encode(parse(text))
+        v = _redisplayed(u)
+        assert u == v and render(u) != render(v)
+        union = build_union([to_initial(u), to_initial(v)], "brs")
+        assert union.num_states == build_brs_lts(to_initial(u)).num_states
+        assert union.state_of(v) == union.state_of(u)
+        for variant in (Variant.RB, Variant.FRB):
+            first, second = brs_class_ids([u, v], variant)
+            assert first == second
 
 
 def test_incoming():
