@@ -50,6 +50,7 @@ from .errors import (
     StateBudgetError,
     UnknownStateError,
     WellFormednessError,
+    WitnessCheckError,
 )
 from .generate import enumerate_processes, seed_terms
 from .semantics import (

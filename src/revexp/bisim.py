@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotReachableError
+from .errors import NotReachableError, WitnessCheckError
 from .semantics import (
     DEFAULT_STATE_CAP,
     Lts,
@@ -62,12 +62,60 @@ class Counterexample:
     detail: str
 
 
-@dataclass(frozen=True)
 class Verdict:
-    equivalent: bool
-    variant: Variant
-    witness: tuple[tuple[str, ...], ...] | None = None
-    counterexample: Counterexample | None = None
+    """The answer of :func:`check` or :func:`check_brs`.
+
+    ``witness`` is, for an equivalent verdict, the stable partition of both
+    systems' states: one tuple of sorted rendered states per block, in block
+    order; it is ``None`` for a non-equivalent verdict.  A decider's verdict
+    keeps the merged system and its blocks, and the first read of
+    ``witness`` checks them with :func:`verify_partition` and renders them;
+    a partition that fails the check raises :class:`WitnessCheckError`.
+    Verdicts are immutable by contract and compare by their four fields.
+    """
+
+    __slots__ = ("equivalent", "variant", "counterexample", "_witness", "_partition")
+
+    def __init__(self, equivalent: bool, variant: Variant,
+                 witness: tuple[tuple[str, ...], ...] | None = None,
+                 counterexample: Counterexample | None = None):
+        self.equivalent = equivalent
+        self.variant = variant
+        self.counterexample = counterexample
+        self._witness = witness
+        self._partition: tuple[Lts, list[int]] | None = None
+
+    @classmethod
+    def _from_partition(cls, variant: Variant, lts: Lts, blocks: list[int]) -> Verdict:
+        verdict = cls(True, variant)
+        verdict._partition = (lts, blocks)
+        return verdict
+
+    @property
+    def witness(self) -> tuple[tuple[str, ...], ...] | None:
+        if self._partition is not None:
+            lts, blocks = self._partition
+            problem = verify_partition(lts, blocks, self.variant)
+            if problem is not None:
+                raise WitnessCheckError(f"witness is not a bisimulation: {problem}")
+            self._witness = _witness(lts, blocks)
+            self._partition = None
+        return self._witness
+
+    def _fields(self) -> tuple:
+        return (self.equivalent, self.variant, self.witness, self.counterexample)
+
+    def __eq__(self, other):
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Verdict(equivalent={self.equivalent!r}, variant={self.variant!r}, "
+                f"witness={self.witness!r}, counterexample={self.counterexample!r})")
 
 
 def _transfer_table(lts: Lts) -> tuple[list, list[int], list[int]]:
@@ -184,7 +232,7 @@ def _check_on(lts1: Lts, lts2: Lts, s1_term, s2_term, variant: Variant) -> Verdi
     s2 = lts2.state_of(s2_term) + off
     blocks, split = refine(merged, variant, watch=(s1, s2))
     if blocks[s1] == blocks[s2]:
-        return Verdict(True, variant, witness=_witness(merged, blocks))
+        return Verdict._from_partition(variant, merged, blocks)
     return Verdict(
         False, variant,
         counterexample=_describe_split(merged, variant, s1, s2, split),

@@ -72,10 +72,11 @@ def _cmd_check(args) -> int:
     p2 = _parse_term(args.p2, args.allow_illformed)
     verdict = check(p1, p2, _VARIANTS[args.variant], _state_cap())
     if verdict.equivalent:
+        # read (and so check) the witness before printing the answer
+        blocks = verdict.witness if args.witness else ()
         print("equivalent")
-        if args.witness:
-            for block in verdict.witness:
-                print("  { " + " , ".join(block) + " }")
+        for block in blocks:
+            print("  { " + " , ".join(block) + " }")
         return 0
     ce = verdict.counterexample
     print("not equivalent")

@@ -44,3 +44,7 @@ class OrderUndefinedError(RevexpError):
 
 class EncodingInputError(RevexpError):
     """An operand passed to the parallel expansion did not come from encode()."""
+
+
+class WitnessCheckError(RevexpError):
+    """A decider's equivalence witness failed its own stability check."""

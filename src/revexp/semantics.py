@@ -66,59 +66,72 @@ def undo_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
     return _steps(p, True)
 
 
-def _steps(p: Process, back: bool) -> list[tuple[ProofTerm, Process]]:
+def _steps(p: Process, back: bool,
+           memo: dict | None = None) -> list[tuple[ProofTerm, Process]]:
     """Forward steps of ``p``, or its backward steps when ``back`` is set.
 
     Only the prefix rule depends on the direction: a forward step fires an
     unexecuted prefix, a backward step undoes an executed one, in both cases
     over an initial continuation; otherwise an executed prefix propagates
     the moves of its continuation.
+
+    ``memo``, when given, maps each node already visited in this direction
+    to its steps, so a subterm shared by many states computes its moves
+    once.  Plain nodes are hash-consed, so the key is the node's identity.
+    Memoized lists are shared: callers must not mutate them.
     """
+    if memo is not None:
+        steps = memo.get(p)
+        if steps is not None:
+            return steps
     if isinstance(p, Nil):
-        return []
-    if isinstance(p, Prefix):
+        steps = []
+    elif isinstance(p, Prefix):
         if p.executed == back and p.cont.initial:
-            return [(Act(p.action), Prefix(p.action, not back, p.cont))]
-        if not p.executed:
-            return []
-        return [
-            (Dot(theta), Prefix(p.action, True, cont))
-            for theta, cont in _steps(p.cont, back)
-        ]
-    if isinstance(p, Choice):
-        steps: list[tuple[ProofTerm, Process]] = []
+            steps = [(Act(p.action), Prefix(p.action, not back, p.cont))]
+        elif not p.executed:
+            steps = []
+        else:
+            steps = [
+                (Dot(theta), Prefix(p.action, True, cont))
+                for theta, cont in _steps(p.cont, back, memo)
+            ]
+    elif isinstance(p, Choice):
+        steps = []
         if p.right.initial:
             steps.extend(
                 (PlusL(theta), Choice(left, p.right))
-                for theta, left in _steps(p.left, back)
+                for theta, left in _steps(p.left, back, memo)
             )
         if p.left.initial:
             steps.extend(
                 (PlusR(theta), Choice(p.left, right))
-                for theta, right in _steps(p.right, back)
+                for theta, right in _steps(p.right, back, memo)
             )
-        return steps
-    sync = p.sync
-    lsteps = _steps(p.left, back)
-    rsteps = _steps(p.right, back)
-    steps = [
-        (ParL(theta), Par(sync, left, p.right))
-        for theta, left in lsteps
-        if not sync or act(theta) not in sync
-    ]
-    steps.extend(
-        (ParR(theta), Par(sync, p.left, right))
-        for theta, right in rsteps
-        if not sync or act(theta) not in sync
-    )
-    if sync:
-        for theta1, left in lsteps:
-            a = act(theta1)
-            if a not in sync:
-                continue
-            for theta2, right in rsteps:
-                if act(theta2) == a:
-                    steps.append((Syn(theta1, theta2), Par(sync, left, right)))
+    else:
+        sync = p.sync
+        lsteps = _steps(p.left, back, memo)
+        rsteps = _steps(p.right, back, memo)
+        steps = [
+            (ParL(theta), Par(sync, left, p.right))
+            for theta, left in lsteps
+            if not sync or act(theta) not in sync
+        ]
+        steps.extend(
+            (ParR(theta), Par(sync, p.left, right))
+            for theta, right in rsteps
+            if not sync or act(theta) not in sync
+        )
+        if sync:
+            for theta1, left in lsteps:
+                a = act(theta1)
+                if a not in sync:
+                    continue
+                for theta2, right in rsteps:
+                    if act(theta2) == a:
+                        steps.append((Syn(theta1, theta2), Par(sync, left, right)))
+    if memo is not None:
+        memo[p] = steps
     return steps
 
 
@@ -258,7 +271,30 @@ class Lts:
         return sid
 
 
-def _build(kind: str, roots: list, step_fn, label_fn, max_states: int) -> Lts:
+def _build(kind: str, roots: list, max_states: int) -> Lts:
+    """Close ``roots`` under forward steps into one system of ``kind``.
+
+    A proved build memoizes the steps of every node it meets, for this
+    build only; ready-set steps are not memoized, because ``==`` on
+    ready-set processes ignores the display order their labels carry.
+    """
+    for root in roots:
+        if not is_wellformed(root):
+            raise NotReachableError(f"{render(root)} is not well-formed")
+    if kind == "proved":
+        memo: dict = {}
+
+        def step_fn(p):
+            return _steps(p, False, memo)
+
+        label_fn = Transition
+    elif kind == "brs":
+        step_fn = brs_forward_steps
+
+        def label_fn(s, label, t):
+            return BrsTransition(s, label[0], label[1], t)
+    else:
+        raise ValueError(f"unknown system kind {kind!r}")
     terms = []
     index: dict = {}
     transitions = []
@@ -296,35 +332,17 @@ def _build(kind: str, roots: list, step_fn, label_fn, max_states: int) -> Lts:
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Close ``root`` under forward steps.  Callers normally pass an initial term."""
-    if not is_wellformed(root):
-        raise NotReachableError(f"{render(root)} is not well-formed")
-    return _build(
-        "proved", [root], forward_steps,
-        lambda s, theta, t: Transition(s, theta, t), max_states,
-    )
+    return _build("proved", [root], max_states)
 
 
 def build_brs_lts(root: BrsProcess, max_states: int = DEFAULT_STATE_CAP) -> Lts:
-    if not is_wellformed(root):
-        raise NotReachableError(f"{render(root)} is not well-formed")
-    return _build(
-        "brs", [root], brs_forward_steps,
-        lambda s, label, t: BrsTransition(s, label[0], label[1], t), max_states,
-    )
+    return _build("brs", [root], max_states)
 
 
 def build_union(roots: list, kind: str = "proved",
                 max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """One system closing several roots at once, with shared interning."""
-    for root in roots:
-        if not is_wellformed(root):
-            raise NotReachableError(f"{render(root)} is not well-formed")
-    if kind == "proved":
-        return _build("proved", list(roots), forward_steps,
-                      lambda s, theta, t: Transition(s, theta, t), max_states)
-    return _build("brs", list(roots), brs_forward_steps,
-                  lambda s, label, t: BrsTransition(s, label[0], label[1], t),
-                  max_states)
+    return _build(kind, list(roots), max_states)
 
 
 def incoming(lts: Lts, sid: int):

@@ -19,8 +19,9 @@ from revexp import (
     parse,
     render,
 )
-from revexp.bisim import refine, verify_partition
-from revexp.errors import NotReachableError
+from revexp import bisim, semantics
+from revexp.bisim import Verdict, refine, verify_partition
+from revexp.errors import NotReachableError, WitnessCheckError
 from revexp.generate import enumerate_processes
 from revexp.selfcheck import class_ids
 from revexp import is_reachable
@@ -165,6 +166,48 @@ def test_witness_partitions_are_stable():
         merged, off = merge_lts(build_lts(p1), build_lts(p2))
         blocks, _ = refine(merged, v)
         assert verify_partition(merged, blocks, v) is None
+
+
+def _count_renders(monkeypatch) -> list:
+    rendered = []
+    monkeypatch.setattr(semantics, "render",
+                        lambda p: rendered.append(p) or render(p))
+    return rendered
+
+
+def test_the_witness_is_rendered_when_first_read(monkeypatch):
+    rendered = _count_renders(monkeypatch)
+    # 4 + 5 states
+    verdict = check(P("a.0 |[]| b.0"), P("a.b.0 + b.a.0"), Variant.FB)
+    assert verdict.equivalent and rendered == []
+    witness = verdict.witness
+    assert verdict.witness == witness and len(witness) == 4
+    assert len(rendered) == 9
+
+
+def test_a_counterexample_renders_only_its_two_states(monkeypatch):
+    rendered = _count_renders(monkeypatch)
+    verdict = check(P("a.0 |[]| b.0"), P("a.b.0 + b.a.0"), Variant.FRB)
+    ce = verdict.counterexample
+    assert not verdict.equivalent and verdict.witness is None
+    assert [render(p) for p in rendered] == [ce.left, ce.right]
+
+
+def test_reading_an_unstable_witness_raises(monkeypatch):
+    monkeypatch.setattr(bisim, "refine",
+                        lambda lts, variant, watch=None: ([0] * lts.num_states, None))
+    verdict = check(P("a.0"), P("b.0"), Variant.FB)
+    assert verdict.equivalent
+    with pytest.raises(WitnessCheckError, match="share a block but have different"):
+        verdict.witness
+
+
+def test_a_verdict_built_by_hand_keeps_its_fields():
+    witness = (("a.0",),)
+    verdict = Verdict(True, Variant.FB, witness=witness)
+    assert verdict.witness is witness and verdict.counterexample is None
+    assert verdict == Verdict(True, Variant.FB, witness)
+    assert Verdict(False, Variant.RB).witness is None
 
 
 def test_verify_partition_rejects_unstable_partitions():

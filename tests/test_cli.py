@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from revexp import bisim
 from revexp.cli import main
 
 
@@ -29,6 +30,14 @@ def test_check_witness(capsys):
     code, out, _ = run(capsys, "check", "--variant", "fb", "--witness", "a.0 + a.0", "a.0")
     assert code == 0
     assert "{" in out
+
+
+def test_check_witness_that_fails_its_check_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(bisim, "refine",
+                        lambda lts, variant, watch=None: ([0] * lts.num_states, None))
+    code, out, err = run(capsys, "check", "--variant", "fb", "--witness", "a.0", "b.0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: witness is not a bisimulation: states a.0 and a!.0")
 
 
 def test_check_parse_error(capsys):

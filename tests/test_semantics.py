@@ -134,6 +134,66 @@ def test_states_are_rendered_when_first_read(monkeypatch):
     assert rendered == [lts.terms[1]]
 
 
+REFERENCE_K5 = " |[]| ".join(["(a.b.0 + c.0)"] * 5)
+SYNCED_K5 = " |[a]| ".join(
+    ["(a.b.0 + c.a.0)", "(a.c.0 + b.a.0)"] * 2 + ["(a.b.0 + c.a.0)"]
+)
+
+
+def _reference_system(roots):
+    """States and (source, proof, target) edges, breadth first over the
+    uncached ``forward_steps``."""
+    index, states, edges = {}, [], []
+    for root in roots:
+        if root not in index:
+            index[root] = len(states)
+            states.append(root)
+    sid = 0
+    while sid < len(states):
+        for theta, target in forward_steps(states[sid]):
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            edges.append((sid, theta, index[target]))
+        sid += 1
+    return states, edges
+
+
+def _edges(lts):
+    return [(t.source, t.label, t.target) for t in lts.transitions]
+
+
+@pytest.mark.parametrize("text", [REFERENCE_K5, SYNCED_K5])
+def test_memoized_build_gives_the_reference_system(text):
+    p = parse(text)
+    states, edges = _reference_system([p])
+    lts = build_lts(p)
+    assert lts.terms == states and _edges(lts) == edges
+    assert len(states) > 200
+
+
+def test_memoized_union_gives_the_reference_system():
+    roots = [parse(REFERENCE_K5), parse(SYNCED_K5), parse(REFERENCE_K5)]
+    states, edges = _reference_system(roots)
+    union = build_union(roots)
+    assert union.terms == states and _edges(union) == edges
+
+
+def test_a_build_computes_each_subterm_once(monkeypatch):
+    # without a memo, (a.b.0 + c.0) x 5 makes about 20 calls per state
+    calls = []
+    steps = semantics._steps
+
+    def counted(p, back, memo=None):
+        calls.append(p)
+        return steps(p, back, memo)
+
+    monkeypatch.setattr(semantics, "_steps", counted)
+    lts = build_lts(parse(REFERENCE_K5))
+    assert lts.num_states == 1024
+    assert len(calls) < 4 * lts.num_states
+
+
 def _redisplayed(u):
     """``u`` with every ready set displayed in the reverse order."""
     if isinstance(u, BrsPrefix):

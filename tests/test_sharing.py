@@ -15,6 +15,8 @@ from revexp import (
     Prefix,
     Theory,
     brs,
+    build_lts,
+    build_union,
     encode,
     is_initial,
     parse,
@@ -127,7 +129,9 @@ def test_no_module_level_cache_outlives_a_query():
         p, q = parse(p_text), parse(q_text)
         results = [encode(p)] + [prove_eq(p, q, theory) for theory in Theory]
         assert results[1:] == [True, True, True]
-    del p, q, results
+        systems = [build_lts(p), build_union([p, q])]
+        assert [lts.num_states for lts in systems] == [256, 512]
+    del p, q, results, systems
     gc.collect()
     after = _module_cache_sizes()
     grown = {name: (before.get(name, 0), size) for name, size in after.items()
