@@ -7,6 +7,13 @@ only the action carried by a proof term; for ready-set systems they compare
 the pair of action and ready set.  Signatures are deduplicated per state:
 matching in the transfer clauses is existential per observation, so the
 multiplicity of equally labeled transitions must not split blocks.
+
+Refinement keeps the rounds of the signature loop (each round splits every
+block by its states' signatures under the last partition) but runs them as
+a worklist over stable block ids: a round recomputes only the signatures
+that the last round's splits can have changed.  A check stops at the first
+round that separates its pair, and that round's two signatures explain the
+verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .syntax import render
 from .terms import (
     BrsProcess,
     Process,
-    act,
     brs,
     frs,
     is_wellformed,
@@ -121,64 +127,133 @@ class Verdict:
 def _transfer_table(lts: Lts) -> tuple[list, list[int], list[int]]:
     """Observation, source and target of every transition, by transition id."""
     if lts.kind == "proved":
-        obs = [act(t.label) for t in lts.transitions]
+        obs = [t.action for t in lts.transitions]
     else:
-        obs = [(act(t.proof), tuple(sorted(set(t.ready)))) for t in lts.transitions]
+        obs = [(t.action, tuple(sorted(set(t.ready)))) for t in lts.transitions]
     return (obs, [t.source for t in lts.transitions],
             [t.target for t in lts.transitions])
 
 
-def _signatures(lts: Lts, table, blocks: list[int], variant: Variant) -> list:
-    """Each state's (observation, block) sets, one per observed direction."""
+def _signature_of(lts: Lts, table, blocks: list[int], variant: Variant):
+    """The function giving a state's (observation, block) sets under ``blocks``.
+
+    One set per observed direction: the forward set pairs each outgoing
+    observation with its target's block, the backward set each incoming
+    observation with its source's block.  ``blocks`` is read at each call,
+    so the caller may update it in place.
+    """
     obs, src, dst = table
-    forward, backward = variant.forward, variant.backward
-    sigs = []
-    for out, inc in zip(lts.outgoing, lts.incoming_ids):
-        parts = []
-        if forward:
-            parts.append(tuple(sorted({(obs[i], blocks[dst[i]]) for i in out})))
-        if backward:
-            parts.append(tuple(sorted({(obs[i], blocks[src[i]]) for i in inc})))
-        sigs.append(tuple(parts))
-    return sigs
+    out, inc = lts.outgoing, lts.incoming_ids
+    if variant.forward and variant.backward:
+        def signature(s: int) -> tuple:
+            return (frozenset([(obs[i], blocks[dst[i]]) for i in out[s]]),
+                    frozenset([(obs[i], blocks[src[i]]) for i in inc[s]]))
+    else:
+        edges, end = (out, dst) if variant.forward else (inc, src)
+
+        def signature(s: int) -> tuple:
+            return (frozenset([(obs[i], blocks[end[i]]) for i in edges[s]]),)
+    return signature
 
 
 def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     """Coarsest stable partition; optionally reports the step splitting ``watch``.
 
-    Returns ``(blocks, split)`` where ``blocks`` maps state id to block id and
-    ``split`` is ``None`` or ``(sig_left, sig_right)`` captured at the first
-    refinement round on which the watched pair lands in different blocks.
+    Returns ``(blocks, split)`` where ``blocks`` maps state id to block id.
+    The partitions P0, P1, ... are those of the round-based loop: P0 is the
+    seed (all states together, or split by initiality for FB:ps), and
+    P(k+1) splits each block of Pk by its states' signatures under Pk.
+
+    The rounds run as a worklist.  Block ids stay stable: a block that
+    splits keeps its id for one part and gives the others fresh ids.  A
+    state's signature can change only when a state it points to (forward)
+    or is pointed to by (backward) moved to a fresh id in the last round,
+    so a round recomputes the signatures of those dirty states alone.  The
+    clean members of a block share its last signature, so each touched
+    block compares its dirty states against one clean member, whose part
+    keeps the id.  The first round computes every signature.
+
+    With ``watch``, ``split`` is ``None`` or ``(sig_left, sig_right)``, the
+    two signatures under the partition of the first round that separates
+    the pair, and ``refine`` returns that round's partition at once: a
+    non-equivalent verdict needs no stable partition.  ``split`` is
+    ``((), ())`` when the seed separates the pair.  Its signatures carry
+    stable ids, not the ids of a round loop, but the counterexample is the
+    same: :func:`_describe_split` reads which observations differ, never
+    the ids, and any renaming of blocks keeps which observations those are.
+
+    Blocks are numbered by their first state at the end, as the round loop
+    numbers them; when no round splits, the seed comes back unchanged.
     Each transition's observation is computed once per call.
     """
     n = lts.num_states
     if variant.past_sensitive:
-        blocks = [1 if lts.initial[s] else 0 for s in range(n)]
+        seed = [1 if lts.initial[s] else 0 for s in range(n)]
     else:
-        blocks = [0] * n
-    split = None
-    if watch is not None and blocks[watch[0]] != blocks[watch[1]]:
-        split = ((), ())  # separated by the initiality seed itself
+        seed = [0] * n
+    if watch is not None and seed[watch[0]] != seed[watch[1]]:
+        return seed, ((), ())  # separated by the initiality seed itself
     table = _transfer_table(lts)
-    while True:
-        sigs = _signatures(lts, table, blocks, variant)
-        ids: dict = {}
-        new_blocks = []
-        for key in zip(blocks, sigs):
-            bid = ids.get(key)
-            if bid is None:
-                bid = len(ids)
-                ids[key] = bid
-            new_blocks.append(bid)
-        if (
-            watch is not None
-            and split is None
-            and new_blocks[watch[0]] != new_blocks[watch[1]]
-        ):
-            split = (sigs[watch[0]], sigs[watch[1]])
-        if len(ids) == len(set(blocks)):
-            return blocks, split
-        blocks = new_blocks
+    _, src, dst = table
+    outgoing, incoming = lts.outgoing, lts.incoming_ids
+    blocks = list(seed)
+    signature = _signature_of(lts, table, blocks, variant)
+    members = {b: {s for s in range(n) if blocks[s] == b} for b in set(blocks)}
+    # whose signature reads a state's block: its sources for the forward
+    # set, its targets for the backward set
+    readers = ([(incoming, src)] if variant.forward else []) + (
+        [(outgoing, dst)] if variant.backward else [])
+    next_id = max(blocks, default=-1) + 1
+    is_dirty = bytearray(n)
+    dirty = range(n)
+    split = None
+    while dirty:
+        touched: dict[int, list[int]] = {}
+        for s in dirty:
+            is_dirty[s] = 1
+            touched.setdefault(blocks[s], []).append(s)
+        moves = []  # (fresh id, states) parts leaving their block this round
+        for bid, states in touched.items():
+            group = members[bid]
+            parts: dict = {}
+            kept = None  # the part that keeps the id
+            if len(states) < len(group):
+                clean = next(s for s in group if not is_dirty[s])
+                kept = parts[signature(clean)] = []
+            for s in states:
+                sig = signature(s)
+                part = parts.get(sig)
+                if part is None:
+                    parts[sig] = [s]
+                else:
+                    part.append(s)
+            if len(parts) == 1:
+                continue
+            if kept is None:
+                kept = max(parts.values(), key=len)
+            for part in parts.values():
+                if part is not kept:
+                    moves.append((next_id, part))
+                    next_id += 1
+        for s in dirty:
+            is_dirty[s] = 0
+        if watch is not None:  # under the partition this round splits
+            watched = (signature(watch[0]), signature(watch[1]))
+        moved = []
+        for nid, part in moves:
+            members[blocks[part[0]]].difference_update(part)
+            members[nid] = set(part)
+            for s in part:
+                blocks[s] = nid
+            moved.extend(part)
+        if watch is not None and blocks[watch[0]] != blocks[watch[1]]:
+            split = watched
+            break
+        dirty = {end[i] for edges, end in readers for s in moved for i in edges[s]}
+    if blocks == seed:
+        return seed, split
+    ids: dict[int, int] = {}
+    return [ids.setdefault(b, len(ids)) for b in blocks], split
 
 
 def largest_bisimulation(lts: Lts, variant: Variant) -> list[list[int]]:
@@ -191,6 +266,12 @@ def largest_bisimulation(lts: Lts, variant: Variant) -> list[list[int]]:
 
 
 def _describe_split(lts: Lts, variant: Variant, s1: int, s2: int, split) -> Counterexample:
+    """The counterexample for a pair that ``split`` (from :func:`refine`) separates.
+
+    Only observations are read: the direction whose sets differ and the
+    least differing observation.  Block ids serve only to tell the sets
+    apart, so any consistent numbering of the blocks gives the same text.
+    """
     left, right = lts.renders[s1], lts.renders[s2]
     if split == ((), ()):
         return Counterexample(
@@ -285,11 +366,11 @@ def verify_partition(lts: Lts, blocks: list[int], variant: Variant) -> str | Non
     members: dict[int, list[int]] = {}
     for sid, bid in enumerate(blocks):
         members.setdefault(bid, []).append(sid)
-    sigs = _signatures(lts, _transfer_table(lts), blocks, variant)
+    signature = _signature_of(lts, _transfer_table(lts), blocks, variant)
     for bid, states in members.items():
-        first = sigs[states[0]]
+        first = signature(states[0])
         for s in states:
-            if sigs[s] != first:
+            if signature(s) != first:
                 return (
                     f"states {lts.renders[states[0]]} and {lts.renders[s]} share a "
                     f"block but have different signatures"

@@ -49,7 +49,7 @@ def forward_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
     actions inside it.  Order: prefix rules, then left choice, right choice,
     left par, right par, synchronizations (left-major).
     """
-    return _steps(p, False)
+    return [(theta, q) for theta, _, q in _steps(p, False)]
 
 
 def undo_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
@@ -63,13 +63,15 @@ def undo_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
     """
     if not p.wellformed:
         return []
-    return _steps(p, True)
+    return [(theta, q) for theta, _, q in _steps(p, True)]
 
 
 def _steps(p: Process, back: bool,
-           memo: dict | None = None) -> list[tuple[ProofTerm, Process]]:
+           memo: dict | None = None) -> list[tuple[ProofTerm, str, Process]]:
     """Forward steps of ``p``, or its backward steps when ``back`` is set.
 
+    Each step is a triple of proof, action and other endpoint; the action
+    is read off the prefix that fires, so no caller walks the proof for it.
     Only the prefix rule depends on the direction: a forward step fires an
     unexecuted prefix, a backward step undoes an executed one, in both cases
     over an initial continuation; otherwise an executed prefix propagates
@@ -88,48 +90,47 @@ def _steps(p: Process, back: bool,
         steps = []
     elif isinstance(p, Prefix):
         if p.executed == back and p.cont.initial:
-            steps = [(Act(p.action), Prefix(p.action, not back, p.cont))]
+            steps = [(Act(p.action), p.action, Prefix(p.action, not back, p.cont))]
         elif not p.executed:
             steps = []
         else:
             steps = [
-                (Dot(theta), Prefix(p.action, True, cont))
-                for theta, cont in _steps(p.cont, back, memo)
+                (Dot(theta), a, Prefix(p.action, True, cont))
+                for theta, a, cont in _steps(p.cont, back, memo)
             ]
     elif isinstance(p, Choice):
         steps = []
         if p.right.initial:
             steps.extend(
-                (PlusL(theta), Choice(left, p.right))
-                for theta, left in _steps(p.left, back, memo)
+                (PlusL(theta), a, Choice(left, p.right))
+                for theta, a, left in _steps(p.left, back, memo)
             )
         if p.left.initial:
             steps.extend(
-                (PlusR(theta), Choice(p.left, right))
-                for theta, right in _steps(p.right, back, memo)
+                (PlusR(theta), a, Choice(p.left, right))
+                for theta, a, right in _steps(p.right, back, memo)
             )
     else:
         sync = p.sync
         lsteps = _steps(p.left, back, memo)
         rsteps = _steps(p.right, back, memo)
         steps = [
-            (ParL(theta), Par(sync, left, p.right))
-            for theta, left in lsteps
-            if not sync or act(theta) not in sync
+            (ParL(theta), a, Par(sync, left, p.right))
+            for theta, a, left in lsteps
+            if a not in sync
         ]
         steps.extend(
-            (ParR(theta), Par(sync, p.left, right))
-            for theta, right in rsteps
-            if not sync or act(theta) not in sync
+            (ParR(theta), a, Par(sync, p.left, right))
+            for theta, a, right in rsteps
+            if a not in sync
         )
         if sync:
-            for theta1, left in lsteps:
-                a = act(theta1)
+            for theta1, a, left in lsteps:
                 if a not in sync:
                     continue
-                for theta2, right in rsteps:
-                    if act(theta2) == a:
-                        steps.append((Syn(theta1, theta2), Par(sync, left, right)))
+                for theta2, a2, right in rsteps:
+                    if a2 == a:
+                        steps.append((Syn(theta1, theta2), a, Par(sync, left, right)))
     if memo is not None:
         memo[p] = steps
     return steps
@@ -184,7 +185,7 @@ def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:
     frontier = [start]
     while frontier:
         q = frontier.pop()
-        for _, nxt in forward_steps(q):
+        for _, _, nxt in _steps(q, False):
             if nxt is p:
                 return True
             if id(nxt) in seen:
@@ -198,16 +199,22 @@ def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Transition:
+    """A proved transition; ``action`` is the action of ``label``."""
+
     source: int
     label: ProofTerm
+    action: str
     target: int
 
 
 @dataclass(frozen=True, slots=True)
 class BrsTransition:
+    """A ready-set transition; ``action`` is the action of ``proof``."""
+
     source: int
     proof: ProofTerm
     ready: tuple[str, ...]
+    action: str
     target: int
 
 
@@ -289,10 +296,12 @@ def _build(kind: str, roots: list, max_states: int) -> Lts:
 
         label_fn = Transition
     elif kind == "brs":
-        step_fn = brs_forward_steps
+        def step_fn(u):
+            return [(label, act(label[0]), target)
+                    for label, target in brs_forward_steps(u)]
 
-        def label_fn(s, label, t):
-            return BrsTransition(s, label[0], label[1], t)
+        def label_fn(s, label, a, t):
+            return BrsTransition(s, label[0], label[1], a, t)
     else:
         raise ValueError(f"unknown system kind {kind!r}")
     terms = []
@@ -309,7 +318,7 @@ def _build(kind: str, roots: list, max_states: int) -> Lts:
         incoming_ids.append([])
     sid = 0
     while sid < len(terms):
-        for label, target in step_fn(terms[sid]):
+        for label, a, target in step_fn(terms[sid]):
             tid = index.get(target)
             if tid is None:
                 if len(terms) >= max_states:
@@ -322,7 +331,7 @@ def _build(kind: str, roots: list, max_states: int) -> Lts:
                 outgoing.append([])
                 incoming_ids.append([])
             tr_id = len(transitions)
-            transitions.append(label_fn(sid, label, tid))
+            transitions.append(label_fn(sid, label, a, tid))
             outgoing[sid].append(tr_id)
             incoming_ids[tid].append(tr_id)
         sid += 1
@@ -360,9 +369,10 @@ def merge_lts(a: Lts, b: Lts) -> tuple[Lts, int]:
     transitions = list(a.transitions)
     for t in b.transitions:
         if a.kind == "proved":
-            transitions.append(Transition(t.source + off, t.label, t.target + off))
+            transitions.append(Transition(t.source + off, t.label, t.action, t.target + off))
         else:
-            transitions.append(BrsTransition(t.source + off, t.proof, t.ready, t.target + off))
+            transitions.append(BrsTransition(t.source + off, t.proof, t.ready, t.action,
+                                             t.target + off))
     n_a = len(a.transitions)
     outgoing = [list(ids) for ids in a.outgoing] + [
         [i + n_a for i in ids] for ids in b.outgoing

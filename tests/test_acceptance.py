@@ -21,8 +21,16 @@ import re
 import time
 
 from revexp import Variant, brs, check, encode, parse, render
+from revexp.axioms import (
+    Theory,
+    canonical,
+    normalize_fr,
+    normalize_r,
+    structural_key,
+    theory_encoding,
+)
 from revexp.encoding import brs_preserved_shape, verify_correspondence
-from revexp.generate import seed_terms
+from revexp.generate import enumerate_processes, seed_terms
 from revexp import selfcheck
 
 P = parse
@@ -132,6 +140,31 @@ def test_criterion_5_completeness_oracles():
             f"first: {report.failures[0]}"
         )
 
+
+
+def test_the_known_failures_are_failures_of_encoding_reflection():
+    """The analysis that criteria 4 and 5 cite, checked at size 4: the R and
+    FR theories decide the theory encodings exactly, and the pairs where a
+    theory and bisimilarity on terms disagree are the pairs where terms and
+    their encodings disagree (notes/decisions.md)."""
+    terms = list(enumerate_processes(4, ("a", "b")))
+    for variant, theory, failing in ((Variant.RB, Theory.R, 68),
+                                     (Variant.FRB, Theory.FR, 2)):
+        encodings = [theory_encoding(p, theory) for p in terms]
+        if theory is Theory.R:
+            keys = [structural_key(normalize_r(u)) for u in encodings]
+        else:
+            keys = [structural_key(canonical(normalize_fr(u), theory)) for u in encodings]
+        term_ids = selfcheck.class_ids(terms, variant)
+        encoding_ids = selfcheck.brs_class_ids(encodings, variant)
+
+        def disagreements(left, right):
+            return selfcheck._partitions_agree(theory.name, terms, left, right).failures
+
+        assert disagreements(encoding_ids, keys) == []
+        reflection = disagreements(term_ids, encoding_ids)
+        assert disagreements(term_ids, keys) == reflection
+        assert len(reflection) == failing
 
 def test_criterion_6_congruence():
     report = selfcheck.congruence_suite(3, ("a", "b"), samples=200)

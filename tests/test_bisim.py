@@ -21,11 +21,15 @@ from revexp import (
 )
 from revexp import bisim, semantics
 from revexp.bisim import Verdict, refine, verify_partition
+from revexp.axioms import Theory, theory_encoding
 from revexp.errors import NotReachableError, WitnessCheckError
-from revexp.generate import enumerate_processes
+from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
+from revexp.semantics import build_union
 from revexp import is_reachable
-from revexp.terms import Par, is_initial
+from revexp.terms import Par, act, is_initial, to_initial
+
+from test_byte_identity import _products
 
 
 P = parse
@@ -276,3 +280,122 @@ def test_parallel_contexts_preserve_verdicts():
             continue
         assert check(c1, c2, v).equivalent, (render(c1), render(c2), v)
         done += 1
+
+
+def _round_loop(lts, variant):
+    """The round-based refinement ``refine`` runs as a worklist, kept as the
+    reference: every round recomputes every state's signature, with
+    observations read off the proofs.  Returns the partitions P0, P1, ...
+    up to the stable one, and every state's signatures under each."""
+    n = lts.num_states
+    if variant.past_sensitive:
+        blocks = [1 if lts.initial[s] else 0 for s in range(n)]
+    else:
+        blocks = [0] * n
+    if lts.kind == "proved":
+        obs = [act(t.label) for t in lts.transitions]
+    else:
+        obs = [(act(t.proof), tuple(sorted(set(t.ready)))) for t in lts.transitions]
+    rounds, history = [blocks], []
+    while True:
+        sigs = []
+        for out, inc in zip(lts.outgoing, lts.incoming_ids):
+            parts = []
+            if variant.forward:
+                parts.append(tuple(sorted(
+                    {(obs[i], blocks[lts.transitions[i].target]) for i in out})))
+            if variant.backward:
+                parts.append(tuple(sorted(
+                    {(obs[i], blocks[lts.transitions[i].source]) for i in inc})))
+            sigs.append(tuple(parts))
+        history.append(sigs)
+        ids: dict = {}
+        new_blocks = [ids.setdefault(key, len(ids)) for key in zip(blocks, sigs)]
+        if len(ids) == len(set(blocks)):
+            return rounds, history
+        blocks = new_blocks
+        rounds.append(blocks)
+
+
+def _assert_refine_matches(lts, variant, watched):
+    """``refine`` against the round loop, unwatched and on each watched pair."""
+    rounds, history = _round_loop(lts, variant)
+    stable = rounds[-1]
+    assert refine(lts, variant) == (stable, None)
+    for left, right in watched:
+        blocks, split = refine(lts, variant, watch=(left, right))
+        if stable[left] == stable[right]:
+            assert (blocks, split) == (stable, None)
+            continue
+        # a separated pair stops at the first round that separates it
+        first = next(k for k, p in enumerate(rounds) if p[left] != p[right])
+        if first == 0:
+            assert (blocks, split) == (rounds[0], ((), ()))
+            continue
+        ids: dict = {}
+        assert blocks == [ids.setdefault(b, len(ids)) for b in rounds[first]]
+        sigs = history[first - 1]
+        assert (bisim._describe_split(lts, variant, left, right, split)
+                == bisim._describe_split(lts, variant, left, right,
+                                         (sigs[left], sigs[right])))
+
+
+def test_refine_matches_the_round_loop():
+    seeds = list(seed_terms(3, ("a", "b")))
+    union = build_union(seeds)
+    roots = [union.index[s] for s in seeds]
+    for v in ALL:
+        _assert_refine_matches(union, v, zip(roots[::45], roots[7::45]))
+    products = _products()
+    assert len(products) == 54
+    for p, q in zip(products, products[1:] + products[:1]):
+        lts_p, lts_q = build_lts(to_initial(p)), build_lts(to_initial(q))
+        merged, off = merge_lts(lts_p, lts_q)
+        pairs = [(lts_p.state_of(p), lts_q.state_of(q) + off), (0, off)]
+        for v in ALL:
+            _assert_refine_matches(merged, v, pairs)
+    for v, theory in ((Variant.RB, Theory.R), (Variant.FRB, Theory.FR)):
+        encodings = [to_initial(theory_encoding(s, theory)) for s in seeds]
+        brs_union = build_union(encodings, "brs")
+        roots = [brs_union.index[u] for u in encodings]
+        _assert_refine_matches(brs_union, v, zip(roots[::45], roots[7::45]))
+
+
+def test_a_seed_that_no_round_splits_keeps_its_block_order():
+    # the initiality seed numbers initial states 1; renumbering by first
+    # state would put the a.0 block first
+    assert check(P("a.0"), P("a.0"), Variant.FBPS).witness == (("a!.0",), ("a.0",))
+
+
+def test_a_separated_pair_stops_at_its_separating_round():
+    p, q = P("c.0 + a.a.a.0"), P("d.0 + a.a.a.0")
+    merged, off = merge_lts(build_lts(p), build_lts(q))
+    stable, _ = refine(merged, Variant.FB)
+    blocks, split = refine(merged, Variant.FB, watch=(0, off))
+    # round 1 separates the roots by their actions; the a-chains take two more
+    assert blocks[0] != blocks[off] and split is not None
+    assert len(set(blocks)) == 4 < len(set(stable)) == 5
+    assert check(p, q, Variant.FB).counterexample == bisim.Counterexample(
+        "c.0 + a.a.a.0", "d.0 + a.a.a.0", "forward", "c",
+        "a forward transition labeled 'c' exists on one side only",
+    )
+
+
+def test_refine_recomputes_fewer_signatures_than_the_round_loop(monkeypatch):
+    # the round loop computes every signature in every round, 4-6 per state here
+    computed = []
+    signature_of = bisim._signature_of
+
+    def counted(*args):
+        signature = signature_of(*args)
+        return lambda s: computed.append(s) or signature(s)
+
+    monkeypatch.setattr(bisim, "_signature_of", counted)
+    p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 5))
+    q = P(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
+    merged, _ = merge_lts(build_lts(p), build_lts(q))
+    for v in ALL:
+        rounds, _ = _round_loop(merged, v)
+        computed.clear()
+        refine(merged, v)
+        assert len(computed) < len(rounds) * merged.num_states
