@@ -65,7 +65,6 @@ from .semantics import (
     forward_steps,
     incoming,
     is_reachable,
-    merge_lts,
 )
 from .syntax import parse, parse_proof_term, render, render_proof
 from .terms import (

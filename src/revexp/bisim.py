@@ -1,12 +1,14 @@
 """Decision procedures for the four equivalences, with witnesses.
 
-All four are decided by partition refinement over the disjoint union of the
-two transition systems, which is sound because every incoming transition of
-a reachable state originates from a reachable state.  Observations compare
-only the action carried by a proof term; for ready-set systems they compare
-the pair of action and ready set.  Signatures are deduplicated per state:
-matching in the transfer clauses is existential per observation, so the
-multiplicity of equally labeled transitions must not split blocks.
+All four are decided by partition refinement over one system holding both
+processes' states: the union that closes the two initial versions root by
+root, in which a state both reach is one state.  Refining it is sound
+because every incoming transition of a reachable state originates from a
+reachable state.  Observations compare only the action carried by a proof
+term; for ready-set systems they compare the pair of action and ready set.
+Signatures are deduplicated per state: matching in the transfer clauses is
+existential per observation, so the multiplicity of equally labeled
+transitions must not split blocks.
 
 Refinement keeps the rounds of the signature loop (each round splits every
 block by its states' signatures under the last partition) but runs them as
@@ -22,13 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NotReachableError, WitnessCheckError
-from .semantics import (
-    DEFAULT_STATE_CAP,
-    Lts,
-    build_brs_lts,
-    build_lts,
-    merge_lts,
-)
+from .semantics import DEFAULT_STATE_CAP, Lts, build_union
 from .syntax import render
 from .terms import (
     BrsProcess,
@@ -74,7 +70,7 @@ class Verdict:
     ``witness`` is, for an equivalent verdict, the stable partition of both
     systems' states: one tuple of sorted rendered states per block, in block
     order; it is ``None`` for a non-equivalent verdict.  A decider's verdict
-    keeps the merged system and its blocks, and the first read of
+    keeps the union system and its blocks, and the first read of
     ``witness`` checks them with :func:`verify_partition` and renders them;
     a partition that fails the check raises :class:`WitnessCheckError`.
     Verdicts are immutable by contract and compare by their four fields.
@@ -124,25 +120,21 @@ class Verdict:
                 f"witness={self.witness!r}, counterexample={self.counterexample!r})")
 
 
-def _transfer_table(lts: Lts) -> tuple[list, list[int], list[int]]:
-    """Observation, source and target of every transition, by transition id."""
-    if lts.kind == "proved":
-        obs = [t.action for t in lts.transitions]
-    else:
-        obs = [(t.action, tuple(sorted(set(t.ready)))) for t in lts.transitions]
-    return (obs, [t.source for t in lts.transitions],
-            [t.target for t in lts.transitions])
-
-
-def _signature_of(lts: Lts, table, blocks: list[int], variant: Variant):
+def _signature_of(lts: Lts, blocks: list[int], variant: Variant):
     """The function giving a state's (observation, block) sets under ``blocks``.
 
     One set per observed direction: the forward set pairs each outgoing
     observation with its target's block, the backward set each incoming
-    observation with its source's block.  ``blocks`` is read at each call,
-    so the caller may update it in place.
+    observation with its source's block.  An observation is the action,
+    and for a ready-set system the action with its sorted ready set.
+    ``blocks`` is read at each call, so the caller may update it in place.
     """
-    obs, src, dst = table
+    if lts.kind == "proved":
+        obs = lts.action
+    else:
+        obs = [(a, tuple(sorted(set(ready))))
+               for a, (_, ready) in zip(lts.action, lts.label)]
+    src, dst = lts.source, lts.target
     out, inc = lts.outgoing, lts.incoming_ids
     if variant.forward and variant.backward:
         def signature(s: int) -> tuple:
@@ -184,7 +176,6 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
 
     Blocks are numbered by their first state at the end, as the round loop
     numbers them; when no round splits, the seed comes back unchanged.
-    Each transition's observation is computed once per call.
     """
     n = lts.num_states
     if variant.past_sensitive:
@@ -193,11 +184,10 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
         seed = [0] * n
     if watch is not None and seed[watch[0]] != seed[watch[1]]:
         return seed, ((), ())  # separated by the initiality seed itself
-    table = _transfer_table(lts)
-    _, src, dst = table
+    src, dst = lts.source, lts.target
     outgoing, incoming = lts.outgoing, lts.incoming_ids
     blocks = list(seed)
-    signature = _signature_of(lts, table, blocks, variant)
+    signature = _signature_of(lts, blocks, variant)
     members = {b: {s for s in range(n) if blocks[s] == b} for b in set(blocks)}
     # whose signature reads a state's block: its sources for the forward
     # set, its targets for the backward set
@@ -307,28 +297,40 @@ def _witness(lts: Lts, blocks: list[int]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(set(members))) for _, members in sorted(grouped.items()))
 
 
-def _check_on(lts1: Lts, lts2: Lts, s1_term, s2_term, variant: Variant) -> Verdict:
-    merged, off = merge_lts(lts1, lts2)
-    s1 = lts1.state_of(s1_term)
-    s2 = lts2.state_of(s2_term) + off
-    blocks, split = refine(merged, variant, watch=(s1, s2))
+def _union(x1, x2, kind: str, max_states: int) -> tuple[Lts, int, int]:
+    """The system a check decides on, and the states of ``x1`` and ``x2``.
+
+    The union closes the initial version of ``x1``, then that of ``x2``,
+    each with its own budget of ``max_states`` states.  Two distinct
+    initial versions have disjoint closures, so the states of ``x2``'s
+    system follow those of ``x1``'s in their own order; equal ones share
+    one closure.
+    """
+    union = build_union([[to_initial(x1)], [to_initial(x2)]], kind, max_states)
+    for x in (x1, x2):
+        if x not in union.index:
+            raise NotReachableError(f"{render(x)} is not reachable")
+    return union, union.index[x1], union.index[x2]
+
+
+def _check_on(x1, x2, kind: str, variant: Variant, max_states: int) -> Verdict:
+    union, s1, s2 = _union(x1, x2, kind, max_states)
+    blocks, split = refine(union, variant, watch=(s1, s2))
     if blocks[s1] == blocks[s2]:
-        return Verdict._from_partition(variant, merged, blocks)
+        return Verdict._from_partition(variant, union, blocks)
     return Verdict(
         False, variant,
-        counterexample=_describe_split(merged, variant, s1, s2, split),
+        counterexample=_describe_split(union, variant, s1, s2, split),
     )
 
 
 def check(p1: Process, p2: Process, variant: Variant,
           max_states: int = DEFAULT_STATE_CAP) -> Verdict:
-    """Decide whether two reachable processes are equivalent under ``variant``."""
-    lts1 = build_lts(to_initial(p1), max_states)
-    lts2 = build_lts(to_initial(p2), max_states)
-    for p, lts in ((p1, lts1), (p2, lts2)):
-        if p not in lts.index:
-            raise NotReachableError(f"{render(p)} is not reachable")
-    return _check_on(lts1, lts2, p1, p2, variant)
+    """Decide whether two reachable processes are equivalent under ``variant``.
+
+    ``max_states`` bounds the states of each process's system.
+    """
+    return _check_on(p1, p2, "proved", variant, max_states)
 
 
 def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
@@ -336,12 +338,7 @@ def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
     """Decide reverse or forward-reverse equivalence over ready-set processes."""
     if not variant.backward:
         raise ValueError("ready-set systems are compared under RB or FRB only")
-    lts1 = build_brs_lts(to_initial(u1), max_states)
-    lts2 = build_brs_lts(to_initial(u2), max_states)
-    for u, lts in ((u1, lts1), (u2, lts2)):
-        if u not in lts.index:
-            raise NotReachableError(f"{render(u)} is not reachable")
-    return _check_on(lts1, lts2, u1, u2, variant)
+    return _check_on(u1, u2, "brs", variant, max_states)
 
 
 def necessary_check(p1: Process, p2: Process, variant: Variant) -> bool:
@@ -366,7 +363,7 @@ def verify_partition(lts: Lts, blocks: list[int], variant: Variant) -> str | Non
     members: dict[int, list[int]] = {}
     for sid, bid in enumerate(blocks):
         members.setdefault(bid, []).append(sid)
-    signature = _signature_of(lts, _transfer_table(lts), blocks, variant)
+    signature = _signature_of(lts, blocks, variant)
     for bid, states in members.items():
         first = signature(states[0])
         for s in states:

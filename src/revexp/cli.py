@@ -149,7 +149,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     alphabet = tuple(a for a in args.alphabet.split(",") if a)
-    reports = selfcheck.run_selftest(args.max_size, alphabet)
+    reports = selfcheck.run_selftest(args.max_size, alphabet, _state_cap())
     ok = True
     for report in reports:
         print(report.line())

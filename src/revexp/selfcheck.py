@@ -56,14 +56,14 @@ class SuiteReport:
 def class_ids(terms: list[Process], variant: Variant,
               max_states: int = DEFAULT_STATE_CAP) -> list[int]:
     """Bisimilarity class of each term, from one refinement over their union."""
-    union = build_union([to_initial(t) for t in terms], "proved", max_states)
+    union = build_union([[to_initial(t) for t in terms]], "proved", max_states)
     blocks, _ = refine(union, variant)
     return [blocks[union.index[t]] for t in terms]
 
 
 def brs_class_ids(encodings: list, variant: Variant,
                   max_states: int = DEFAULT_STATE_CAP) -> list[int]:
-    union = build_union([to_initial(u) for u in encodings], "brs", max_states)
+    union = build_union([[to_initial(u) for u in encodings]], "brs", max_states)
     blocks, _ = refine(union, variant)
     return [blocks[union.index[u]] for u in encodings]
 
@@ -108,10 +108,10 @@ def _spot_check(report: SuiteReport, terms, class_of, pair_fn,
             )
 
 
-def completeness_suite(max_size: int, alphabet,
-                       spot_samples: int = 60, seed: int = 7) -> list[SuiteReport]:
+def completeness_suite(max_size: int, alphabet, spot_samples: int = 60, seed: int = 7,
+                       max_states: int = DEFAULT_STATE_CAP) -> list[SuiteReport]:
     """Axiom-system verdicts against bisimilarity verdicts, all pairs."""
-    terms = list(enumerate_processes(max_size, alphabet))
+    terms = list(enumerate_processes(max_size, alphabet, max_states))
     r_encodings = [theory_encoding(p, Theory.R) for p in terms]
     fr_encodings = [theory_encoding(p, Theory.FR) for p in terms]
     reports = []
@@ -125,7 +125,7 @@ def completeness_suite(max_size: int, alphabet,
          [structural_key(canonical(normalize_fr(u), Theory.FR)) for u in fr_encodings]),
     ]
     for name, theory, variant, keys in pairs:
-        ids = class_ids(terms, variant)
+        ids = class_ids(terms, variant, max_states)
         report = _partitions_agree(name, terms, ids, keys)
         _spot_check(
             report, terms, ids,
@@ -134,23 +134,23 @@ def completeness_suite(max_size: int, alphabet,
         )
         _spot_check(
             report, terms, ids,
-            lambda p, q, v=variant: check(p, q, v).equivalent,
+            lambda p, q, v=variant: check(p, q, v, max_states).equivalent,
             spot_samples // 3, seed + 1,
         )
         reports.append(report)
     return reports
 
 
-def corollary_suite(max_size: int, alphabet,
-                    spot_samples: int = 60, seed: int = 11) -> list[SuiteReport]:
+def corollary_suite(max_size: int, alphabet, spot_samples: int = 60, seed: int = 11,
+                    max_states: int = DEFAULT_STATE_CAP) -> list[SuiteReport]:
     """Equivalence of processes versus equivalence of their encodings."""
-    terms = list(enumerate_processes(max_size, alphabet))
+    terms = list(enumerate_processes(max_size, alphabet, max_states))
     reports = []
     for variant in (Variant.RB, Variant.FRB):
         theory = Theory.R if variant is Variant.RB else Theory.FR
         encodings = [theory_encoding(p, theory) for p in terms]
-        ids = class_ids(terms, variant)
-        enc_ids = brs_class_ids(encodings, variant)
+        ids = class_ids(terms, variant, max_states)
+        enc_ids = brs_class_ids(encodings, variant, max_states)
         report = _partitions_agree(
             f"encoding preserves {variant.name}", terms, ids, enc_ids
         )
@@ -158,7 +158,7 @@ def corollary_suite(max_size: int, alphabet,
         n = len(terms)
         for _ in range(min(spot_samples, n * n)):
             i, j = rng.randrange(n), rng.randrange(n)
-            got = check_brs(encodings[i], encodings[j], variant).equivalent
+            got = check_brs(encodings[i], encodings[j], variant, max_states).equivalent
             report.checked += 1
             if got != (ids[i] == ids[j]):
                 report.failures.append(
@@ -230,12 +230,13 @@ def congruence_suite(max_size: int, alphabet, samples: int = 200,
     return report
 
 
-def necessary_condition_suite(max_size: int, alphabet) -> SuiteReport:
+def necessary_condition_suite(max_size: int, alphabet,
+                              max_states: int = DEFAULT_STATE_CAP) -> SuiteReport:
     """No equivalent pair may differ on the variant's ready sets."""
     report = SuiteReport("ready sets are necessary conditions")
-    terms = list(enumerate_processes(max_size, alphabet))
+    terms = list(enumerate_processes(max_size, alphabet, max_states))
     for variant in Variant:
-        ids = class_ids(terms, variant)
+        ids = class_ids(terms, variant, max_states)
         classes: dict[int, tuple] = {}
         for term, cid in zip(terms, ids):
             sets = (
@@ -254,10 +255,11 @@ def necessary_condition_suite(max_size: int, alphabet) -> SuiteReport:
     return report
 
 
-def preservation_suite(max_size: int, alphabet) -> SuiteReport:
+def preservation_suite(max_size: int, alphabet,
+                       max_states: int = DEFAULT_STATE_CAP) -> SuiteReport:
     """Initiality always preserved; ready sets preserved under the side condition."""
     report = SuiteReport("encoding preserves initiality and ready sets")
-    for p in enumerate_processes(max_size, alphabet):
+    for p in enumerate_processes(max_size, alphabet, max_states):
         u = encode(p)
         report.checked += 1
         if is_initial(u) != is_initial(p):
@@ -268,11 +270,12 @@ def preservation_suite(max_size: int, alphabet) -> SuiteReport:
     return report
 
 
-def loop_and_tree_suite(max_size: int, alphabet) -> SuiteReport:
+def loop_and_tree_suite(max_size: int, alphabet,
+                        max_states: int = DEFAULT_STATE_CAP) -> SuiteReport:
     """Non-initial states have incoming transitions; sequential systems are trees."""
     report = SuiteReport("loop and tree properties")
     for seed in seed_terms(max_size, alphabet):
-        lts = build_lts(seed)
+        lts = build_lts(seed, max_states)
         sequential = not any(isinstance(sub, Par) for sub in _subterms(seed))
         for sid in range(lts.num_states):
             report.checked += 1
@@ -298,12 +301,15 @@ def _subterms(p):
             yield from _subterms(child)
 
 
-def run_selftest(max_size: int, alphabet) -> list[SuiteReport]:
+def run_selftest(max_size: int, alphabet,
+                 max_states: int = DEFAULT_STATE_CAP) -> list[SuiteReport]:
+    """Every suite of ``revexp selftest``; ``max_states`` is the state
+    budget of each system the suites build."""
     reports = []
-    reports.extend(completeness_suite(max_size, alphabet))
-    reports.extend(corollary_suite(max_size, alphabet))
+    reports.extend(completeness_suite(max_size, alphabet, max_states=max_states))
+    reports.extend(corollary_suite(max_size, alphabet, max_states=max_states))
     reports.append(correspondence_suite(min(max_size, 3), alphabet))
-    reports.append(necessary_condition_suite(max_size, alphabet))
-    reports.append(preservation_suite(max_size, alphabet))
-    reports.append(loop_and_tree_suite(max_size, alphabet))
+    reports.append(necessary_condition_suite(max_size, alphabet, max_states))
+    reports.append(preservation_suite(max_size, alphabet, max_states))
+    reports.append(loop_and_tree_suite(max_size, alphabet, max_states))
     return reports

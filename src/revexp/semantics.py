@@ -242,6 +242,36 @@ class Renders(Sequence):
         return list(self) == list(other)
 
 
+class Transitions(Sequence):
+    """Every transition of a system as a record, each built when it is read.
+
+    A proved system gives :class:`Transition` records, a ready-set system
+    :class:`BrsTransition` records; the system itself keeps only columns.
+    """
+
+    __slots__ = ("_lts",)
+
+    def __init__(self, lts: Lts):
+        self._lts = lts
+
+    def __len__(self) -> int:
+        return len(self._lts.source)
+
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        lts = self._lts
+        if lts.kind == "proved":
+            return Transition(lts.source[i], lts.label[i], lts.action[i], lts.target[i])
+        proof, ready = lts.label[i]
+        return BrsTransition(lts.source[i], proof, ready, lts.action[i], lts.target[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class Lts:
     """Finite proved transition system with interned states.
@@ -250,15 +280,26 @@ class Lts:
     processes.  ``index`` maps each state to its number by the node's hash
     and ``==``: identity for hash-consed plain processes, structural
     equality (which ignores display order) for ready-set processes.  States
-    are numbered in breadth-first order, so construction is deterministic.
-    ``renders`` holds the states' texts, rendered when first read.
+    are numbered breadth first, one group of roots after another (see
+    :func:`build_union`), so construction is deterministic.  ``renders``
+    holds the states' texts, rendered when first read.
+
+    Transitions are stored as columns indexed by transition id: ``source``,
+    ``target``, ``action`` and ``label``, which holds the proof of a proved
+    transition and the pair of proof and fired ready set of a ready-set
+    one.  ``outgoing`` and ``incoming_ids`` list each state's transition
+    ids.  ``transitions`` views the columns as a read-only sequence of
+    records, built only when read.
     """
 
     kind: str
     root: int
     terms: list
     initial: list[bool]
-    transitions: list
+    source: list[int] = field(repr=False)
+    target: list[int] = field(repr=False)
+    action: list[str] = field(repr=False)
+    label: list = field(repr=False)
     outgoing: list[list[int]] = field(repr=False)
     incoming_ids: list[list[int]] = field(repr=False)
     index: dict = field(default_factory=dict, repr=False)
@@ -266,6 +307,10 @@ class Lts:
 
     def __post_init__(self) -> None:
         self.renders = Renders(self.terms)
+
+    @property
+    def transitions(self) -> Transitions:
+        return Transitions(self)
 
     @property
     def num_states(self) -> int:
@@ -278,80 +323,98 @@ class Lts:
         return sid
 
 
-def _build(kind: str, roots: list, max_states: int) -> Lts:
-    """Close ``roots`` under forward steps into one system of ``kind``.
+def _build(kind: str, groups: list[list], max_states: int) -> Lts:
+    """Close each group of roots under forward steps, one group after another.
+
+    A group's roots are numbered first, then its new states breadth first;
+    the next group starts only once the last is closed, and a state already
+    met in an earlier group is that group's state.  ``max_states`` bounds
+    the states each group adds.
 
     A proved build memoizes the steps of every node it meets, for this
     build only; ready-set steps are not memoized, because ``==`` on
     ready-set processes ignores the display order their labels carry.
     """
-    for root in roots:
-        if not is_wellformed(root):
-            raise NotReachableError(f"{render(root)} is not well-formed")
     if kind == "proved":
         memo: dict = {}
 
         def step_fn(p):
             return _steps(p, False, memo)
-
-        label_fn = Transition
     elif kind == "brs":
         def step_fn(u):
             return [(label, act(label[0]), target)
                     for label, target in brs_forward_steps(u)]
-
-        def label_fn(s, label, a, t):
-            return BrsTransition(s, label[0], label[1], a, t)
     else:
         raise ValueError(f"unknown system kind {kind!r}")
     terms = []
     index: dict = {}
-    transitions = []
+    source: list[int] = []
+    target_ids: list[int] = []
+    actions: list[str] = []
+    labels: list = []
     outgoing: list[list[int]] = []
     incoming_ids: list[list[int]] = []
-    for root in roots:
-        if root in index:
-            continue
-        index[root] = len(terms)
-        terms.append(root)
-        outgoing.append([])
-        incoming_ids.append([])
     sid = 0
-    while sid < len(terms):
-        for label, a, target in step_fn(terms[sid]):
-            tid = index.get(target)
-            if tid is None:
-                if len(terms) >= max_states:
-                    raise StateBudgetError(
-                        f"state budget of {max_states} states exceeded"
-                    )
-                tid = len(terms)
-                index[target] = tid
-                terms.append(target)
-                outgoing.append([])
-                incoming_ids.append([])
-            tr_id = len(transitions)
-            transitions.append(label_fn(sid, label, a, tid))
-            outgoing[sid].append(tr_id)
-            incoming_ids[tid].append(tr_id)
-        sid += 1
+    for group in groups:
+        first = len(terms)
+        for root in group:
+            if not is_wellformed(root):
+                raise NotReachableError(f"{render(root)} is not well-formed")
+            if root in index:
+                continue
+            index[root] = len(terms)
+            terms.append(root)
+            outgoing.append([])
+            incoming_ids.append([])
+        while sid < len(terms):
+            out = outgoing[sid]
+            for label, a, target in step_fn(terms[sid]):
+                tid = index.get(target)
+                if tid is None:
+                    if len(terms) - first >= max_states:
+                        raise StateBudgetError(
+                            f"state budget of {max_states} states exceeded"
+                        )
+                    tid = len(terms)
+                    index[target] = tid
+                    terms.append(target)
+                    outgoing.append([])
+                    incoming_ids.append([])
+                tr_id = len(source)
+                source.append(sid)
+                target_ids.append(tid)
+                actions.append(a)
+                labels.append(label)
+                out.append(tr_id)
+                incoming_ids[tid].append(tr_id)
+            sid += 1
     initial = [t.initial for t in terms]
-    return Lts(kind, 0, terms, initial, transitions, outgoing, incoming_ids, index)
+    return Lts(kind, 0, terms, initial, source, target_ids, actions, labels,
+               outgoing, incoming_ids, index)
 
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Close ``root`` under forward steps.  Callers normally pass an initial term."""
-    return _build("proved", [root], max_states)
+    return _build("proved", [[root]], max_states)
 
 
 def build_brs_lts(root: BrsProcess, max_states: int = DEFAULT_STATE_CAP) -> Lts:
-    return _build("brs", [root], max_states)
+    return _build("brs", [[root]], max_states)
 
 
-def build_union(roots: list, kind: str = "proved",
+def build_union(groups: list[list], kind: str = "proved",
                 max_states: int = DEFAULT_STATE_CAP) -> Lts:
-    """One system closing several roots at once, with shared interning."""
-    return _build(kind, list(roots), max_states)
+    """One system closing each group of roots in turn, with shared interning.
+
+    States are numbered group by group: a group's roots, then the states
+    they reach that no earlier group reached, breadth first.  A state
+    reached from two groups is one state.  So when ``r1`` and ``r2`` reach
+    no common state, the union of ``[[r1], [r2]]`` holds the states of
+    ``build_lts(r1)`` and then those of ``build_lts(r2)``, each in its own
+    order; one group ``[roots]`` numbers all the roots first.
+    ``max_states`` bounds the states each group adds.
+    """
+    return _build(kind, groups, max_states)
 
 
 def incoming(lts: Lts, sid: int):
@@ -359,32 +422,6 @@ def incoming(lts: Lts, sid: int):
     if not 0 <= sid < lts.num_states:
         raise UnknownStateError(f"no state {sid} in a {lts.num_states}-state system")
     return [lts.transitions[i] for i in lts.incoming_ids[sid]]
-
-
-def merge_lts(a: Lts, b: Lts) -> tuple[Lts, int]:
-    """Disjoint union of two systems of the same kind; returns the id offset of ``b``."""
-    if a.kind != b.kind:
-        raise ValueError("cannot merge systems of different kinds")
-    off = a.num_states
-    transitions = list(a.transitions)
-    for t in b.transitions:
-        if a.kind == "proved":
-            transitions.append(Transition(t.source + off, t.label, t.action, t.target + off))
-        else:
-            transitions.append(BrsTransition(t.source + off, t.proof, t.ready, t.action,
-                                             t.target + off))
-    n_a = len(a.transitions)
-    outgoing = [list(ids) for ids in a.outgoing] + [
-        [i + n_a for i in ids] for ids in b.outgoing
-    ]
-    incoming_ids = [list(ids) for ids in a.incoming_ids] + [
-        [i + n_a for i in ids] for ids in b.incoming_ids
-    ]
-    merged = Lts(
-        a.kind, a.root, a.terms + b.terms, a.initial + b.initial,
-        transitions, outgoing, incoming_ids, {},
-    )
-    return merged, off
 
 
 def _edge_label(lts: Lts, t) -> str:

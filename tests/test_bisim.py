@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -14,7 +15,6 @@ from revexp import (
     check_brs,
     encode,
     largest_bisimulation,
-    merge_lts,
     necessary_check,
     parse,
     render,
@@ -22,10 +22,10 @@ from revexp import (
 from revexp import bisim, semantics
 from revexp.bisim import Verdict, refine, verify_partition
 from revexp.axioms import Theory, theory_encoding
-from revexp.errors import NotReachableError, WitnessCheckError
+from revexp.errors import NotReachableError, StateBudgetError, WitnessCheckError
 from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
-from revexp.semantics import build_union
+from revexp.semantics import build_brs_lts, build_union
 from revexp import is_reachable
 from revexp.terms import Par, act, is_initial, to_initial
 
@@ -34,6 +34,12 @@ from test_byte_identity import _products
 
 P = parse
 ALL = (Variant.FB, Variant.FBPS, Variant.RB, Variant.FRB)
+
+
+def _check_union(p, q):
+    """The system ``check(p, q, ...)`` decides on, and the states of ``p``
+    and ``q`` in it."""
+    return bisim._union(p, q, "proved", semantics.DEFAULT_STATE_CAP)
 
 
 def test_duplicate_choice_identified_by_everything():
@@ -151,10 +157,10 @@ def test_refinement_is_idempotent():
 def test_discrete_lts_partitions():
     lts = build_lts(P("0"))
     assert len(largest_bisimulation(lts, Variant.FB)) == 1
-    merged, off = merge_lts(build_lts(P("0")), build_lts(P("a!.0")))
-    blocks, _ = refine(merged, Variant.FBPS)
+    union = build_union([[P("0")], [P("a!.0")]])
+    blocks, _ = refine(union, Variant.FBPS)
     # the initiality flag splits even transition-free states
-    assert blocks[0] != blocks[off]
+    assert blocks[0] != blocks[union.state_of(P("a!.0"))]
     assert len(set(blocks)) == 2
 
 
@@ -167,9 +173,89 @@ def test_witness_partitions_are_stable():
     for p1, p2, v in pairs:
         verdict = check(p1, p2, v)
         assert verdict.equivalent and verdict.witness is not None
-        merged, off = merge_lts(build_lts(p1), build_lts(p2))
-        blocks, _ = refine(merged, v)
-        assert verify_partition(merged, blocks, v) is None
+        union, _, _ = _check_union(p1, p2)
+        blocks, _ = refine(union, v)
+        assert verify_partition(union, blocks, v) is None
+
+
+def _joined(first, second) -> tuple:
+    """Terms, transitions and adjacency of ``first`` followed by ``second``,
+    whose state and transition ids are moved past those of ``first``."""
+    off, n = first.num_states, len(first.transitions)
+    transitions = list(first.transitions) + [
+        dataclasses.replace(t, source=t.source + off, target=t.target + off)
+        for t in second.transitions
+    ]
+    outgoing = first.outgoing + [[i + n for i in ids] for ids in second.outgoing]
+    incoming = first.incoming_ids + [[i + n for i in ids] for ids in second.incoming_ids]
+    return first.terms + second.terms, transitions, outgoing, incoming
+
+
+def _assert_one_system_after_the_other(x, y, kind, build) -> bool:
+    """The check union of ``x`` and ``y`` against the two systems joined;
+    returns whether the two share their initial version."""
+    union, s_x, s_y = bisim._union(x, y, kind, semantics.DEFAULT_STATE_CAP)
+    r_x, r_y = to_initial(x), to_initial(y)
+    shared = r_x == r_y
+    if shared:  # one closure, not two copies of it
+        single = build(r_x)
+        expected = (single.terms, list(single.transitions), single.outgoing,
+                    single.incoming_ids)
+    else:
+        expected = _joined(build(r_x), build(r_y))
+    assert (union.terms, list(union.transitions), union.outgoing,
+            union.incoming_ids) == expected
+    assert union.initial == [t.initial for t in union.terms]
+    assert union.terms[s_x] == x and union.terms[s_y] == y
+    return shared
+
+
+def test_the_check_union_is_one_system_after_the_other():
+    products = _products()
+    shared = [_assert_one_system_after_the_other(p, q, "proved", build_lts)
+              for p, q in zip(products, products[1:] + products[:1])]
+    # each product is followed by a walked state of its own system half the time
+    assert shared.count(True) == 27
+    rng = random.Random(8)
+    terms = list(enumerate_processes(3, ("a", "b")))
+    pairs = [tuple(rng.sample(terms, 2)) for _ in range(40)]
+    for p in rng.sample(terms, 20):
+        pairs.append((p, rng.choice(build_lts(to_initial(p)).terms)))
+    shared = [_assert_one_system_after_the_other(p, q, "proved", build_lts)
+              for p, q in pairs]
+    assert shared.count(True) >= 20 and shared.count(False) >= 20
+    for p, q in pairs[::4]:
+        u, v = theory_encoding(p, Theory.FR), theory_encoding(q, Theory.FR)
+        _assert_one_system_after_the_other(u, v, "brs", build_brs_lts)
+
+
+def test_the_state_budget_is_per_process():
+    small, p, q = P("a.0"), P("a.0 |[]| b.0"), P("a.b.0 + c.0")  # 2, 4, 4 states
+    union, _, _ = bisim._union(p, q, "proved", 4)
+    assert union.num_states == 8
+    for v in ALL:
+        check(p, q, v, max_states=4)
+        check(small, q, v, max_states=4)
+    for pair in ((p, q), (small, q), (q, small)):
+        with pytest.raises(StateBudgetError, match="state budget of 3 states exceeded"):
+            check(*pair, Variant.FB, max_states=3)
+
+
+def test_a_check_builds_no_transition_records(monkeypatch):
+    made = []
+    for name in ("Transition", "BrsTransition"):
+        record = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name,
+                            lambda *args, record=record: made.append(args) or record(*args))
+    p, q = P("a.0 |[]| b.0"), P("a.b.0 + b.a.0")
+    verdicts = [check(p, q, v) for v in ALL]
+    verdicts += [check_brs(encode(p), encode(x), v)
+                 for x in (p, q) for v in (Variant.RB, Variant.FRB)]
+    for verdict in verdicts:
+        assert (verdict.witness is None) != (verdict.counterexample is None)
+    assert made == []
+    # reading a transition still builds its record
+    assert build_lts(p).transitions[0].action == "a" and len(made) == 1
 
 
 def _count_renders(monkeypatch) -> list:
@@ -220,9 +306,9 @@ def test_verify_partition_rejects_unstable_partitions():
         "states a.0 |[]| b.0 and a!.0 |[]| b.0 share a block but have "
         "different signatures"
     )
-    merged, _ = merge_lts(build_lts(P("0")), build_lts(P("a!.0")))
-    assert verify_partition(merged, [0, 0], Variant.FB) is None
-    assert verify_partition(merged, [0, 0], Variant.FBPS) == (
+    union = build_union([[P("0")], [P("a!.0")]])
+    assert verify_partition(union, [0, 0], Variant.FB) is None
+    assert verify_partition(union, [0, 0], Variant.FBPS) == (
         "block 0 mixes initial and non-initial states"
     )
 
@@ -342,21 +428,20 @@ def _assert_refine_matches(lts, variant, watched):
 
 def test_refine_matches_the_round_loop():
     seeds = list(seed_terms(3, ("a", "b")))
-    union = build_union(seeds)
+    union = build_union([seeds])
     roots = [union.index[s] for s in seeds]
     for v in ALL:
         _assert_refine_matches(union, v, zip(roots[::45], roots[7::45]))
     products = _products()
     assert len(products) == 54
     for p, q in zip(products, products[1:] + products[:1]):
-        lts_p, lts_q = build_lts(to_initial(p)), build_lts(to_initial(q))
-        merged, off = merge_lts(lts_p, lts_q)
-        pairs = [(lts_p.state_of(p), lts_q.state_of(q) + off), (0, off)]
+        union, s_p, s_q = _check_union(p, q)
+        pairs = [(s_p, s_q), (0, union.state_of(to_initial(q)))]
         for v in ALL:
-            _assert_refine_matches(merged, v, pairs)
+            _assert_refine_matches(union, v, pairs)
     for v, theory in ((Variant.RB, Theory.R), (Variant.FRB, Theory.FR)):
         encodings = [to_initial(theory_encoding(s, theory)) for s in seeds]
-        brs_union = build_union(encodings, "brs")
+        brs_union = build_union([encodings], "brs")
         roots = [brs_union.index[u] for u in encodings]
         _assert_refine_matches(brs_union, v, zip(roots[::45], roots[7::45]))
 
@@ -369,11 +454,11 @@ def test_a_seed_that_no_round_splits_keeps_its_block_order():
 
 def test_a_separated_pair_stops_at_its_separating_round():
     p, q = P("c.0 + a.a.a.0"), P("d.0 + a.a.a.0")
-    merged, off = merge_lts(build_lts(p), build_lts(q))
-    stable, _ = refine(merged, Variant.FB)
-    blocks, split = refine(merged, Variant.FB, watch=(0, off))
+    union, s_p, s_q = _check_union(p, q)
+    stable, _ = refine(union, Variant.FB)
+    blocks, split = refine(union, Variant.FB, watch=(s_p, s_q))
     # round 1 separates the roots by their actions; the a-chains take two more
-    assert blocks[0] != blocks[off] and split is not None
+    assert blocks[s_p] != blocks[s_q] and split is not None
     assert len(set(blocks)) == 4 < len(set(stable)) == 5
     assert check(p, q, Variant.FB).counterexample == bisim.Counterexample(
         "c.0 + a.a.a.0", "d.0 + a.a.a.0", "forward", "c",
@@ -393,9 +478,9 @@ def test_refine_recomputes_fewer_signatures_than_the_round_loop(monkeypatch):
     monkeypatch.setattr(bisim, "_signature_of", counted)
     p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 5))
     q = P(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
-    merged, _ = merge_lts(build_lts(p), build_lts(q))
+    union, _, _ = _check_union(p, q)
     for v in ALL:
-        rounds, _ = _round_loop(merged, v)
+        rounds, _ = _round_loop(union, v)
         computed.clear()
-        refine(merged, v)
-        assert len(computed) < len(rounds) * merged.num_states
+        refine(union, v)
+        assert len(computed) < len(rounds) * union.num_states

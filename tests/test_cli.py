@@ -144,6 +144,35 @@ def test_selftest(capsys):
     assert "PASS completeness F vs FB:ps" in out
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_selftest_state_cap_env_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("REVEXP_STATE_CAP", value)
+    code, out, err = run(capsys, "selftest", "--max-size", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: REVEXP_STATE_CAP must be a positive integer, not {value!r}\n"
+    )
+
+
+def test_selftest_state_cap_env_bounds_the_family(capsys, monkeypatch):
+    # a.b.0 has three states
+    monkeypatch.setenv("REVEXP_STATE_CAP", "2")
+    code, out, err = run(capsys, "selftest", "--max-size", "2")
+    assert code == 2 and out == ""
+    assert err == "error: state budget of 2 states exceeded\n"
+
+
+def test_check_state_cap_env_is_per_process(capsys, monkeypatch):
+    # four states on each side, eight in the union
+    monkeypatch.setenv("REVEXP_STATE_CAP", "4")
+    code, out, _ = run(capsys, "check", "--variant", "fb", "a.0 |[]| b.0", "a.b.0 + c.0")
+    assert code == 1 and out.startswith("not equivalent")
+    monkeypatch.setenv("REVEXP_STATE_CAP", "3")
+    code, out, err = run(capsys, "check", "--variant", "fb", "a.0 |[]| b.0", "a.b.0 + c.0")
+    assert code == 2 and out == ""
+    assert err == "error: state budget of 3 states exceeded\n"
+
+
 def test_deep_terms_are_an_error_not_a_verdict(capsys):
     chain = "a." * 1200 + "0"
     code, out, err = run(capsys, "check", "--variant", "fb", chain, "a.0")

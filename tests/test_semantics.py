@@ -11,9 +11,15 @@ import pytest
 from revexp import (
     Act,
     BrsPrefix,
+    BrsTransition,
     NIL,
     Dot,
+    ParL,
+    ParR,
+    PlusL,
+    PlusR,
     Syn,
+    Transition,
     brs_forward_steps,
     build_brs_lts,
     build_lts,
@@ -110,6 +116,32 @@ def test_build_is_deterministic():
     assert a.transitions == b.transitions
 
 
+def test_transitions_read_as_a_sequence_of_records():
+    a, b = Act("a"), Act("b")
+    diamond = build_lts(parse("a.0 |[]| b.0"))
+    proved = [Transition(0, ParL(a), "a", 1), Transition(0, ParR(b), "b", 2),
+              Transition(1, ParR(b), "b", 3), Transition(2, ParL(a), "a", 3)]
+    encoded = build_brs_lts(encode(parse("a.0 |[]| b.0")))
+    ready_set = [BrsTransition(0, PlusL(a), ("a",), "a", 1),
+                 BrsTransition(0, PlusR(b), ("b",), "b", 2),
+                 BrsTransition(1, PlusL(Dot(b)), ("a", "b"), "b", 3),
+                 BrsTransition(2, PlusR(Dot(a)), ("b", "a"), "a", 4)]
+    for lts, records in ((diamond, proved), (encoded, ready_set)):
+        view = lts.transitions
+        assert len(view) == len(records)
+        assert view == records and records == view and view != records[:-1]
+        assert list(view) == [view[i] for i in range(len(view))] == records
+        assert view[-1] == records[-1] and view[1:3] == records[1:3]
+        assert view[::-1] == records[::-1]
+        with pytest.raises(IndexError):
+            view[len(view)]
+        with pytest.raises(TypeError):
+            view[0] = records[0]
+        # the records are read off the columns
+        assert [(t.source, t.action, t.target) for t in view] == list(
+            zip(lts.source, lts.action, lts.target))
+
+
 def test_state_of_finds_a_state_from_its_text():
     for seed in seed_terms(3, ("a", "b")):
         lts = build_lts(seed)
@@ -175,7 +207,7 @@ def test_memoized_build_gives_the_reference_system(text):
 def test_memoized_union_gives_the_reference_system():
     roots = [parse(REFERENCE_K5), parse(SYNCED_K5), parse(REFERENCE_K5)]
     states, edges = _reference_system(roots)
-    union = build_union(roots)
+    union = build_union([roots])
     assert union.terms == states and _edges(union) == edges
 
 
@@ -209,7 +241,7 @@ def test_union_shares_states_that_differ_only_in_display_order():
         u = encode(parse(text))
         v = _redisplayed(u)
         assert u == v and render(u) != render(v)
-        union = build_union([to_initial(u), to_initial(v)], "brs")
+        union = build_union([[to_initial(u)], [to_initial(v)]], "brs")
         assert union.num_states == build_brs_lts(to_initial(u)).num_states
         assert union.state_of(v) == union.state_of(u)
         for variant in (Variant.RB, Variant.FRB):

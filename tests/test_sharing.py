@@ -129,7 +129,7 @@ def test_no_module_level_cache_outlives_a_query():
         p, q = parse(p_text), parse(q_text)
         results = [encode(p)] + [prove_eq(p, q, theory) for theory in Theory]
         assert results[1:] == [True, True, True]
-        systems = [build_lts(p), build_union([p, q])]
+        systems = [build_lts(p), build_union([[p], [q]])]
         assert [lts.num_states for lts in systems] == [256, 512]
     del p, q, results, systems
     gc.collect()
