@@ -310,10 +310,8 @@ def _is_frnf_node(u: BrsProcess, memo: dict) -> bool:
 
 
 def _copy_prefix(s: BrsPrefix, cont: BrsProcess, executed: bool | None = None) -> BrsPrefix:
-    return BrsPrefix(
-        s.action, s.executed if executed is None else executed, s.ready, cont,
-        ready_order=s.ready_order, proof=s.proof,
-    )
+    return BrsPrefix(s.action, s.executed if executed is None else executed, s.ready,
+                     cont, proof=s.proof)
 
 
 def normalize_r(u: BrsProcess, trace: Trace | None = None,
@@ -395,8 +393,8 @@ def _canon_f(rw: _Pass, p: Process, log: list | None) -> Process:
 
 
 def _brs_key(u: BrsProcess):
-    """Display-insensitive sort key (ready sets compared as sets), kept on
-    the node once computed."""
+    """Structural sort key (ready sets compared as sets), kept on the node
+    once computed."""
     key = u._key
     if key is None:
         if isinstance(u, BrsPrefix):

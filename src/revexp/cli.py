@@ -28,8 +28,8 @@ from .encoding import HistoryOrder, default_order, encode
 from .errors import RevexpError
 from .generate import enumerate_processes
 from .semantics import DEFAULT_STATE_CAP, build_brs_lts, build_lts, export
-from .syntax import parse, parse_proof_term, render
-from .terms import to_initial
+from .syntax import ACTION_RE, parse, parse_proof_term, render
+from .terms import TAU, to_initial
 
 _VARIANTS = {v.value: v for v in Variant}
 _THEORIES = {t.value: t for t in Theory}
@@ -50,6 +50,19 @@ def _state_cap() -> int:
 
 def _parse_term(text: str, allow_illformed: bool):
     return parse(text, allow_illformed=allow_illformed)
+
+
+def _actions(text: str, option: str) -> tuple[str, ...]:
+    """The comma-separated entries of ``option``, each an action name the
+    parser accepts other than tau (alphabets also make synchronization sets)."""
+    names = tuple(a for a in text.split(",") if a)
+    for name in names:
+        if not ACTION_RE.fullmatch(name):
+            raise ValueError(f"{option} entry {name!r} is not an action name "
+                             "([a-z][a-z0-9_]*)")
+        if name == TAU:
+            raise ValueError(f"{option} entry 'tau' is not allowed (tau cannot synchronize)")
+    return names
 
 
 def _order_from_spec(spec: str):
@@ -129,14 +142,14 @@ def _cmd_prove(args) -> int:
 def _cmd_expand(args) -> int:
     p1 = _parse_term(args.p1, args.allow_illformed)
     p2 = _parse_term(args.p2, args.allow_illformed)
-    sync = tuple(s for s in args.sync.split(",") if s) if args.sync else ()
+    sync = _actions(args.sync, "--sync")
     expanded = expansion_law_f(normalize_f(p1), normalize_f(p2), sync)
     print(render(normalize_f(expanded), unicode=args.unicode))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    alphabet = tuple(a for a in args.alphabet.split(",") if a)
+    alphabet = _actions(args.alphabet, "--alphabet")
     count = 0
     for p in enumerate_processes(args.max_size, alphabet, _state_cap()):
         count += 1
@@ -148,7 +161,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    alphabet = tuple(a for a in args.alphabet.split(",") if a)
+    alphabet = _actions(args.alphabet, "--alphabet")
     reports = selfcheck.run_selftest(args.max_size, alphabet, _state_cap())
     ok = True
     for report in reports:

@@ -2,15 +2,14 @@
 
 The encoder rewrites a reachable process into a sequential term whose
 prefixes carry the backward ready set of the state reached by firing them.
-It threads two pieces of state:
-
-* an *environment*: the whole root process with every executed flag that has
-  not yet been serialized into the output erased.  Each emitted prefix marks
-  one action occurrence executed in the environment (via ``upd``) and reads
-  its ready set there, so ready sets of nested parallel contexts come out
-  right;
-* a *branch trace*: the actions marked along the current output branch,
-  oldest first, which fixes the display order of ready sets.
+It threads an *environment*: the whole root process with every executed flag
+that has not yet been serialized into the output erased.  Each emitted prefix
+marks one action occurrence executed in the environment (via ``upd``) and
+reads its ready set there, so ready sets of nested parallel contexts come out
+right.  The order in which a ready set is displayed is not part of the
+output: renderers derive it from the prefixes above it (the actions marked
+along the branch), so branches that differ only in that order share one
+subterm.
 
 Parallel composition is eliminated by :func:`expand_parallel`.  When both
 operands have executed actions that did not synchronize, the expansion must
@@ -221,31 +220,16 @@ def canonical_order(p: Process) -> ExecutionOrder:
 
 # --- the encoding ----------------------------------------------------------
 #
-# The branch trace is kept as its recency order: the distinct actions marked
-# along the branch, ordered by their last occurrence, oldest first.  That is
-# all the display order of a ready set reads from the trace, so two branches
-# with the same recency order, operands and environment expand to the same
+# An expansion depends only on its operands and its environment: the branch
+# that leads to it fixes how its ready sets are displayed, which renderers
+# read off the path.  So two branches that reach the same operands and
+# environment, in whatever order they marked their actions, share one
 # subterm, and the expansion is memoized on exactly that.  The result is a
 # shared DAG; walk it with a memo, not as a tree.
 
-def _touch(recency: tuple[str, ...], action: str) -> tuple[str, ...]:
-    """The recency order after ``action`` is marked: it becomes the newest."""
-    if recency and recency[-1] == action:
-        return recency
-    if action in recency:
-        i = recency.index(action)
-        recency = recency[:i] + recency[i + 1:]
-    return recency + (action,)
-
-
-def _emit(action: str, executed: bool, env: Process, recency: tuple[str, ...],
-          phi: ProofTerm, cont: BrsProcess) -> BrsPrefix:
-    # actions never marked on the branch come first, alphabetically
-    ready = env.backward_ready
-    order = tuple(sorted(a for a in ready if a not in recency)) + tuple(
-        a for a in recency if a in ready
-    )
-    return BrsPrefix(action, executed, ready, cont, ready_order=order, proof=phi)
+def _emit(action: str, executed: bool, env: Process, phi: ProofTerm,
+          cont: BrsProcess) -> BrsPrefix:
+    return BrsPrefix(action, executed, env.backward_ready, cont, proof=phi)
 
 
 def encode(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
@@ -259,27 +243,26 @@ def encode_reachable(p: Process, order: ExecutionOrder | None = None) -> BrsProc
     """:func:`encode` for a process already known to be reachable."""
     if order is None:
         order = default_order(p)
-    return _encode(p, (), to_initial(p), (), order)
+    return _encode(p, (), to_initial(p), order)
 
 
 def _encode(p: Process, sigma: ProofPath, env: Process,
-            recency: tuple[str, ...], order: ExecutionOrder) -> BrsProcess:
+            order: ExecutionOrder) -> BrsProcess:
     if isinstance(p, Nil):
         return NIL
     if isinstance(p, Prefix):
         phi = compose(sigma, Act(p.action))
         env2 = upd(env, phi)
-        recency2 = _touch(recency, p.action)
-        cont = _encode(p.cont, sigma + (Dot,), env2, recency2, order)
-        return _emit(p.action, p.executed, env2, recency2, phi, cont)
+        cont = _encode(p.cont, sigma + (Dot,), env2, order)
+        return _emit(p.action, p.executed, env2, phi, cont)
     if isinstance(p, Choice):
         return Choice(
-            _encode(p.left, sigma + (PlusL,), env, recency, order),
-            _encode(p.right, sigma + (PlusR,), env, recency, order),
+            _encode(p.left, sigma + (PlusL,), env, order),
+            _encode(p.right, sigma + (PlusR,), env, order),
         )
     u1 = encode_reachable(p.left, order.project(sigma + (ParL,)))
     u2 = encode_reachable(p.right, order.project(sigma + (ParR,)))
-    return _expand(u1, u2, frozenset(p.sync), sigma, env, recency, order, {})
+    return _expand(u1, u2, frozenset(p.sync), sigma, env, order, {})
 
 
 def _flatten(u: ProcessLike) -> list:
@@ -330,7 +313,7 @@ def expand_parallel(u1: BrsProcess, u2: BrsProcess, sync, env: Process,
     if order is None:
         order = default_order()
     cleared = _clear_at(env, sigma)
-    return _expand(u1, u2, frozenset(sync), tuple(sigma), cleared, (), order, {})
+    return _expand(u1, u2, frozenset(sync), tuple(sigma), cleared, order, {})
 
 
 def _clear_at(env: Process, sigma: ProofPath) -> Process:
@@ -351,12 +334,11 @@ def _clear_at(env: Process, sigma: ProofPath) -> Process:
 
 
 def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPath,
-            env: Process, recency: tuple[str, ...], order: ExecutionOrder,
-            memo: dict) -> BrsProcess:
+            env: Process, order: ExecutionOrder, memo: dict) -> BrsProcess:
     """Expansion of ``u1 || u2`` under ``env``; ``memo`` is shared by one
-    expansion and maps operand, environment and recency to the result (the
-    value keeps the nodes alive, so their ids stay unique)."""
-    key = (id(u1), id(u2), id(env), recency)
+    expansion and maps operands and environment to the result (the value
+    keeps the nodes alive, so their ids stay unique)."""
+    key = (id(u1), id(u2), id(env))
     hit = memo.get(key)
     if hit is not None:
         return hit[0]
@@ -367,9 +349,8 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
     def emit(phi: ProofTerm, action: str, executed: bool,
              left: BrsProcess, right: BrsProcess) -> None:
         env2 = upd(env, phi)
-        recency2 = _touch(recency, action)
-        cont = _expand(left, right, sync, sigma, env2, recency2, order, memo)
-        out.append(_emit(action, executed, env2, recency2, phi, cont))
+        cont = _expand(left, right, sync, sigma, env2, order, memo)
+        out.append(_emit(action, executed, env2, phi, cont))
 
     def left_moves(frag2: BrsProcess) -> None:
         for s in alts1:

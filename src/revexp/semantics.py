@@ -31,9 +31,11 @@ from .terms import (
     ProofTerm,
     Syn,
     act,
+    display_order,
     is_initial,
     is_wellformed,
     to_initial,
+    touch,
 )
 
 DEFAULT_STATE_CAP = 10**6
@@ -139,33 +141,35 @@ def _steps(p: Process, back: bool,
 def brs_forward_steps(
     u: BrsProcess,
 ) -> list[tuple[tuple[ProofTerm, tuple[str, ...]], BrsProcess]]:
-    """Transitions of a ready-set process; labels carry the fired ready set."""
+    """Transitions of a ready-set process; labels carry the fired ready set,
+    in the order :func:`~revexp.syntax.render` of ``u`` displays it."""
+    return _brs_steps(u, ())
+
+
+def _brs_steps(u: BrsProcess, recency: tuple[str, ...]):
     if isinstance(u, Nil):
         return []
     if isinstance(u, BrsPrefix):
+        recency = touch(recency, u.action)
         if not u.executed:
             if is_initial(u.cont):
-                fired = BrsPrefix(
-                    u.action, True, u.ready, u.cont,
-                    ready_order=u.ready_order, proof=u.proof,
-                )
-                return [((Act(u.action), u.display_ready()), fired)]
+                fired = BrsPrefix(u.action, True, u.ready, u.cont, proof=u.proof)
+                return [((Act(u.action), display_order(u.ready, recency)), fired)]
             return []
         return [
-            ((Dot(theta), ready), BrsPrefix(u.action, True, u.ready, cont,
-                                            ready_order=u.ready_order, proof=u.proof))
-            for (theta, ready), cont in brs_forward_steps(u.cont)
+            ((Dot(theta), ready), BrsPrefix(u.action, True, u.ready, cont, proof=u.proof))
+            for (theta, ready), cont in _brs_steps(u.cont, recency)
         ]
     steps: list[tuple[tuple[ProofTerm, tuple[str, ...]], BrsProcess]] = []
     if is_initial(u.right):
         steps.extend(
             ((PlusL(theta), ready), Choice(left, u.right))
-            for (theta, ready), left in brs_forward_steps(u.left)
+            for (theta, ready), left in _brs_steps(u.left, recency)
         )
     if is_initial(u.left):
         steps.extend(
             ((PlusR(theta), ready), Choice(u.left, right))
-            for (theta, ready), right in brs_forward_steps(u.right)
+            for (theta, ready), right in _brs_steps(u.right, recency)
         )
     return steps
 
@@ -279,7 +283,7 @@ class Lts:
     ``kind`` is ``"proved"`` for plain processes and ``"brs"`` for ready-set
     processes.  ``index`` maps each state to its number by the node's hash
     and ``==``: identity for hash-consed plain processes, structural
-    equality (which ignores display order) for ready-set processes.  States
+    equality (which ignores proofs) for ready-set processes.  States
     are numbered breadth first, one group of roots after another (see
     :func:`build_union`), so construction is deterministic.  ``renders``
     holds the states' texts, rendered when first read.
@@ -332,8 +336,8 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
     the states each group adds.
 
     A proved build memoizes the steps of every node it meets, for this
-    build only; ready-set steps are not memoized, because ``==`` on
-    ready-set processes ignores the display order their labels carry.
+    build only; ready-set steps are not memoized, because the order in which
+    a subterm's labels display its ready sets depends on the path above it.
     """
     if kind == "proved":
         memo: dict = {}

@@ -36,14 +36,19 @@ from .terms import (
     ProofTerm,
     Syn,
     TAU,
+    display_order,
     is_initial,
     is_wellformed,
+    touch,
 )
 
+# the ACT rule of the grammar
+ACTION_RE = re.compile(r"[a-z][a-z0-9_]*")
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<act>[a-z][a-z0-9_]*)
+  | (?P<act>{ACTION_RE.pattern})
   | (?P<nil>0)
   | (?P<parl>\|\[)
   | (?P<parr>\]\|)
@@ -211,8 +216,14 @@ _PREC_PREFIX = 2
 
 
 def render(p: ProcessLike, unicode: bool = False) -> str:
-    """Minimal-parentheses canonical text form; inverse of :func:`parse`."""
-    return _render(p, _PREC_PAR, unicode)
+    """Minimal-parentheses canonical text form; inverse of :func:`parse`.
+
+    A ready set is displayed in the order its prefix's path from ``p`` gives
+    it (:func:`~revexp.terms.display_order`), so a subterm rendered on its
+    own orders its ready sets by its own path, which may differ from how
+    they read inside the whole term.
+    """
+    return _render(p, _PREC_PAR, unicode, ())
 
 
 def _mark(executed: bool, unicode: bool) -> str:
@@ -221,19 +232,22 @@ def _mark(executed: bool, unicode: bool) -> str:
     return "†" if unicode else "!"
 
 
-def _render(p: ProcessLike, level: int, uni: bool) -> str:
+def _render(p: ProcessLike, level: int, uni: bool, recency: tuple[str, ...]) -> str:
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Prefix):
-        return f"{p.action}{_mark(p.executed, uni)}.{_render(p.cont, _PREC_PREFIX, uni)}"
+        return f"{p.action}{_mark(p.executed, uni)}.{_render(p.cont, _PREC_PREFIX, uni, recency)}"
     if isinstance(p, BrsPrefix):
-        ready = ",".join(p.display_ready())
+        recency = touch(recency, p.action)
+        ready = ",".join(display_order(p.ready, recency))
         l, r = ("⟨", "⟩") if uni else ("<", ">")
-        return f"{l}{p.action}{_mark(p.executed, uni)},{{{ready}}}{r}.{_render(p.cont, _PREC_PREFIX, uni)}"
+        return f"{l}{p.action}{_mark(p.executed, uni)},{{{ready}}}{r}.{_render(p.cont, _PREC_PREFIX, uni, recency)}"
     if isinstance(p, Choice):
-        text = f"{_render(p.left, _PREC_CHOICE, uni)} + {_render(p.right, _PREC_PREFIX, uni)}"
+        text = (f"{_render(p.left, _PREC_CHOICE, uni, recency)} + "
+                f"{_render(p.right, _PREC_PREFIX, uni, recency)}")
         return f"({text})" if level > _PREC_CHOICE else text
-    text = f"{_render(p.left, _PREC_PAR, uni)} |[{','.join(p.sync)}]| {_render(p.right, _PREC_CHOICE, uni)}"
+    text = (f"{_render(p.left, _PREC_PAR, uni, recency)} |[{','.join(p.sync)}]| "
+            f"{_render(p.right, _PREC_CHOICE, uni, recency)}")
     return f"({text})" if level > _PREC_PAR else text
 
 
@@ -254,7 +268,7 @@ def render_proof(t: ProofTerm) -> str:
 
 
 def _proof_tokens(src: str):
-    pattern = re.compile(r"\s*(\+l|\+r|\|l|\|r|[a-z][a-z0-9_]*|[.<>,])")
+    pattern = re.compile(rf"\s*(\+l|\+r|\|l|\|r|{ACTION_RE.pattern}|[.<>,])")
     pos = 0
     out = []
     while pos < len(src):
@@ -296,7 +310,7 @@ def _parse_proof(tokens: list[str], pos: int) -> tuple[ProofTerm, int]:
         if pos >= len(tokens) or tokens[pos] != ">":
             raise ParseError("expected '>' closing synchronization proof", 1, pos + 1)
         return Syn(left, right), pos + 1
-    if re.fullmatch(r"[a-z][a-z0-9_]*", tok):
+    if ACTION_RE.fullmatch(tok):
         return Act(tok), pos + 1
     raise ParseError(f"unexpected token {tok!r} in proof term", 1, pos + 1)
 

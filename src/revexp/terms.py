@@ -212,28 +212,25 @@ class Par(_Node):
 class BrsPrefix(_Node):
     """Prefix of a ready-set process: action, executed flag, ready set.
 
-    ``ready_order`` is a display hint (the order in which the actions of the
-    ready set were executed, oldest first); it does not take part in equality.
     ``proof`` records which action occurrence of the source process this
-    prefix stands for; it is attached by the encoder and also excluded from
-    equality.  Ready-set prefixes are not hash-consed, since equal ones may
-    differ in these two attributes.
+    prefix stands for; it is attached by the encoder and excluded from
+    equality, so ready-set prefixes are not hash-consed.  The order in which
+    a ready set is displayed is not stored: it depends on the prefixes above
+    this one (see :func:`display_order`), so renderers read it off the path.
     """
 
-    __slots__ = ("action", "executed", "ready", "cont", "ready_order", "proof",
+    __slots__ = ("action", "executed", "ready", "cont", "proof",
                  "initial", "wellformed", "backward_ready", "_hash", "_rollback",
                  "_key")
     __match_args__ = ("action", "executed", "ready", "cont")
     plain = False
 
     def __init__(self, action: str, executed: bool, ready: frozenset[str],
-                 cont: "BrsProcess", ready_order: tuple[str, ...] = (),
-                 proof: "ProofTerm | None" = None):
+                 cont: "BrsProcess", proof: "ProofTerm | None" = None):
         self.action = action
         self.executed = executed
         self.ready = ready
         self.cont = cont
-        self.ready_order = ready_order or tuple(sorted(ready))
         self.proof = proof
         _fill_prefix(self, action, executed, cont)
         self._hash = hash((action, executed, ready, cont._hash))
@@ -250,12 +247,32 @@ class BrsPrefix(_Node):
 
     __hash__ = _Node.__hash__
 
-    def display_ready(self) -> tuple[str, ...]:
-        return self.ready_order
-
     def __repr__(self) -> str:
         return (f"BrsPrefix(action={self.action!r}, executed={self.executed!r}, "
                 f"ready={self.ready!r}, cont={self.cont!r})")
+
+
+def touch(recency: tuple[str, ...], action: str) -> tuple[str, ...]:
+    """The recency order after ``action`` is marked: it becomes the newest.
+
+    A recency order lists the distinct actions of the ready-set prefixes on
+    a path, from the root down, by their last occurrence, oldest first.
+    """
+    if recency and recency[-1] == action:
+        return recency
+    if action in recency:
+        i = recency.index(action)
+        recency = recency[:i] + recency[i + 1:]
+    return recency + (action,)
+
+
+def display_order(ready: frozenset[str], recency: tuple[str, ...]) -> tuple[str, ...]:
+    """How a ready set reads at a prefix whose path (itself included) has
+    the recency order ``recency``: actions never marked on the path first,
+    alphabetically, then the marked ones, oldest first."""
+    return tuple(sorted(a for a in ready if a not in recency)) + tuple(
+        a for a in recency if a in ready
+    )
 
 
 Process = Union[Nil, Prefix, Choice, Par]
@@ -365,10 +382,7 @@ def to_initial(p: ProcessLike) -> ProcessLike:
     if isinstance(p, Prefix):
         q = Prefix(p.action, False, to_initial(p.cont))
     elif isinstance(p, BrsPrefix):
-        q = BrsPrefix(
-            p.action, False, p.ready, to_initial(p.cont),
-            ready_order=p.ready_order, proof=p.proof,
-        )
+        q = BrsPrefix(p.action, False, p.ready, to_initial(p.cont), proof=p.proof)
     elif isinstance(p, Choice):
         q = Choice(to_initial(p.left), to_initial(p.right))
     else:

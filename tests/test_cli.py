@@ -138,6 +138,42 @@ def test_enumerate(capsys):
     assert code == 0 and out.strip() == str(len(lines))
 
 
+_BAD_ENTRIES = {
+    "A": "is not an action name ([a-z][a-z0-9_]*)",
+    "a b": "is not an action name ([a-z][a-z0-9_]*)",
+    "tau": "is not allowed (tau cannot synchronize)",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ("enumerate", "--max-size", "1", "--count-only"),
+    ("selftest", "--max-size", "1"),
+], ids=["enumerate", "selftest"])
+@pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+def test_alphabet_entries_must_be_action_names(capsys, command, entry):
+    code, out, err = run(capsys, *command, "--alphabet", f"a,{entry}")
+    assert code == 2 and out == ""
+    assert err == f"error: --alphabet entry {entry!r} {_BAD_ENTRIES[entry]}\n"
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+def test_sync_entries_must_be_action_names(capsys, entry):
+    code, out, err = run(capsys, "expand", "a.0", "b.0", "--sync", entry)
+    assert code == 2 and out == ""
+    assert err == f"error: --sync entry {entry!r} {_BAD_ENTRIES[entry]}\n"
+
+
+def test_valid_alphabets_and_sync_sets_keep_their_output(capsys):
+    family = "0\na.0\na!.0\nb.0\nb!.0\n0 + 0\n0 |[]| 0\n0 |[a]| 0\n0 |[b]| 0\n"
+    for alphabet in ("a,b", "a,,b,"):
+        assert run(capsys, "enumerate", "--max-size", "1", "--alphabet", alphabet) == (
+            0, family, "")
+    assert run(capsys, "enumerate", "--max-size", "2", "--alphabet", "a,b",
+               "--count-only") == (0, "113\n", "")
+    assert run(capsys, "expand", "a.c.0", "c.b.0", "--sync", "c,d") == (0, "a.c.b.0\n", "")
+    assert run(capsys, "expand", "a.0", "b.0", "--sync", "") == (0, "a.b.0 + b.a.0\n", "")
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--max-size", "2", "--alphabet", "a,b")
     assert code == 0

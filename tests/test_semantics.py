@@ -80,12 +80,18 @@ def test_brs_forward_steps():
     assert brs_forward_steps(NIL) == []
 
 
-def test_brs_step_carries_the_stored_ready_set():
-    u = BrsPrefix("a", True, frozenset("a"),
-                  BrsPrefix("b", False, frozenset("ab"), NIL, ready_order=("a", "b")))
+def test_brs_step_labels_show_the_ready_set_as_render_does():
+    u = BrsPrefix("b", True, frozenset("b"), BrsPrefix("a", False, frozenset("ab"), NIL))
+    assert render(u) == "<b!,{b}>.<a,{b,a}>.0"
     ((label, ready), _), = brs_forward_steps(u)
-    assert label == Dot(Act("b"))
-    assert ready == ("a", "b")
+    assert label == Dot(Act("a"))
+    assert ready == ("b", "a")
+    # on an encoding: after b fires, a fires under it with {b,a}
+    u = encode(parse("a.0 |[]| b.0"))
+    (_, fired), = [s for s in brs_forward_steps(u) if s[0][1] == ("b",)]
+    assert render(fired) == "<a,{a}>.<b,{a,b}>.0 + <b!,{b}>.<a,{b,a}>.0"
+    ((label, ready), _), = brs_forward_steps(fired)
+    assert label == PlusR(Dot(Act("a"))) and ready == ("b", "a")
 
 
 def test_build_lts_counts():
@@ -226,21 +232,20 @@ def test_a_build_computes_each_subterm_once(monkeypatch):
     assert len(calls) < 4 * lts.num_states
 
 
-def _redisplayed(u):
-    """``u`` with every ready set displayed in the reverse order."""
+def _copied(u):
+    """A copy of ``u`` built node by node, sharing no ready-set node."""
     if isinstance(u, BrsPrefix):
-        return BrsPrefix(u.action, u.executed, u.ready, _redisplayed(u.cont),
-                         ready_order=u.ready_order[::-1], proof=u.proof)
+        return BrsPrefix(u.action, u.executed, u.ready, _copied(u.cont), proof=u.proof)
     if isinstance(u, Choice):
-        return Choice(_redisplayed(u.left), _redisplayed(u.right))
+        return Choice(_copied(u.left), _copied(u.right))
     return u
 
 
-def test_union_shares_states_that_differ_only_in_display_order():
+def test_union_shares_structurally_equal_ready_set_states():
     for text in ("a.0 |[]| b.0", "a!.0 |[]| b.c.0"):
         u = encode(parse(text))
-        v = _redisplayed(u)
-        assert u == v and render(u) != render(v)
+        v = _copied(u)
+        assert u == v and u is not v and render(u) == render(v)
         union = build_union([[to_initial(u)], [to_initial(v)]], "brs")
         assert union.num_states == build_brs_lts(to_initial(u)).num_states
         assert union.state_of(v) == union.state_of(u)

@@ -21,6 +21,7 @@ from revexp import (
     is_initial,
     parse,
     prove_eq,
+    render,
     to_initial,
     upd,
 )
@@ -42,8 +43,8 @@ def test_equal_plain_terms_are_one_node():
 
 
 def test_ready_set_terms_compare_structurally():
-    u1 = BrsPrefix("a", True, frozenset("ab"), NIL, ready_order=("b", "a"))
-    u2 = BrsPrefix("a", True, frozenset("ab"), NIL)
+    u1 = BrsPrefix("a", True, frozenset("ab"), NIL, proof=revexp.Act("a"))
+    u2 = BrsPrefix("a", True, frozenset("ab"), NIL, proof=ParL(revexp.Act("a")))
     assert u1 is not u2 and u1 == u2 and hash(u1) == hash(u2)
     assert Choice(u1, NIL) == Choice(u2, NIL)
     assert u1 != BrsPrefix("a", True, frozenset("a"), NIL)
@@ -86,9 +87,8 @@ def _tree_and_distinct(u) -> tuple[int, int]:
     return walk(u)[0], len(table)
 
 
-def test_the_encoding_is_a_shared_dag_of_the_same_tree():
-    u = encode(parse(REFERENCE_K4))
-    assert _tree_and_distinct(u) == (28967, 248)
+def _objects(u) -> set:
+    """The ids of the distinct objects of ``u``."""
     nodes = set()
     stack = [u]
     while stack:
@@ -97,7 +97,31 @@ def test_the_encoding_is_a_shared_dag_of_the_same_tree():
             nodes.add(id(v))
             stack.extend(getattr(v, name) for name in ("cont", "left", "right")
                          if hasattr(v, name))
-    assert len(nodes) < 28967 // 5
+    return nodes
+
+
+def test_the_encoding_is_a_shared_dag_of_the_same_tree():
+    u = encode(parse(REFERENCE_K4))
+    assert _tree_and_distinct(u) == (28967, 248)
+    assert len(_objects(u)) < 28967 // 5
+
+
+def test_branches_that_differ_only_in_marking_order_share_one_expansion():
+    assert len(_objects(encode(parse(REFERENCE_K4)))) == 1297
+
+
+def test_a_shared_suffix_displays_its_ready_set_by_its_path():
+    u = encode(parse("a.0 |[]| b.0 |[]| c.0"))
+    ab, ba = u.left.left.cont.left, u.left.right.cont.left
+    assert (ab.action, ab.cont.action, ba.action, ba.cont.action) == ("b", "c", "a", "c")
+    assert ab.cont is ba.cont
+    assert render(u) == (
+        "<a,{a}>.(<b,{a,b}>.<c,{a,b,c}>.0 + <c,{a,c}>.<b,{a,c,b}>.0)"
+        " + <b,{b}>.(<a,{b,a}>.<c,{b,a,c}>.0 + <c,{b,c}>.<a,{b,c,a}>.0)"
+        " + <c,{c}>.(<a,{c,a}>.<b,{c,a,b}>.0 + <b,{c,b}>.<a,{c,b,a}>.0)"
+    )
+    # on its own, the suffix reads its ready set alphabetically
+    assert render(ab.cont) == "<c,{a,b,c}>.0"
 
 
 def _module_cache_sizes() -> dict:
