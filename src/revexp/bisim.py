@@ -307,10 +307,11 @@ def _union(x1, x2, kind: str, max_states: int) -> tuple[Lts, int, int]:
     one closure.
     """
     union = build_union([[to_initial(x1)], [to_initial(x2)]], kind, max_states)
-    for x in (x1, x2):
-        if x not in union.index:
+    sids = [union.index.get(x) for x in (x1, x2)]
+    for x, sid in zip((x1, x2), sids):
+        if sid is None:
             raise NotReachableError(f"{render(x)} is not reachable")
-    return union, union.index[x1], union.index[x2]
+    return union, sids[0], sids[1]
 
 
 def _check_on(x1, x2, kind: str, variant: Variant, max_states: int) -> Verdict:

@@ -65,6 +65,12 @@ def _actions(text: str, option: str) -> tuple[str, ...]:
     return names
 
 
+def _max_size(value: int) -> int:
+    if value < 0:
+        raise ValueError(f"--max-size must be a non-negative integer, not {value}")
+    return value
+
+
 def _order_from_spec(spec: str):
     if spec == "lex":
         return default_order()
@@ -149,9 +155,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    max_size = _max_size(args.max_size)
     alphabet = _actions(args.alphabet, "--alphabet")
     count = 0
-    for p in enumerate_processes(args.max_size, alphabet, _state_cap()):
+    for p in enumerate_processes(max_size, alphabet, _state_cap()):
         count += 1
         if not args.count_only:
             print(render(p))
@@ -161,8 +168,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    max_size = _max_size(args.max_size)
     alphabet = _actions(args.alphabet, "--alphabet")
-    reports = selfcheck.run_selftest(args.max_size, alphabet, _state_cap())
+    reports = selfcheck.run_selftest(max_size, alphabet, _state_cap())
     ok = True
     for report in reports:
         print(report.line())

@@ -4,6 +4,13 @@ A single symmetric transition relation realizes the loop property: a forward
 transition from ``P`` to ``P'`` is also the backward (incoming) transition of
 ``P'``.  Every forward step flips exactly one executed flag, so the reachable
 state space of any term is finite and :func:`build_lts` terminates.
+
+A proof label ``ParL``, ``ParR`` or ``Syn`` names the operand that moved, so
+the system of ``P |[S]| Q`` is the synchronized product of the systems of
+``P`` and ``Q``.  A build uses that: it numbers the non-parallel subterms it
+meets and the pairs of operand states of each parallel position, steps a
+pair by combining its operands' steps, and builds a state's term only when
+it is read (:class:`_Nodes`, :func:`_build`).
 """
 
 from __future__ import annotations
@@ -222,23 +229,16 @@ class BrsTransition:
     target: int
 
 
-class Renders(Sequence):
-    """The text of every state of a system, each rendered on first read."""
+class _View(Sequence):
+    """A read-only sequence whose items are made when read; it compares
+    equal to any sequence with the same items."""
 
-    __slots__ = ("_terms", "_texts")
+    __slots__ = ()
 
-    def __init__(self, terms: list):
-        self._terms = terms
-        self._texts: list[str | None] = [None] * len(terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __getitem__(self, sid: int) -> str:
-        text = self._texts[sid]
-        if text is None:
-            text = self._texts[sid] = render(self._terms[sid])
-        return text
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(len(self)))]
+        return self._item(i)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -246,7 +246,26 @@ class Renders(Sequence):
         return list(self) == list(other)
 
 
-class Transitions(Sequence):
+class Renders(_View):
+    """The text of every state of a system, each rendered on first read."""
+
+    __slots__ = ("_terms", "_texts")
+
+    def __init__(self, terms: Sequence):
+        self._terms = terms
+        self._texts: list[str | None] = [None] * len(terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def _item(self, sid: int) -> str:
+        text = self._texts[sid]
+        if text is None:
+            text = self._texts[sid] = render(self._terms[sid])
+        return text
+
+
+class Transitions(_View):
     """Every transition of a system as a record, each built when it is read.
 
     A proved system gives :class:`Transition` records, a ready-set system
@@ -261,32 +280,246 @@ class Transitions(Sequence):
     def __len__(self) -> int:
         return len(self._lts.source)
 
-    def __getitem__(self, i: int | slice):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def _item(self, i: int):
         lts = self._lts
         if lts.kind == "proved":
             return Transition(lts.source[i], lts.label[i], lts.action[i], lts.target[i])
         proof, ready = lts.label[i]
         return BrsTransition(lts.source[i], proof, ready, lts.action[i], lts.target[i])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
+
+class _Nodes:
+    """The operand states of one build, numbered as they are met.
+
+    A node is a leaf, a non-parallel term, or a pair of nodes under a
+    synchronization set, a parallel position.  A leaf is keyed by its
+    term: by identity for plain terms, which are hash-consed, and
+    structurally for ready-set terms.  A pair is keyed by its parts
+    ``(sync, left node, right node)``.  So equal terms are one node.  A
+    parallel term the nodes keep (a root, or a term built or found) is
+    also keyed by its identity and found again with one table probe; any
+    other term is found with one probe per parallel operator and leaf,
+    without building or hashing it.
+
+    A node's steps have their targets as nodes: a leaf's come from
+    ``step_fn``, a pair's combine its operands' steps in the order of
+    :func:`forward_steps` (left moves, right moves, then synchronizations,
+    left-major), so no successor term is built.  An operand's steps are
+    kept, as every pair of its states asks for them; a state's are
+    computed once, when the build closes it, and not kept.  Each
+    wrapped proof is made once, keyed by the identity of the proofs it
+    wraps, which it keeps alive.  A pair's term is built on first read.
+    ``sid`` gives each node's state id, ``None`` for a node that is only
+    an operand.
+    """
+
+    __slots__ = ("step_fn", "by_id", "ids", "parts", "terms", "initial", "steps",
+                 "sid", "par_l", "par_r", "syn")
+
+    def __init__(self, step_fn, by_id: bool):
+        self.step_fn = step_fn
+        self.by_id = by_id
+        self.ids: dict = {}  # leaf key, pair parts or a kept term's id -> node
+        self.parts: list[tuple | None] = []  # a pair's parts; None for a leaf
+        self.terms: list = []  # a leaf's term; a pair's once built
+        self.initial: list[bool] = []
+        self.steps: dict[int, list] = {}  # the kept steps of operands
+        self.sid: list[int | None] = []
+        self.par_l: dict[int, ParL] = {}
+        self.par_r: dict[int, ParR] = {}
+        self.syn: dict[tuple[int, int], Syn] = {}
+
+    def _add(self, key, parts, term, initial: bool) -> int:
+        x = self.ids[key] = len(self.parts)
+        self.parts.append(parts)
+        self.terms.append(term)
+        self.initial.append(initial)
+        self.sid.append(None)
+        return x
+
+    def intern(self, p) -> int:
+        """The node of ``p``, added with the nodes it is made of if missing.
+
+        The nodes keep ``p``, so a parallel ``p`` is also keyed by its
+        identity, as leaves are, and finding it again takes one probe.
+        """
+        key = id(p) if self.by_id else p
+        x = self.ids.get(key)
+        if x is not None:
+            return x
+        if type(p) is not Par:
+            return self._add(key, None, p, p.initial)
+        l, r = self.intern(p.left), self.intern(p.right)
+        parts = (p.sync, l, r)
+        x = self.ids.get(parts)
+        if x is None:
+            x = self._add(parts, parts, p, self.initial[l] and self.initial[r])
+        else:
+            self.terms[x] = p
+        self.ids[key] = x
+        return x
+
+    def find_pair(self, p: Par) -> int | None:
+        """The node of the parallel term ``p``, found through its operands'
+        nodes, or ``None``.  Only a proved build has pairs, and it keys the
+        terms it keeps by identity; a term found is kept and keyed so."""
+        ids = self.ids
+        l, r = p.left, p.right
+        lx, rx = ids.get(id(l)), ids.get(id(r))
+        if lx is None and type(l) is Par:
+            lx = self.find_pair(l)
+        if rx is None and type(r) is Par:
+            rx = self.find_pair(r)
+        x = ids.get((p.sync, lx, rx))  # no key holds None
+        if x is not None:
+            self.terms[x] = p
+            ids[id(p)] = x
+        return x
+
+    def term(self, x: int):
+        p = self.terms[x]
+        if p is None:  # a pair, so the build is proved and keys terms by id
+            sync, l, r = self.parts[x]
+            p = self.terms[x] = Par(sync, self.term(l), self.term(r))
+            self.ids[id(p)] = x
+        return p
+
+    def steps_of(self, x: int) -> list:
+        steps = self.steps.get(x)
+        if steps is not None:
+            return steps
+        parts = self.parts[x]
+        if parts is not None:
+            return self._pair_steps(*parts)
+        ids, by_id, add = self.ids, self.by_id, self._add
+        steps = []
+        for label, a, q in self.step_fn(self.terms[x]):
+            key = id(q) if by_id else q
+            y = ids.get(key)
+            steps.append((label, a, add(key, None, q, q.initial) if y is None else y))
+        return steps
+
+    def _operand_steps(self, x: int) -> list:
+        steps = self.steps.get(x)
+        if steps is None:
+            steps = self.steps[x] = self.steps_of(x)
+        return steps
+
+    def _pair_steps(self, sync: tuple[str, ...], l: int, r: int) -> list:
+        kept = self.steps
+        lsteps, rsteps = kept.get(l), kept.get(r)
+        if lsteps is None:
+            lsteps = self._operand_steps(l)
+        if rsteps is None:
+            rsteps = self._operand_steps(r)
+        ids, add, initial = self.ids, self._add, self.initial
+        par_l, par_r = self.par_l, self.par_r
+        steps = []
+        for theta, a, l2 in lsteps:
+            if a not in sync:
+                label = par_l.get(id(theta))
+                if label is None:
+                    label = par_l[id(theta)] = ParL(theta)
+                parts = (sync, l2, r)
+                y = ids.get(parts)
+                if y is None:
+                    y = add(parts, parts, None, initial[l2] and initial[r])
+                steps.append((label, a, y))
+        for theta, a, r2 in rsteps:
+            if a not in sync:
+                label = par_r.get(id(theta))
+                if label is None:
+                    label = par_r[id(theta)] = ParR(theta)
+                parts = (sync, l, r2)
+                y = ids.get(parts)
+                if y is None:
+                    y = add(parts, parts, None, initial[l] and initial[r2])
+                steps.append((label, a, y))
+        if sync:
+            syn = self.syn
+            for theta1, a, l2 in lsteps:
+                if a not in sync:
+                    continue
+                for theta2, a2, r2 in rsteps:
+                    if a2 != a:
+                        continue
+                    label = syn.get((id(theta1), id(theta2)))
+                    if label is None:
+                        label = syn[id(theta1), id(theta2)] = Syn(theta1, theta2)
+                    parts = (sync, l2, r2)
+                    y = ids.get(parts)
+                    if y is None:
+                        y = add(parts, parts, None, initial[l2] and initial[r2])
+                    steps.append((label, a, y))
+        return steps
+
+    def close(self) -> None:
+        """Drop what only stepping needs, once the system is built."""
+        self.step_fn = self.initial = self.steps = None
+        self.par_l = self.par_r = self.syn = None
+
+
+class Terms(_View):
+    """The term of every state of a system, each built on first read."""
+
+    __slots__ = ("_nodes", "_ids")
+
+    def __init__(self, nodes: _Nodes, ids: list[int]):
+        self._nodes = nodes
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def _item(self, sid: int):
+        return self._nodes.term(self._ids[sid])
+
+    def __iter__(self):
+        return map(self._nodes.term, self._ids)
+
+
+class StateIndex:
+    """State ids by term.  A term is found through the nodes of its build,
+    so no state's term is built or hashed to find it."""
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes: _Nodes):
+        self._nodes = nodes
+
+    def __getitem__(self, term) -> int:
+        nodes = self._nodes
+        x = nodes.ids.get(id(term) if nodes.by_id else term)
+        if x is None and type(term) is Par:
+            x = nodes.find_pair(term)
+        sid = None if x is None else nodes.sid[x]
+        if sid is None:
+            raise KeyError(term)
+        return sid
+
+    def get(self, term, default=None):
+        try:
+            return self[term]
+        except KeyError:
+            return default
+
+    def __contains__(self, term) -> bool:
+        return self.get(term) is not None
 
 
 @dataclass
 class Lts:
-    """Finite proved transition system with interned states.
+    """Finite proved transition system.
 
     ``kind`` is ``"proved"`` for plain processes and ``"brs"`` for ready-set
-    processes.  ``index`` maps each state to its number by the node's hash
-    and ``==``: identity for hash-consed plain processes, structural
-    equality (which ignores proofs) for ready-set processes.  States
-    are numbered breadth first, one group of roots after another (see
-    :func:`build_union`), so construction is deterministic.  ``renders``
-    holds the states' texts, rendered when first read.
+    processes.  States are numbered breadth first, one group of roots after
+    another (see :func:`build_union`), so construction is deterministic.
+    ``terms`` is a read-only sequence of the states' terms and ``renders``
+    of their texts, each built when first read; ``len(terms)`` builds
+    none.  ``index`` maps a term to its state id (``x in index``,
+    ``index[x]``, ``index.get(x)``): plain processes are compared by
+    identity, ready-set processes structurally (ignoring proofs).
+    ``initial`` flags the initial states.
 
     Transitions are stored as columns indexed by transition id: ``source``,
     ``target``, ``action`` and ``label``, which holds the proof of a proved
@@ -298,7 +531,7 @@ class Lts:
 
     kind: str
     root: int
-    terms: list
+    terms: Terms
     initial: list[bool]
     source: list[int] = field(repr=False)
     target: list[int] = field(repr=False)
@@ -306,7 +539,7 @@ class Lts:
     label: list = field(repr=False)
     outgoing: list[list[int]] = field(repr=False)
     incoming_ids: list[list[int]] = field(repr=False)
-    index: dict = field(default_factory=dict, repr=False)
+    index: StateIndex = field(repr=False)
     renders: Renders = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -327,6 +560,10 @@ class Lts:
         return sid
 
 
+def _brs_step_fn(u):
+    return [(label, act(label[0]), target) for label, target in brs_forward_steps(u)]
+
+
 def _build(kind: str, groups: list[list], max_states: int) -> Lts:
     """Close each group of roots under forward steps, one group after another.
 
@@ -335,23 +572,24 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
     met in an earlier group is that group's state.  ``max_states`` bounds
     the states each group adds.
 
-    A proved build memoizes the steps of every node it meets, for this
-    build only; ready-set steps are not memoized, because the order in which
-    a subterm's labels display its ready sets depends on the path above it.
+    A proved system is built as the product of its operands' systems, in
+    the integer nodes of :class:`_Nodes`: a leaf's steps come from
+    :func:`_steps`, memoized for this build only, and a parallel
+    position's from its operands' steps, so no successor term is built.
+    A ready-set system has no parallel positions, so its states are
+    leaves, stepped by :func:`brs_forward_steps` and not memoized, because
+    the order in which a subterm's labels display its ready sets depends
+    on the path above it.
     """
     if kind == "proved":
         memo: dict = {}
-
-        def step_fn(p):
-            return _steps(p, False, memo)
+        nodes = _Nodes(lambda p: _steps(p, False, memo), by_id=True)
     elif kind == "brs":
-        def step_fn(u):
-            return [(label, act(label[0]), target)
-                    for label, target in brs_forward_steps(u)]
+        nodes = _Nodes(_brs_step_fn, by_id=False)
     else:
         raise ValueError(f"unknown system kind {kind!r}")
-    terms = []
-    index: dict = {}
+    sid_of, steps_of = nodes.sid, nodes.steps_of
+    node_of: list[int] = []  # state id -> node
     source: list[int] = []
     target_ids: list[int] = []
     actions: list[str] = []
@@ -360,28 +598,27 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
     incoming_ids: list[list[int]] = []
     sid = 0
     for group in groups:
-        first = len(terms)
+        first = len(node_of)
         for root in group:
             if not is_wellformed(root):
                 raise NotReachableError(f"{render(root)} is not well-formed")
-            if root in index:
-                continue
-            index[root] = len(terms)
-            terms.append(root)
-            outgoing.append([])
-            incoming_ids.append([])
-        while sid < len(terms):
+            x = nodes.intern(root)
+            if sid_of[x] is None:
+                sid_of[x] = len(node_of)
+                node_of.append(x)
+                outgoing.append([])
+                incoming_ids.append([])
+        while sid < len(node_of):
             out = outgoing[sid]
-            for label, a, target in step_fn(terms[sid]):
-                tid = index.get(target)
+            for label, a, y in steps_of(node_of[sid]):
+                tid = sid_of[y]
                 if tid is None:
-                    if len(terms) - first >= max_states:
+                    if len(node_of) - first >= max_states:
                         raise StateBudgetError(
                             f"state budget of {max_states} states exceeded"
                         )
-                    tid = len(terms)
-                    index[target] = tid
-                    terms.append(target)
+                    tid = sid_of[y] = len(node_of)
+                    node_of.append(y)
                     outgoing.append([])
                     incoming_ids.append([])
                 tr_id = len(source)
@@ -392,9 +629,10 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
                 out.append(tr_id)
                 incoming_ids[tid].append(tr_id)
             sid += 1
-    initial = [t.initial for t in terms]
-    return Lts(kind, 0, terms, initial, source, target_ids, actions, labels,
-               outgoing, incoming_ids, index)
+    initial = [nodes.initial[x] for x in node_of]
+    nodes.close()
+    return Lts(kind, 0, Terms(nodes, node_of), initial, source, target_ids, actions,
+               labels, outgoing, incoming_ids, StateIndex(nodes))
 
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
@@ -408,7 +646,7 @@ def build_brs_lts(root: BrsProcess, max_states: int = DEFAULT_STATE_CAP) -> Lts:
 
 def build_union(groups: list[list], kind: str = "proved",
                 max_states: int = DEFAULT_STATE_CAP) -> Lts:
-    """One system closing each group of roots in turn, with shared interning.
+    """One system closing each group of roots in turn, over shared nodes.
 
     States are numbered group by group: a group's roots, then the states
     they reach that no earlier group reached, breadth first.  A state
@@ -416,7 +654,9 @@ def build_union(groups: list[list], kind: str = "proved",
     no common state, the union of ``[[r1], [r2]]`` holds the states of
     ``build_lts(r1)`` and then those of ``build_lts(r2)``, each in its own
     order; one group ``[roots]`` numbers all the roots first.
-    ``max_states`` bounds the states each group adds.
+    ``max_states`` bounds the states each group adds.  All groups share
+    one set of nodes (see :func:`_build`), so an operand state that two
+    roots have in common is stepped once.
     """
     return _build(kind, groups, max_states)
 

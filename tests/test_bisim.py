@@ -188,7 +188,7 @@ def _joined(first, second) -> tuple:
     ]
     outgoing = first.outgoing + [[i + n for i in ids] for ids in second.outgoing]
     incoming = first.incoming_ids + [[i + n for i in ids] for ids in second.incoming_ids]
-    return first.terms + second.terms, transitions, outgoing, incoming
+    return list(first.terms) + list(second.terms), transitions, outgoing, incoming
 
 
 def _assert_one_system_after_the_other(x, y, kind, build) -> bool:

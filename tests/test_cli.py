@@ -174,6 +174,26 @@ def test_valid_alphabets_and_sync_sets_keep_their_output(capsys):
     assert run(capsys, "expand", "a.0", "b.0", "--sync", "") == (0, "a.b.0 + b.a.0\n", "")
 
 
+@pytest.mark.parametrize("command", [["enumerate", "--alphabet", "a,b"],
+                                     ["enumerate", "--alphabet", "a", "--count-only"],
+                                     ["selftest"]])
+@pytest.mark.parametrize("size", ["-1", "-3"])
+def test_a_negative_max_size_is_an_error(capsys, command, size):
+    code, out, err = run(capsys, *command, "--max-size", size)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-size must be a non-negative integer, not {size}\n"
+
+
+def test_size_zero_keeps_its_output(capsys):
+    assert run(capsys, "enumerate", "--max-size", "0", "--alphabet", "a,b") == (0, "0\n", "")
+    assert run(capsys, "enumerate", "--max-size", "0", "--alphabet", "a",
+               "--count-only") == (0, "1\n", "")
+    code, out, err = run(capsys, "selftest", "--max-size", "0")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "PASS completeness F vs FB:ps: 0 checks, 0 failures"
+    assert len(out.splitlines()) == 9
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--max-size", "2", "--alphabet", "a,b")
     assert code == 0

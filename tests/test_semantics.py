@@ -7,6 +7,7 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revexp import (
     Act,
@@ -31,13 +32,13 @@ from revexp import (
     render,
 )
 from revexp import semantics
-from revexp.bisim import Variant
+from revexp.bisim import Variant, _union, check, refine
 from revexp.errors import StateBudgetError, UnknownStateError
 from revexp.generate import seed_terms
 from revexp.selfcheck import brs_class_ids
 from revexp.semantics import build_union, undo_steps
 from revexp.syntax import render_proof
-from revexp.terms import Choice, Par, act, to_initial
+from revexp.terms import Choice, Par, Prefix, act, to_initial
 
 
 def test_forward_steps_duplicate_choice():
@@ -178,22 +179,29 @@ SYNCED_K5 = " |[a]| ".join(
 )
 
 
-def _reference_system(roots):
-    """States and (source, proof, target) edges, breadth first over the
-    uncached ``forward_steps``."""
+def _reference_system(groups, max_states=None, steps=forward_steps):
+    """States and (source, label, target) edges, group by group and breadth
+    first over the uncached ``steps``; like a build, it raises
+    :class:`StateBudgetError` when a group would add a state past
+    ``max_states`` states."""
     index, states, edges = {}, [], []
-    for root in roots:
-        if root not in index:
-            index[root] = len(states)
-            states.append(root)
     sid = 0
-    while sid < len(states):
-        for theta, target in forward_steps(states[sid]):
-            if target not in index:
-                index[target] = len(states)
-                states.append(target)
-            edges.append((sid, theta, index[target]))
-        sid += 1
+    for group in groups:
+        first = len(states)
+        for root in group:
+            if root not in index:
+                index[root] = len(states)
+                states.append(root)
+        while sid < len(states):
+            for label, target in steps(states[sid]):
+                if target not in index:
+                    if max_states is not None and len(states) - first >= max_states:
+                        raise StateBudgetError(
+                            f"state budget of {max_states} states exceeded")
+                    index[target] = len(states)
+                    states.append(target)
+                edges.append((sid, label, index[target]))
+            sid += 1
     return states, edges
 
 
@@ -204,7 +212,7 @@ def _edges(lts):
 @pytest.mark.parametrize("text", [REFERENCE_K5, SYNCED_K5])
 def test_memoized_build_gives_the_reference_system(text):
     p = parse(text)
-    states, edges = _reference_system([p])
+    states, edges = _reference_system([[p]])
     lts = build_lts(p)
     assert lts.terms == states and _edges(lts) == edges
     assert len(states) > 200
@@ -212,9 +220,115 @@ def test_memoized_build_gives_the_reference_system(text):
 
 def test_memoized_union_gives_the_reference_system():
     roots = [parse(REFERENCE_K5), parse(SYNCED_K5), parse(REFERENCE_K5)]
-    states, edges = _reference_system(roots)
+    states, edges = _reference_system([roots])
     union = build_union([roots])
     assert union.terms == states and _edges(union) == edges
+
+
+def _raised(build):
+    try:
+        build()
+    except StateBudgetError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_builds_the_reference(groups, kind="proved"):
+    """The system of ``build_union(groups, kind)`` against the reference:
+    terms, columns, adjacency, initiality, ``state_of`` of every state, and
+    which budgets raise :class:`StateBudgetError`."""
+    steps = forward_steps if kind == "proved" else brs_forward_steps
+    states, edges = _reference_system(groups, steps=steps)
+    lts = build_union(groups, kind)
+    assert lts.num_states == len(lts.terms) == len(states)
+    # ``state_of`` before any term is read
+    assert [lts.state_of(s) for s in states] == list(range(len(states)))
+    assert list(lts.terms) == states
+    if kind == "proved":  # hash-consed: the very same objects
+        assert all(t is s for t, s in zip(lts.terms, states))
+    assert lts.source == [src for src, _, _ in edges]
+    assert lts.target == [dst for _, _, dst in edges]
+    assert lts.label == [label for _, label, _ in edges]
+    proof = (lambda label: label) if kind == "proved" else (lambda label: label[0])
+    assert lts.action == [act(proof(label)) for _, label, _ in edges]
+    outgoing, incoming_ids = [[] for _ in states], [[] for _ in states]
+    for i, (src, _, dst) in enumerate(edges):
+        outgoing[src].append(i)
+        incoming_ids[dst].append(i)
+    assert lts.outgoing == outgoing and lts.incoming_ids == incoming_ids
+    assert lts.initial == [s.initial for s in states]
+    # and again once they have been read
+    assert [lts.state_of(s) for s in states] == list(range(len(states)))
+    for cap in range(1, len(states) + 2):
+        assert _raised(lambda: build_union(groups, kind, max_states=cap)) == _raised(
+            lambda: _reference_system(groups, cap, steps))
+    return states
+
+
+def _walked(p, count):
+    """``count`` states of ``p``'s system, spread over its numbering."""
+    states, _ = _reference_system([[p]])
+    return [states[(i * 7 + 3) % len(states)] for i in range(count)]
+
+
+@pytest.mark.parametrize("text", [
+    "a.(b.0 |[]| c.0) + d.0",  # parallel under a prefix and a choice
+    "(b.0 |[b]| b.c.0) + a.(a.0 |[a]| (a.b.0 + c.0))",
+    "a.0 |[]| (b.0 |[]| (c.0 |[]| a.d.0))",  # right-nested
+    "(a.b.0 |[]| c.0) |[]| (d.0 |[]| a.c.0)",  # balanced
+    # a different synchronization set at each level, two of them 2-action
+    "((a.b.0 + c.0) |[a]| (a.c.0 + b.a.0)) |[a,b]| ((a.b.0 |[c]| c.b.0) |[b,c]| b.a.c.0)",
+    "(a.0 |[a]| a.0) |[]| ((a.b.0 + b.a.0) |[a,b]| (b.a.0 + a.b.0))",
+])
+def test_the_product_build_gives_the_reference_system(text):
+    p = parse(text)
+    states = _assert_builds_the_reference([[p]])
+    assert any(isinstance(q, Par) for s in states for q in _subterms(s))
+    walked = _walked(p, 4)
+    assert not all(q.initial for q in walked)
+    _assert_builds_the_reference([[q] for q in walked])  # non-initial roots
+    # a multi-root group whose roots share states, and a later group with
+    # the same initial version, which adds the states not yet met
+    _assert_builds_the_reference([walked[:3], [p, walked[3]], [to_initial(walked[0])]])
+
+
+def test_the_product_build_gives_the_reference_union():
+    k3 = parse(" |[]| ".join(["(a.b.0 + c.0)"] * 3))
+    synced = parse("(a.b.0 + c.a.0) |[a]| (a.c.0 + b.a.0) |[a]| (a.b.0 + c.a.0)")
+    roots = _walked(k3, 3) + _walked(synced, 3) + [parse("a.(b.0 |[]| c.0) + d.0")]
+    _assert_builds_the_reference([roots])
+    _assert_builds_the_reference([[q] for q in roots] + [[k3, synced]])
+
+
+def test_a_ready_set_build_gives_the_reference_system():
+    for text in ("a.0 |[]| b.0", "(a.b.0 + c.0) |[a]| a.c.0", "a!.0 |[]| b.c.0"):
+        u = encode(parse(text))
+        _assert_builds_the_reference([[to_initial(u)]], "brs")
+        _assert_builds_the_reference([[to_initial(u)], [u]], "brs")
+
+
+_names = st.sampled_from(["a", "b", "c", "tau"])
+
+
+def _initial_processes():
+    return st.recursive(
+        st.just(NIL) | st.builds(Prefix, _names, st.just(False), st.just(NIL)),
+        lambda sub: st.one_of(
+            st.builds(Prefix, _names, st.just(False), sub),
+            st.builds(Choice, sub, sub),
+            st.builds(lambda sync, l, r: Par(tuple(sync), l, r),
+                      st.lists(st.sampled_from(["a", "b", "c"]), max_size=2), sub, sub),
+        ),
+        max_leaves=7,
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_initial_processes(), _initial_processes(), st.integers(0, 10**6))
+def test_the_product_build_gives_the_reference_on_random_terms(p, q, pick):
+    states = _assert_builds_the_reference([[p]])
+    walked = states[pick % len(states)]
+    _assert_builds_the_reference([[walked, q], [p], [to_initial(q)]])
 
 
 def test_a_build_computes_each_subterm_once(monkeypatch):
@@ -230,6 +344,55 @@ def test_a_build_computes_each_subterm_once(monkeypatch):
     lts = build_lts(parse(REFERENCE_K5))
     assert lts.num_states == 1024
     assert len(calls) < 4 * lts.num_states
+
+
+def _count_par_terms(monkeypatch) -> list:
+    made = []
+    new = Par.__new__
+
+    def counted(cls, sync, left, right):
+        made.append(new(cls, sync, left, right))
+        return made[-1]
+
+    monkeypatch.setattr(Par, "__new__", counted)
+    return made
+
+
+def _par_subterms(p) -> set[int]:
+    return {id(q) for q in _subterms(p) if isinstance(q, Par)}
+
+
+def test_a_check_makes_only_the_state_terms_it_renders(monkeypatch):
+    p, q = parse(REFERENCE_K5), parse(SYNCED_K5)
+    made = _count_par_terms(monkeypatch)
+    lts = build_lts(p)
+    assert len(lts.terms) == lts.num_states == 1024 and made == []
+    for variant in Variant:  # both are initial, so only RB equates them
+        before = len(made)
+        verdict = check(p, q, variant)
+        by_check = made[before:]
+        if variant is Variant.RB:
+            assert verdict.equivalent and by_check == []
+            continue
+        ce = verdict.counterexample
+        shown = _par_subterms(parse(ce.left)) | _par_subterms(parse(ce.right))
+        assert {id(t) for t in by_check} <= shown
+
+
+def test_reading_the_witness_builds_the_reference_blocks(monkeypatch):
+    p = parse(REFERENCE_K5)
+    q = parse(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
+    made = _count_par_terms(monkeypatch)
+    verdict = check(p, q, Variant.FB)
+    assert verdict.equivalent and made == []
+    states, _ = _reference_system([[p], [q]])
+    union, _, _ = _union(p, q, "proved", semantics.DEFAULT_STATE_CAP)
+    blocks, _ = refine(union, Variant.FB)
+    grouped: dict = {}
+    for sid, bid in enumerate(blocks):
+        grouped.setdefault(bid, set()).add(render(states[sid]))
+    assert verdict.witness == tuple(tuple(sorted(grouped[b])) for b in sorted(grouped))
+    assert len(verdict.witness) > 1
 
 
 def _copied(u):
