@@ -62,6 +62,40 @@ def test_lts_json_and_brs(capsys):
     assert len(data["states"]) == 5
 
 
+_BRS_STATES = [
+    "<a,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0",
+    "<a!,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0",
+    "<a,{a}>.<b,{a,b}>.0 + <b!,{b}>.<a,{b,a}>.0",
+    "<a!,{a}>.<b!,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0",
+    "<a,{a}>.<b,{a,b}>.0 + <b!,{b}>.<a!,{b,a}>.0",
+]
+# (source, target, proof, fired ready set as displayed)
+_BRS_EDGES = [(0, 1, "+l a", ["a"]), (0, 2, "+r b", ["b"]),
+              (1, 3, "+l .b", ["a", "b"]), (2, 4, "+r .a", ["b", "a"])]
+
+
+def test_lts_brs_export_text(capsys):
+    # a fired ready set reads as the source state displays it: {b,a} under b
+    code, out, _ = run(capsys, "lts", "--brs", "a.0 |[]| b.0")
+    assert code == 0
+    assert out == "\n".join(
+        ["digraph lts {"]
+        + [f'  n{sid} [label="{term}"{", shape=doublecircle" if sid == 0 else ""}];'
+           for sid, term in enumerate(_BRS_STATES)]
+        + [f'  n{src} -> n{dst} [label="{proof} / {{{",".join(ready)}}}"];'
+           for src, dst, proof, ready in _BRS_EDGES]
+        + ["}", "", ""])
+    code, out, _ = run(capsys, "lts", "--brs", "--format", "json", "a.0 |[]| b.0")
+    assert code == 0
+    assert out == json.dumps({
+        "root": 0,
+        "states": [{"id": sid, "term": term, "initial": sid == 0}
+                   for sid, term in enumerate(_BRS_STATES)],
+        "transitions": [{"src": src, "dst": dst, "proof": proof, "ready": ready}
+                        for src, dst, proof, ready in _BRS_EDGES],
+    }, indent=2) + "\n"
+
+
 def test_lts_state_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("REVEXP_STATE_CAP", "2")
     code, _, err = run(capsys, "lts", "a.0 |[]| b.0")
