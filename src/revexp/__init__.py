@@ -25,18 +25,15 @@ from .bisim import (
     Verdict,
     check,
     check_brs,
-    largest_bisimulation,
     necessary_check,
 )
 from .encoding import (
     ExecutionOrder,
     HistoryOrder,
     LexOrder,
-    Observation,
     default_order,
     encode,
     expand_parallel,
-    observe,
     verify_correspondence,
 )
 from .errors import (
@@ -54,7 +51,6 @@ from .errors import (
 )
 from .generate import enumerate_processes, seed_terms
 from .semantics import (
-    BrsTransition,
     Lts,
     Transition,
     brs_forward_steps,

@@ -4,11 +4,11 @@ All four are decided by partition refinement over one system holding both
 processes' states: the union that closes the two initial versions root by
 root, in which a state both reach is one state.  Refining it is sound
 because every incoming transition of a reachable state originates from a
-reachable state.  Observations compare only the action carried by a proof
-term; for ready-set systems they compare the pair of action and ready set.
-Signatures are deduplicated per state: matching in the transfer clauses is
-existential per observation, so the multiplicity of equally labeled
-transitions must not split blocks.
+reachable state.  Each transition is observed through the system's ``obs``
+column: its action, or for a ready-set system its action with its sorted
+fired ready set.  Signatures are deduplicated per state: matching in the
+transfer clauses is existential per observation, so the multiplicity of
+equally labeled transitions must not split blocks.
 
 Refinement keeps the rounds of the signature loop (each round splits every
 block by its states' signatures under the last partition) but runs them as
@@ -125,16 +125,11 @@ def _signature_of(lts: Lts, blocks: list[int], variant: Variant):
 
     One set per observed direction: the forward set pairs each outgoing
     observation with its target's block, the backward set each incoming
-    observation with its source's block.  An observation is the action,
-    and for a ready-set system the action with its sorted ready set.
-    ``blocks`` is read at each call, so the caller may update it in place.
+    observation with its source's block; observations are read from
+    ``lts.obs``.  ``blocks`` is read at each call, so the caller may update
+    it in place.
     """
-    if lts.kind == "proved":
-        obs = lts.action
-    else:
-        obs = [(a, tuple(sorted(set(ready))))
-               for a, (_, ready) in zip(lts.action, lts.label)]
-    src, dst = lts.source, lts.target
+    obs, src, dst = lts.obs, lts.source, lts.target
     out, inc = lts.outgoing, lts.incoming_ids
     if variant.forward and variant.backward:
         def signature(s: int) -> tuple:
@@ -244,15 +239,6 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
         return seed, split
     ids: dict[int, int] = {}
     return [ids.setdefault(b, len(ids)) for b in blocks], split
-
-
-def largest_bisimulation(lts: Lts, variant: Variant) -> list[list[int]]:
-    """Blocks of the coarsest partition of ``lts`` stable for ``variant``."""
-    blocks, _ = refine(lts, variant)
-    grouped: dict[int, list[int]] = {}
-    for sid, bid in enumerate(blocks):
-        grouped.setdefault(bid, []).append(sid)
-    return [grouped[b] for b in sorted(grouped)]
 
 
 def _describe_split(lts: Lts, variant: Variant, s1: int, s2: int, split) -> Counterexample:

@@ -107,7 +107,7 @@ def _cmd_check(args) -> int:
 def _cmd_lts(args) -> int:
     p = _parse_term(args.process, args.allow_illformed)
     if args.brs:
-        lts = build_brs_lts(encode(p, default_order(p)), _state_cap())
+        lts = build_brs_lts(encode(p, default_order()), _state_cap())
     else:
         lts = build_lts(to_initial(p), _state_cap())
     print(export(lts, args.format))
@@ -127,9 +127,9 @@ def _cmd_normalize(args) -> int:
     if theory is Theory.F:
         result = normalize_f(p)
     elif theory is Theory.R:
-        result = normalize_r(encode(p, default_order(p)))
+        result = normalize_r(encode(p, default_order()))
     else:
-        result = normalize_fr(encode(p, default_order(p)))
+        result = normalize_fr(encode(p, default_order()))
     print(render(result, unicode=args.unicode))
     return 0
 
@@ -181,6 +181,10 @@ def _cmd_selftest(args) -> int:
 def _add_term_flags(sub) -> None:
     sub.add_argument("--allow-illformed", action="store_true",
                      help="skip the well-formedness check after parsing")
+
+
+def _add_unicode_flag(sub) -> None:
+    """For the commands that print a term."""
     sub.add_argument("--unicode", action="store_true",
                      help="render executed actions with a dagger")
 
@@ -214,12 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", default="lex",
                      help="serialization order: 'lex' or 'file:<path>' with one proof term per line")
     _add_term_flags(sub)
+    _add_unicode_flag(sub)
     sub.set_defaults(fn=_cmd_encode)
 
     sub = subs.add_parser("normalize", help="normal form in one of the three theories")
     sub.add_argument("--theory", choices=sorted(_THEORIES), required=True)
     sub.add_argument("process")
     _add_term_flags(sub)
+    _add_unicode_flag(sub)
     sub.set_defaults(fn=_cmd_normalize)
 
     sub = subs.add_parser("prove", help="equality in one of the three axiom systems")
@@ -240,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sync", default="",
                      help="comma-separated synchronization set")
     _add_term_flags(sub)
+    _add_unicode_flag(sub)
     sub.set_defaults(fn=_cmd_expand)
 
     sub = subs.add_parser("enumerate", help="stream the bounded process family")

@@ -1,4 +1,4 @@
-"""Ready-set observations and the encoding into sequential ready-set processes.
+"""The encoding into sequential ready-set processes.
 
 The encoder rewrites a reachable process into a sequential term whose
 prefixes carry the backward ready set of the state reached by firing them.
@@ -61,19 +61,6 @@ from .terms import (
     to_initial,
     upd,
 )
-
-
-@dataclass(frozen=True)
-class Observation:
-    """What reverse-sensitive equivalences actually compare on a transition."""
-
-    action: str
-    ready: frozenset[str]
-
-
-def observe(t: ProofTerm, target: Process) -> Observation:
-    """Observation of a proved transition: its action and brs of the target."""
-    return Observation(act(t), brs(target))
 
 
 # --- serialization orders --------------------------------------------------
@@ -206,7 +193,7 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
     return tuple(unfold(p))
 
 
-def default_order(p: Process | None = None) -> ExecutionOrder:
+def default_order() -> ExecutionOrder:
     """Serialization order used when no genuine history is supplied."""
     return LexOrder()
 
@@ -242,7 +229,7 @@ def encode(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
 def encode_reachable(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
     """:func:`encode` for a process already known to be reachable."""
     if order is None:
-        order = default_order(p)
+        order = default_order()
     return _encode(p, (), to_initial(p), order)
 
 
@@ -584,7 +571,7 @@ def brs_preserved_shape(p: Process, order: ExecutionOrder | None = None) -> bool
     with different last executed actions, neither in the synchronization set.
     """
     if order is None:
-        order = default_order(p)
+        order = default_order()
     if isinstance(p, (Nil,)):
         return True
     if isinstance(p, Prefix):

@@ -4,6 +4,8 @@ A single symmetric transition relation realizes the loop property: a forward
 transition from ``P`` to ``P'`` is also the backward (incoming) transition of
 ``P'``.  Every forward step flips exactly one executed flag, so the reachable
 state space of any term is finite and :func:`build_lts` terminates.
+Ready-set processes step by the same rules; a step's observation is its
+action, extended with the fired prefix's ready set on a ready-set process.
 
 A proof label ``ParL``, ``ParR`` or ``Syn`` names the operand that moved, so
 the system of ``P |[S]| Q`` is the synchronized product of the systems of
@@ -20,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import NotReachableError, StateBudgetError, UnknownStateError
-from .syntax import render, render_proof
+from .syntax import fired_ready, render, render_proof
 from .terms import (
     Act,
     BrsPrefix,
@@ -35,14 +37,11 @@ from .terms import (
     PlusR,
     Prefix,
     Process,
+    ProcessLike,
     ProofTerm,
     Syn,
-    act,
-    display_order,
-    is_initial,
     is_wellformed,
     to_initial,
-    touch,
 )
 
 DEFAULT_STATE_CAP = 10**6
@@ -75,21 +74,24 @@ def undo_steps(p: Process) -> list[tuple[ProofTerm, Process]]:
     return [(theta, q) for theta, _, q in _steps(p, True)]
 
 
-def _steps(p: Process, back: bool,
-           memo: dict | None = None) -> list[tuple[ProofTerm, str, Process]]:
+def _steps(p: ProcessLike, back: bool,
+           memo: dict | None = None) -> list[tuple[ProofTerm, object, ProcessLike]]:
     """Forward steps of ``p``, or its backward steps when ``back`` is set.
 
-    Each step is a triple of proof, action and other endpoint; the action
-    is read off the prefix that fires, so no caller walks the proof for it.
-    Only the prefix rule depends on the direction: a forward step fires an
-    unexecuted prefix, a backward step undoes an executed one, in both cases
-    over an initial continuation; otherwise an executed prefix propagates
-    the moves of its continuation.
+    Each step is a triple of proof, observation and other endpoint.  The
+    observation is what bisimilarity compares, made once here: the action
+    of the prefix that fires, or for a ready-set prefix the action with the
+    prefix's sorted ready set.  Only the prefix rule depends on the
+    direction: a forward step fires an unexecuted prefix, a backward step
+    undoes an executed one, in both cases over an initial continuation;
+    otherwise an executed prefix propagates the moves of its continuation.
+    Ready-set processes are only stepped forward.
 
     ``memo``, when given, maps each node already visited in this direction
     to its steps, so a subterm shared by many states computes its moves
-    once.  Plain nodes are hash-consed, so the key is the node's identity.
-    Memoized lists are shared: callers must not mutate them.
+    once.  Plain nodes are hash-consed, so the key is the node's identity;
+    ready-set nodes are compared structurally.  Memoized lists are shared:
+    callers must not mutate them.
     """
     if memo is not None:
         steps = memo.get(p)
@@ -119,6 +121,17 @@ def _steps(p: Process, back: bool,
                 (PlusR(theta), a, Choice(p.left, right))
                 for theta, a, right in _steps(p.right, back, memo)
             )
+    elif isinstance(p, BrsPrefix):
+        if p.executed:
+            steps = [
+                (Dot(theta), o, BrsPrefix(p.action, True, p.ready, cont, proof=p.proof))
+                for theta, o, cont in _steps(p.cont, back, memo)
+            ]
+        elif p.cont.initial:
+            steps = [(Act(p.action), (p.action, tuple(sorted(p.ready))),
+                      BrsPrefix(p.action, True, p.ready, p.cont, proof=p.proof))]
+        else:
+            steps = []
     else:
         sync = p.sync
         lsteps = _steps(p.left, back, memo)
@@ -150,35 +163,7 @@ def brs_forward_steps(
 ) -> list[tuple[tuple[ProofTerm, tuple[str, ...]], BrsProcess]]:
     """Transitions of a ready-set process; labels carry the fired ready set,
     in the order :func:`~revexp.syntax.render` of ``u`` displays it."""
-    return _brs_steps(u, ())
-
-
-def _brs_steps(u: BrsProcess, recency: tuple[str, ...]):
-    if isinstance(u, Nil):
-        return []
-    if isinstance(u, BrsPrefix):
-        recency = touch(recency, u.action)
-        if not u.executed:
-            if is_initial(u.cont):
-                fired = BrsPrefix(u.action, True, u.ready, u.cont, proof=u.proof)
-                return [((Act(u.action), display_order(u.ready, recency)), fired)]
-            return []
-        return [
-            ((Dot(theta), ready), BrsPrefix(u.action, True, u.ready, cont, proof=u.proof))
-            for (theta, ready), cont in _brs_steps(u.cont, recency)
-        ]
-    steps: list[tuple[tuple[ProofTerm, tuple[str, ...]], BrsProcess]] = []
-    if is_initial(u.right):
-        steps.extend(
-            ((PlusL(theta), ready), Choice(left, u.right))
-            for (theta, ready), left in _brs_steps(u.left, recency)
-        )
-    if is_initial(u.left):
-        steps.extend(
-            ((PlusR(theta), ready), Choice(u.left, right))
-            for (theta, ready), right in _brs_steps(u.right, recency)
-        )
-    return steps
+    return [((theta, fired_ready(u, theta)), q) for theta, _, q in _steps(u, False)]
 
 
 def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -210,22 +195,11 @@ def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    """A proved transition; ``action`` is the action of ``label``."""
-
-    source: int
-    label: ProofTerm
-    action: str
-    target: int
-
-
-@dataclass(frozen=True, slots=True)
-class BrsTransition:
-    """A ready-set transition; ``action`` is the action of ``proof``."""
+    """A transition: its proof and observation (see :class:`Lts`)."""
 
     source: int
     proof: ProofTerm
-    ready: tuple[str, ...]
-    action: str
+    obs: object
     target: int
 
 
@@ -266,11 +240,8 @@ class Renders(_View):
 
 
 class Transitions(_View):
-    """Every transition of a system as a record, each built when it is read.
-
-    A proved system gives :class:`Transition` records, a ready-set system
-    :class:`BrsTransition` records; the system itself keeps only columns.
-    """
+    """Every transition of a system as a :class:`Transition` record, each
+    built when it is read; the system itself keeps only columns."""
 
     __slots__ = ("_lts",)
 
@@ -280,12 +251,9 @@ class Transitions(_View):
     def __len__(self) -> int:
         return len(self._lts.source)
 
-    def _item(self, i: int):
+    def _item(self, i: int) -> Transition:
         lts = self._lts
-        if lts.kind == "proved":
-            return Transition(lts.source[i], lts.label[i], lts.action[i], lts.target[i])
-        proof, ready = lts.label[i]
-        return BrsTransition(lts.source[i], proof, ready, lts.action[i], lts.target[i])
+        return Transition(lts.source[i], lts.proof[i], lts.obs[i], lts.target[i])
 
 
 class _Nodes:
@@ -302,9 +270,10 @@ class _Nodes:
     without building or hashing it.
 
     A node's steps have their targets as nodes: a leaf's come from
-    ``step_fn``, a pair's combine its operands' steps in the order of
-    :func:`forward_steps` (left moves, right moves, then synchronizations,
-    left-major), so no successor term is built.  An operand's steps are
+    :func:`_steps`, memoized for this build only, a pair's combine its
+    operands' steps in the order of :func:`forward_steps` (left moves,
+    right moves, then synchronizations, left-major), so no successor term
+    is built.  An operand's steps are
     kept, as every pair of its states asks for them; a state's are
     computed once, when the build closes it, and not kept.  Each
     wrapped proof is made once, keyed by the identity of the proofs it
@@ -313,11 +282,11 @@ class _Nodes:
     an operand.
     """
 
-    __slots__ = ("step_fn", "by_id", "ids", "parts", "terms", "initial", "steps",
+    __slots__ = ("memo", "by_id", "ids", "parts", "terms", "initial", "steps",
                  "sid", "par_l", "par_r", "syn")
 
-    def __init__(self, step_fn, by_id: bool):
-        self.step_fn = step_fn
+    def __init__(self, by_id: bool):
+        self.memo: dict = {}  # the steps of each leaf term, and of its subterms
         self.by_id = by_id
         self.ids: dict = {}  # leaf key, pair parts or a kept term's id -> node
         self.parts: list[tuple | None] = []  # a pair's parts; None for a leaf
@@ -393,10 +362,10 @@ class _Nodes:
             return self._pair_steps(*parts)
         ids, by_id, add = self.ids, self.by_id, self._add
         steps = []
-        for label, a, q in self.step_fn(self.terms[x]):
+        for theta, o, q in _steps(self.terms[x], False, self.memo):
             key = id(q) if by_id else q
             y = ids.get(key)
-            steps.append((label, a, add(key, None, q, q.initial) if y is None else y))
+            steps.append((theta, o, add(key, None, q, q.initial) if y is None else y))
         return steps
 
     def _operand_steps(self, x: int) -> list:
@@ -455,7 +424,7 @@ class _Nodes:
 
     def close(self) -> None:
         """Drop what only stepping needs, once the system is built."""
-        self.step_fn = self.initial = self.steps = None
+        self.memo = self.initial = self.steps = None
         self.par_l = self.par_r = self.syn = None
 
 
@@ -522,10 +491,11 @@ class Lts:
     ``initial`` flags the initial states.
 
     Transitions are stored as columns indexed by transition id: ``source``,
-    ``target``, ``action`` and ``label``, which holds the proof of a proved
-    transition and the pair of proof and fired ready set of a ready-set
-    one.  ``outgoing`` and ``incoming_ids`` list each state's transition
-    ids.  ``transitions`` views the columns as a read-only sequence of
+    ``target``, ``proof`` and ``obs``, the observation bisimilarity
+    compares: the action of a proved transition, and the pair of action
+    and sorted fired ready set of a ready-set one.  ``outgoing`` and
+    ``incoming_ids`` list each state's transition ids.  ``transitions``
+    views the columns as a read-only sequence of :class:`Transition`
     records, built only when read.
     """
 
@@ -535,8 +505,8 @@ class Lts:
     initial: list[bool]
     source: list[int] = field(repr=False)
     target: list[int] = field(repr=False)
-    action: list[str] = field(repr=False)
-    label: list = field(repr=False)
+    proof: list[ProofTerm] = field(repr=False)
+    obs: list = field(repr=False)
     outgoing: list[list[int]] = field(repr=False)
     incoming_ids: list[list[int]] = field(repr=False)
     index: StateIndex = field(repr=False)
@@ -560,10 +530,6 @@ class Lts:
         return sid
 
 
-def _brs_step_fn(u):
-    return [(label, act(label[0]), target) for label, target in brs_forward_steps(u)]
-
-
 def _build(kind: str, groups: list[list], max_states: int) -> Lts:
     """Close each group of roots under forward steps, one group after another.
 
@@ -572,28 +538,22 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
     met in an earlier group is that group's state.  ``max_states`` bounds
     the states each group adds.
 
-    A proved system is built as the product of its operands' systems, in
-    the integer nodes of :class:`_Nodes`: a leaf's steps come from
-    :func:`_steps`, memoized for this build only, and a parallel
-    position's from its operands' steps, so no successor term is built.
+    A system is built in the integer nodes of :class:`_Nodes`: a leaf's
+    steps come from :func:`_steps`, memoized for this build only, and a
+    parallel position's from its operands' steps, so a proved system is
+    the product of its operands' systems and no successor term is built.
     A ready-set system has no parallel positions, so its states are
-    leaves, stepped by :func:`brs_forward_steps` and not memoized, because
-    the order in which a subterm's labels display its ready sets depends
-    on the path above it.
+    leaves.  ``kind`` only picks how leaves are keyed.
     """
-    if kind == "proved":
-        memo: dict = {}
-        nodes = _Nodes(lambda p: _steps(p, False, memo), by_id=True)
-    elif kind == "brs":
-        nodes = _Nodes(_brs_step_fn, by_id=False)
-    else:
+    if kind not in ("proved", "brs"):
         raise ValueError(f"unknown system kind {kind!r}")
+    nodes = _Nodes(by_id=kind == "proved")
     sid_of, steps_of = nodes.sid, nodes.steps_of
     node_of: list[int] = []  # state id -> node
     source: list[int] = []
     target_ids: list[int] = []
-    actions: list[str] = []
-    labels: list = []
+    proofs: list[ProofTerm] = []
+    observations: list = []
     outgoing: list[list[int]] = []
     incoming_ids: list[list[int]] = []
     sid = 0
@@ -610,7 +570,7 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
                 incoming_ids.append([])
         while sid < len(node_of):
             out = outgoing[sid]
-            for label, a, y in steps_of(node_of[sid]):
+            for theta, o, y in steps_of(node_of[sid]):
                 tid = sid_of[y]
                 if tid is None:
                     if len(node_of) - first >= max_states:
@@ -624,15 +584,15 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
                 tr_id = len(source)
                 source.append(sid)
                 target_ids.append(tid)
-                actions.append(a)
-                labels.append(label)
+                proofs.append(theta)
+                observations.append(o)
                 out.append(tr_id)
                 incoming_ids[tid].append(tr_id)
             sid += 1
     initial = [nodes.initial[x] for x in node_of]
     nodes.close()
-    return Lts(kind, 0, Terms(nodes, node_of), initial, source, target_ids, actions,
-               labels, outgoing, incoming_ids, StateIndex(nodes))
+    return Lts(kind, 0, Terms(nodes, node_of), initial, source, target_ids, proofs,
+               observations, outgoing, incoming_ids, StateIndex(nodes))
 
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
@@ -668,23 +628,27 @@ def incoming(lts: Lts, sid: int):
     return [lts.transitions[i] for i in lts.incoming_ids[sid]]
 
 
-def _edge_label(lts: Lts, t) -> str:
-    if lts.kind == "proved":
-        return render_proof(t.label)
-    return f"{render_proof(t.proof)} / {{{','.join(t.ready)}}}"
-
-
 def export(lts: Lts, fmt: str = "dot") -> str:
-    """Serialize as a DOT digraph or as the JSON interchange schema."""
+    """Serialize as a DOT digraph or as the JSON interchange schema.
+
+    A ready-set transition also shows its fired ready set, in the order the
+    source state displays it.
+    """
+    def ready(t: Transition) -> tuple[str, ...] | None:
+        if lts.kind == "proved":
+            return None
+        return fired_ready(lts.terms[t.source], t.proof)
+
     if fmt == "dot":
         lines = ["digraph lts {"]
         for sid in range(lts.num_states):
             shape = ", shape=doublecircle" if sid == lts.root else ""
             lines.append(f'  n{sid} [label="{lts.renders[sid]}"{shape}];')
         for t in lts.transitions:
-            src = t.source
-            dst = t.target
-            lines.append(f'  n{src} -> n{dst} [label="{_edge_label(lts, t)}"];')
+            label, fired = render_proof(t.proof), ready(t)
+            if fired is not None:
+                label += f" / {{{','.join(fired)}}}"
+            lines.append(f'  n{t.source} -> n{t.target} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
@@ -694,12 +658,10 @@ def export(lts: Lts, fmt: str = "dot") -> str:
         ]
         transitions = []
         for t in lts.transitions:
-            entry = {"src": t.source, "dst": t.target}
-            if lts.kind == "proved":
-                entry["proof"] = render_proof(t.label)
-            else:
-                entry["proof"] = render_proof(t.proof)
-                entry["ready"] = list(t.ready)
+            entry = {"src": t.source, "dst": t.target, "proof": render_proof(t.proof)}
+            fired = ready(t)
+            if fired is not None:
+                entry["ready"] = list(fired)
             transitions.append(entry)
         return json.dumps(
             {"root": lts.root, "states": states, "transitions": transitions},

@@ -251,6 +251,21 @@ def _render(p: ProcessLike, level: int, uni: bool, recency: tuple[str, ...]) -> 
     return f"({text})" if level > _PREC_PAR else text
 
 
+def fired_ready(u: ProcessLike, theta: ProofTerm) -> tuple[str, ...]:
+    """The ready set of the prefix of the ready-set process ``u`` that
+    ``theta`` fires, in the order :func:`render` of ``u`` displays it: the
+    proof is walked down ``u``, touching each prefix it passes."""
+    recency: tuple[str, ...] = ()
+    while not isinstance(theta, Act):
+        if isinstance(theta, Dot):
+            recency = touch(recency, u.action)
+            u = u.cont
+        else:
+            u = u.left if isinstance(theta, PlusL) else u.right
+        theta = theta.inner
+    return display_order(u.ready, touch(recency, u.action))
+
+
 def render_proof(t: ProofTerm) -> str:
     if isinstance(t, Act):
         return t.name

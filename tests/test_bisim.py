@@ -14,7 +14,6 @@ from revexp import (
     check,
     check_brs,
     encode,
-    largest_bisimulation,
     necessary_check,
     parse,
     render,
@@ -25,7 +24,7 @@ from revexp.axioms import Theory, theory_encoding
 from revexp.errors import NotReachableError, StateBudgetError, WitnessCheckError
 from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
-from revexp.semantics import build_brs_lts, build_union
+from revexp.semantics import brs_forward_steps, build_brs_lts, build_union
 from revexp import is_reachable
 from revexp.terms import Par, act, is_initial, to_initial
 
@@ -97,16 +96,21 @@ def test_necessary_check():
     assert not necessary_check(P("a.0"), P("b.0"), Variant.FB)
 
 
+def _block_count(lts, variant) -> int:
+    blocks, _ = refine(lts, variant)
+    return len(set(blocks))
+
+
 def test_largest_bisimulation_on_the_diamond():
     lts = build_lts(P("a.0 |[]| b.0"))
-    blocks = largest_bisimulation(lts, Variant.FB)
     # brute force over all relations: the two intermediate states offer
     # different actions, so every state sits alone
-    assert len(blocks) == _brute_force_class_count(lts, Variant.FB)
-    assert len(blocks) == 4
+    assert _block_count(lts, Variant.FB) == _brute_force_class_count(lts, Variant.FB)
+    assert _block_count(lts, Variant.FB) == 4
     # with equal actions the intermediate states collapse
     auto = build_lts(P("a.0 |[]| a.0"))
-    assert len(largest_bisimulation(auto, Variant.FB)) == 3
+    assert _block_count(auto, Variant.FB) == _brute_force_class_count(auto, Variant.FB)
+    assert _block_count(auto, Variant.FB) == 3
 
 
 def _brute_force_class_count(lts, variant):
@@ -124,7 +128,7 @@ def _brute_force_class_count(lts, variant):
                     for ti in edges_i:
                         t1 = lts.transitions[ti]
                         if not any(
-                            act_of(lts.transitions[tj].label) == act_of(t1.label)
+                            act_of(lts.transitions[tj].proof) == act_of(t1.proof)
                             and related[getattr(t1, endpoint)][
                                 getattr(lts.transitions[tj], endpoint)]
                             for tj in edges_j
@@ -156,7 +160,7 @@ def test_refinement_is_idempotent():
 
 def test_discrete_lts_partitions():
     lts = build_lts(P("0"))
-    assert len(largest_bisimulation(lts, Variant.FB)) == 1
+    assert _block_count(lts, Variant.FB) == 1
     union = build_union([[P("0")], [P("a!.0")]])
     blocks, _ = refine(union, Variant.FBPS)
     # the initiality flag splits even transition-free states
@@ -243,10 +247,9 @@ def test_the_state_budget_is_per_process():
 
 def test_a_check_builds_no_transition_records(monkeypatch):
     made = []
-    for name in ("Transition", "BrsTransition"):
-        record = getattr(semantics, name)
-        monkeypatch.setattr(semantics, name,
-                            lambda *args, record=record: made.append(args) or record(*args))
+    record = semantics.Transition
+    monkeypatch.setattr(semantics, "Transition",
+                        lambda *args: made.append(args) or record(*args))
     p, q = P("a.0 |[]| b.0"), P("a.b.0 + b.a.0")
     verdicts = [check(p, q, v) for v in ALL]
     verdicts += [check_brs(encode(p), encode(x), v)
@@ -255,7 +258,7 @@ def test_a_check_builds_no_transition_records(monkeypatch):
         assert (verdict.witness is None) != (verdict.counterexample is None)
     assert made == []
     # reading a transition still builds its record
-    assert build_lts(p).transitions[0].action == "a" and len(made) == 1
+    assert build_lts(p).transitions[0].obs == "a" and len(made) == 1
 
 
 def _count_renders(monkeypatch) -> list:
@@ -372,16 +375,22 @@ def _round_loop(lts, variant):
     """The round-based refinement ``refine`` runs as a worklist, kept as the
     reference: every round recomputes every state's signature, with
     observations read off the proofs.  Returns the partitions P0, P1, ...
-    up to the stable one, and every state's signatures under each."""
+    up to the stable one, and every state's signatures under each.  A
+    ready-set observation pairs the action with the sorted ready set that
+    ``brs_forward_steps`` gives the step."""
     n = lts.num_states
     if variant.past_sensitive:
         blocks = [1 if lts.initial[s] else 0 for s in range(n)]
     else:
         blocks = [0] * n
     if lts.kind == "proved":
-        obs = [act(t.label) for t in lts.transitions]
+        obs = [act(t.proof) for t in lts.transitions]
     else:
-        obs = [(act(t.proof), tuple(sorted(set(t.ready)))) for t in lts.transitions]
+        obs = []
+        for t in lts.transitions:
+            ready = next(r for (theta, r), _ in brs_forward_steps(lts.terms[t.source])
+                         if theta == t.proof)
+            obs.append((act(t.proof), tuple(sorted(set(ready)))))
     rounds, history = [blocks], []
     while True:
         sigs = []

@@ -131,6 +131,16 @@ def test_encode_unicode(capsys):
     assert code == 0 and "†" in out and "⟨" in out
 
 
+@pytest.mark.parametrize("argv", [["check", "--variant", "fb", "a.0", "a.0"],
+                                  ["lts", "a.0"],
+                                  ["prove", "--theory", "f", "a.0", "a.0"]])
+def test_unicode_is_rejected_where_no_term_is_printed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--unicode"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --unicode" in capsys.readouterr().err
+
+
 def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "--theory", "f", "a.0 |[]| b.0")
     assert code == 0 and out.strip() == "a.b.0 + b.a.0"

@@ -15,7 +15,6 @@ from revexp import (
     check_brs,
     encode,
     expand_parallel,
-    observe,
     parse,
     render,
     verify_correspondence,
@@ -32,18 +31,6 @@ from revexp.generate import enumerate_processes
 from revexp.terms import BrsPrefix, Choice, NIL, brs, is_initial, to_initial
 
 P = parse
-
-
-# --- observe -----------------------------------------------------------------
-
-def test_observe():
-    obs = observe(Act("a"), P("a!.0"))
-    assert obs.action == "a" and obs.ready == frozenset("a")
-    obs = observe(ParR(Act("b")), P("a!.0 |[]| b!.0"))
-    assert obs == observe(ParR(Act("b")), P("b!.0 |[]| a!.0"))
-    assert obs.ready == frozenset({"a", "b"})
-    # equal actions collapse the ready set to a singleton
-    assert observe(Act("a"), P("a!.0 |[]| a!.0")).ready == frozenset("a")
 
 
 # --- encode ------------------------------------------------------------------
@@ -179,7 +166,7 @@ def test_lex_order_on_par_sides():
 
 def test_lex_order_is_total_on_executed_addresses():
     for p in list(enumerate_processes(2, ("a", "b")))[:80]:
-        order = default_order(p)
+        order = default_order()
         from revexp.semantics import undo_steps
         proofs = [t for t, _ in undo_steps(p)]
         for t1 in proofs:

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from revexp import (
     Act,
     BrsPrefix,
-    BrsTransition,
     NIL,
     Dot,
     ParL,
@@ -129,10 +128,11 @@ def test_transitions_read_as_a_sequence_of_records():
     proved = [Transition(0, ParL(a), "a", 1), Transition(0, ParR(b), "b", 2),
               Transition(1, ParR(b), "b", 3), Transition(2, ParL(a), "a", 3)]
     encoded = build_brs_lts(encode(parse("a.0 |[]| b.0")))
-    ready_set = [BrsTransition(0, PlusL(a), ("a",), "a", 1),
-                 BrsTransition(0, PlusR(b), ("b",), "b", 2),
-                 BrsTransition(1, PlusL(Dot(b)), ("a", "b"), "b", 3),
-                 BrsTransition(2, PlusR(Dot(a)), ("b", "a"), "a", 4)]
+    # a ready-set observation sorts the fired ready set
+    ready_set = [Transition(0, PlusL(a), ("a", ("a",)), 1),
+                 Transition(0, PlusR(b), ("b", ("b",)), 2),
+                 Transition(1, PlusL(Dot(b)), ("b", ("a", "b")), 3),
+                 Transition(2, PlusR(Dot(a)), ("a", ("a", "b")), 4)]
     for lts, records in ((diamond, proved), (encoded, ready_set)):
         view = lts.transitions
         assert len(view) == len(records)
@@ -145,8 +145,8 @@ def test_transitions_read_as_a_sequence_of_records():
         with pytest.raises(TypeError):
             view[0] = records[0]
         # the records are read off the columns
-        assert [(t.source, t.action, t.target) for t in view] == list(
-            zip(lts.source, lts.action, lts.target))
+        assert [(t.source, t.proof, t.obs, t.target) for t in view] == list(
+            zip(lts.source, lts.proof, lts.obs, lts.target))
 
 
 def test_state_of_finds_a_state_from_its_text():
@@ -206,7 +206,7 @@ def _reference_system(groups, max_states=None, steps=forward_steps):
 
 
 def _edges(lts):
-    return [(t.source, t.label, t.target) for t in lts.transitions]
+    return [(t.source, t.proof, t.target) for t in lts.transitions]
 
 
 @pytest.mark.parametrize("text", [REFERENCE_K5, SYNCED_K5])
@@ -248,9 +248,13 @@ def _assert_builds_the_reference(groups, kind="proved"):
         assert all(t is s for t, s in zip(lts.terms, states))
     assert lts.source == [src for src, _, _ in edges]
     assert lts.target == [dst for _, _, dst in edges]
-    assert lts.label == [label for _, label, _ in edges]
-    proof = (lambda label: label) if kind == "proved" else (lambda label: label[0])
-    assert lts.action == [act(proof(label)) for _, label, _ in edges]
+    if kind == "proved":
+        assert lts.proof == [label for _, label, _ in edges]
+        assert lts.obs == [act(label) for _, label, _ in edges]
+    else:  # a label is the proof and the fired ready set as displayed
+        assert lts.proof == [proof for _, (proof, _), _ in edges]
+        assert lts.obs == [(act(proof), tuple(sorted(ready)))
+                           for _, (proof, ready), _ in edges]
     outgoing, incoming_ids = [[] for _ in states], [[] for _ in states]
     for i, (src, _, dst) in enumerate(edges):
         outgoing[src].append(i)
@@ -421,11 +425,11 @@ def test_incoming():
     diamond = build_lts(parse("a.0 |[]| b.0"))
     assert incoming(diamond, diamond.root) == []
     bottom = diamond.state_of(parse("a!.0 |[]| b!.0"))
-    labels = {act(t.label) for t in incoming(diamond, bottom)}
+    labels = {act(t.proof) for t in incoming(diamond, bottom)}
     assert labels == {"a", "b"}
     tree = build_lts(parse("a.b.0 + b.a.0"))
     left_bottom = tree.state_of(parse("a!.b!.0 + b.a.0"))
-    assert [act(t.label) for t in incoming(tree, left_bottom)] == ["b"]
+    assert [act(t.proof) for t in incoming(tree, left_bottom)] == ["b"]
     with pytest.raises(UnknownStateError):
         incoming(diamond, 99)
 
@@ -471,7 +475,7 @@ def test_undo_steps_are_the_incoming_transitions():
                 (render_proof(t), render(q)) for t, q in undo_steps(state)
             )
             into = Counter(
-                (render_proof(t.label), lts.renders[t.source]) for t in incoming(lts, sid)
+                (render_proof(t.proof), lts.renders[t.source]) for t in incoming(lts, sid)
             )
             assert backward == into, lts.renders[sid]
 

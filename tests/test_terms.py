@@ -91,6 +91,9 @@ def test_frs(src, expected):
     ("a!.b.0 + b.a.0", {"a"}),
     ("a.b.0 + b.a.0", set()),
     ("a!.b!.0", {"b"}),
+    ("a!.0", {"a"}),
+    ("b!.0 |[]| a!.0", {"a", "b"}),
+    ("a!.0 |[]| a!.0", {"a"}),
 ])
 def test_brs(src, expected):
     assert brs(P(src)) == frozenset(expected)
@@ -103,8 +106,8 @@ def test_ready_sets_agree_with_the_semantics():
         lts = build_lts(root)
         for sid in range(lts.num_states):
             term = lts.terms[sid]
-            out_acts = {act(lts.transitions[i].label) for i in lts.outgoing[sid]}
-            in_acts = {act(lts.transitions[i].label) for i in lts.incoming_ids[sid]}
+            out_acts = {act(lts.transitions[i].proof) for i in lts.outgoing[sid]}
+            in_acts = {act(lts.transitions[i].proof) for i in lts.incoming_ids[sid]}
             assert frs(term) == frozenset(out_acts)
             assert brs(term) == frozenset(in_acts)
 
