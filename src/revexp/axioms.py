@@ -30,7 +30,7 @@ from .encoding import (
 )
 from .errors import NotNormalizedError, NotReachableError
 from .semantics import is_reachable
-from .syntax import render
+from .syntax import _PREC_PAR, _render, render
 from .terms import (
     NIL,
     BrsPrefix,
@@ -88,6 +88,8 @@ class _Pass:
         self.tracing = trace is not None
         # id(node) -> (result, derivation, node); holding the node keeps its id unique
         self.memo: dict = {}
+        # the render memo of syntax._render, for steps that order by text
+        self.texts: dict = {}
 
     def __call__(self, x, log: list | None, label: str | None):
         """Result for ``x``; its derivation goes to ``log`` under ``label``."""
@@ -311,7 +313,7 @@ def _is_frnf_node(u: BrsProcess, memo: dict) -> bool:
 
 def _copy_prefix(s: BrsPrefix, cont: BrsProcess, executed: bool | None = None) -> BrsPrefix:
     return BrsPrefix(s.action, s.executed if executed is None else executed, s.ready,
-                     cont, proof=s.proof)
+                     cont, s.proof, s.state)
 
 
 def normalize_r(u: BrsProcess, trace: Trace | None = None,
@@ -381,7 +383,7 @@ def canonical(x, theory: Theory, trace: Trace | None = None):
 def _canon_f(rw: _Pass, p: Process, log: list | None) -> Process:
     head, sums = _fnf_parts(p)
     canon = [Prefix(s.action, False, rw(s.cont, log, f"{s.action}.")) for s in sums]
-    keyed = sorted({render(s): s for s in canon}.items())
+    keyed = sorted({_render(s, _PREC_PAR, False, (), rw.texts): s for s in canon}.items())
     if len(keyed) < len(canon):
         _log(log, "A_F,4")
     body = _sum([s for _, s in keyed])

@@ -4,12 +4,15 @@ The encoder rewrites a reachable process into a sequential term whose
 prefixes carry the backward ready set of the state reached by firing them.
 It threads an *environment*: the whole root process with every executed flag
 that has not yet been serialized into the output erased.  Each emitted prefix
-marks one action occurrence executed in the environment (via ``upd``) and
-reads its ready set there, so ready sets of nested parallel contexts come out
-right.  The order in which a ready set is displayed is not part of the
-output: renderers derive it from the prefixes above it (the actions marked
-along the branch), so branches that differ only in that order share one
-subterm.
+steps the environment by the action occurrence it stands for and reads its
+ready set there, so ready sets of nested parallel contexts come out right.
+A source prefix is marked in the environment with ``upd``; a parallel
+expansion steps the operand states instead: each operand prefix records the
+state it reaches (``BrsPrefix.state``), and the expansion puts the moved
+operands' states back under the parallel operator.  The order in which a
+ready set is displayed is not part of the output: renderers derive it from
+the prefixes above it (the actions marked along the branch), so branches
+that differ only in that order share one subterm.
 
 Parallel composition is eliminated by :func:`expand_parallel`.  When both
 operands have executed actions that did not synchronize, the expansion must
@@ -214,11 +217,6 @@ def canonical_order(p: Process) -> ExecutionOrder:
 # subterm, and the expansion is memoized on exactly that.  The result is a
 # shared DAG; walk it with a memo, not as a tree.
 
-def _emit(action: str, executed: bool, env: Process, phi: ProofTerm,
-          cont: BrsProcess) -> BrsPrefix:
-    return BrsPrefix(action, executed, env.backward_ready, cont, proof=phi)
-
-
 def encode(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
     """Sequential ready-set form of a reachable process."""
     if not is_reachable(p):
@@ -241,7 +239,7 @@ def _encode(p: Process, sigma: ProofPath, env: Process,
         phi = compose(sigma, Act(p.action))
         env2 = upd(env, phi)
         cont = _encode(p.cont, sigma + (Dot,), env2, order)
-        return _emit(p.action, p.executed, env2, phi, cont)
+        return BrsPrefix(p.action, p.executed, env2.backward_ready, cont, phi, env2)
     if isinstance(p, Choice):
         return Choice(
             _encode(p.left, sigma + (PlusL,), env, order),
@@ -261,14 +259,18 @@ def _flatten(u: ProcessLike) -> list:
     return [u]
 
 
-def _decompose(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
-    """Split into the executed head summand (if any) and the initial summands."""
+def _decompose(u: BrsProcess, memo: dict) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
+    """Split into the executed head summand (if any) and the initial summands;
+    ``memo`` keeps the split by the id of ``u`` (the value keeps ``u``)."""
+    got = memo.get(id(u))
+    if got is not None:
+        return got[0], got[1]
     head = None
     rest = []
     for s in _flatten(u):
-        if s.proof is None:
+        if s.proof is None or s.state is None:
             raise EncodingInputError(
-                "expansion operands must carry proof annotations; use encode()"
+                "expansion operands must carry proof and state annotations; use encode()"
             )
         if s.executed or not s.cont.initial:
             if head is not None:
@@ -276,6 +278,7 @@ def _decompose(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
             head = s
         else:
             rest.append(s)
+    memo[id(u)] = (head, rest, u)
     return head, rest
 
 
@@ -293,61 +296,88 @@ def expand_parallel(u1: BrsProcess, u2: BrsProcess, sync, env: Process,
                     sigma: ProofPath = (), order: ExecutionOrder | None = None) -> BrsProcess:
     """Expansion of ``u1 || u2`` into a choice of ready-set prefixes.
 
-    ``u1`` and ``u2`` must be encodings of the two operands (their prefixes
-    carry proof annotations); ``env`` is a process containing their
-    composition at the operator path ``sigma``.
+    ``env`` is a process with a parallel composition at the operator path
+    ``sigma``; ``u1`` and ``u2`` must be the results of :func:`encode` on
+    its two operands (their prefixes carry proof and state annotations).
     """
     if order is None:
         order = default_order()
-    cleared = _clear_at(env, sigma)
-    return _expand(u1, u2, frozenset(sync), tuple(sigma), cleared, order, {})
+    sigma = tuple(sigma)
+    cleared = _put(env, sigma, to_initial)
+    if not isinstance(_at(cleared, sigma), Par):
+        raise EncodingInputError("operator path does not lead to a parallel composition")
+    return _expand(u1, u2, frozenset(sync), sigma, cleared, order, {})
 
 
-def _clear_at(env: Process, sigma: ProofPath) -> Process:
+def _at(env: Process, sigma: ProofPath) -> Process:
+    """The subterm of ``env`` at the operator path ``sigma`` (which matches)."""
+    for m in sigma:
+        env = env.cont if m is Dot else env.left if m is PlusL or m is ParL else env.right
+    return env
+
+
+def _put(env: Process, sigma: ProofPath, f) -> Process:
+    """``env`` with its subterm ``q`` at the operator path ``sigma`` replaced
+    by ``f(q)``."""
     if not sigma:
-        return to_initial(env)
+        return f(env)
     head, rest = sigma[0], sigma[1:]
     if head is Dot and isinstance(env, Prefix):
-        return Prefix(env.action, env.executed, _clear_at(env.cont, rest))
+        return Prefix(env.action, env.executed, _put(env.cont, rest, f))
     if head is PlusL and isinstance(env, Choice):
-        return Choice(_clear_at(env.left, rest), env.right)
+        return Choice(_put(env.left, rest, f), env.right)
     if head is PlusR and isinstance(env, Choice):
-        return Choice(env.left, _clear_at(env.right, rest))
+        return Choice(env.left, _put(env.right, rest, f))
     if head is ParL and isinstance(env, Par):
-        return Par(env.sync, _clear_at(env.left, rest), env.right)
+        return Par(env.sync, _put(env.left, rest, f), env.right)
     if head is ParR and isinstance(env, Par):
-        return Par(env.sync, env.left, _clear_at(env.right, rest))
+        return Par(env.sync, env.left, _put(env.right, rest, f))
     raise EncodingInputError("operator path does not match the environment")
 
 
 def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPath,
             env: Process, order: ExecutionOrder, memo: dict) -> BrsProcess:
-    """Expansion of ``u1 || u2`` under ``env``; ``memo`` is shared by one
-    expansion and maps operands and environment to the result (the value
-    keeps the nodes alive, so their ids stay unique)."""
+    """Expansion of ``u1 || u2`` under ``env``, whose parallel composition
+    at ``sigma`` holds the operand states ``u1`` and ``u2`` start from.
+
+    Each emitted prefix steps the operand states: a moving summand's
+    ``state`` replaces its operand, and the new composition is put back at
+    ``sigma`` (for an empty ``sigma``, it is the new environment).  ``memo``
+    is shared by one expansion and maps operands and environment to the
+    result, and each operand fragment to its split (the values keep the
+    nodes alive, so their ids stay unique)."""
     key = (id(u1), id(u2), id(env))
     hit = memo.get(key)
     if hit is not None:
         return hit[0]
-    head1, alts1 = _decompose(u1)
-    head2, alts2 = _decompose(u2)
+    head1, alts1 = _decompose(u1, memo)
+    head2, alts2 = _decompose(u2, memo)
+    par = _at(env, sigma)
     out: list[BrsProcess] = []
 
-    def emit(phi: ProofTerm, action: str, executed: bool,
+    def emit(s1: BrsPrefix | None, s2: BrsPrefix | None, executed: bool,
              left: BrsProcess, right: BrsProcess) -> None:
-        env2 = upd(env, phi)
+        # fire the left summand s1, the right summand s2, or both in sync
+        if s2 is None:
+            theta, step = ParL(s1.proof), Par(par.sync, s1.state, par.right)
+        elif s1 is None:
+            theta, step = ParR(s2.proof), Par(par.sync, par.left, s2.state)
+        else:
+            theta, step = Syn(s1.proof, s2.proof), Par(par.sync, s1.state, s2.state)
+        env2 = _put(env, sigma, lambda _: step) if sigma else step
         cont = _expand(left, right, sync, sigma, env2, order, memo)
-        out.append(_emit(action, executed, env2, phi, cont))
+        out.append(BrsPrefix((s2 if s1 is None else s1).action, executed,
+                             env2.backward_ready, cont, compose(sigma, theta), env2))
 
     def left_moves(frag2: BrsProcess) -> None:
         for s in alts1:
             if s.action not in sync:
-                emit(compose(sigma, ParL(s.proof)), s.action, False, s.cont, frag2)
+                emit(s, None, False, s.cont, frag2)
 
     def right_moves(frag1: BrsProcess) -> None:
         for s in alts2:
             if s.action not in sync:
-                emit(compose(sigma, ParR(s.proof)), s.action, False, frag1, s.cont)
+                emit(None, s, False, frag1, s.cont)
 
     def sync_moves() -> None:
         for s1 in alts1:
@@ -355,8 +385,7 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
                 continue
             for s2 in alts2:
                 if s2.action == s1.action:
-                    emit(compose(sigma, Syn(s1.proof, s2.proof)), s1.action, False,
-                         s1.cont, s2.cont)
+                    emit(s1, s2, False, s1.cont, s2.cont)
 
     if head1 is None and head2 is None:
         left_moves(u2)
@@ -367,7 +396,7 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
             raise NotReachableError(
                 "executed synchronizing action without a synchronized partner"
             )
-        emit(compose(sigma, ParL(head1.proof)), head1.action, True, head1.cont, u2)
+        emit(head1, None, True, head1.cont, u2)
         left_moves(u2)
         right_moves(to_initial(u1))
         sync_moves()
@@ -376,52 +405,46 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
             raise NotReachableError(
                 "executed synchronizing action without a synchronized partner"
             )
-        emit(compose(sigma, ParR(head2.proof)), head2.action, True, u1, head2.cont)
+        emit(None, head2, True, u1, head2.cont)
         right_moves(u1)
         left_moves(to_initial(u2))
         sync_moves()
     else:
         in1 = head1.action in sync
         in2 = head2.action in sync
-        phi1 = compose(sigma, ParL(head1.proof))
-        phi2 = compose(sigma, ParR(head2.proof))
 
         def replay_head2() -> None:
             # redo of the right head after rollback; a synchronizing head is
             # re-offered against same-action alternatives of the left side
             if not in2:
-                emit(phi2, head2.action, False,
-                     to_initial(u1), to_initial(head2.cont))
+                emit(None, head2, False, to_initial(u1), to_initial(head2.cont))
             else:
                 for s in alts1:
                     if s.action == head2.action:
-                        emit(compose(sigma, Syn(s.proof, head2.proof)),
-                             head2.action, False, s.cont, to_initial(head2.cont))
+                        emit(s, head2, False, s.cont, to_initial(head2.cont))
 
         def replay_head1() -> None:
             if not in1:
-                emit(phi1, head1.action, False,
-                     to_initial(head1.cont), to_initial(u2))
+                emit(head1, None, False, to_initial(head1.cont), to_initial(u2))
             else:
                 for s in alts2:
                     if s.action == head1.action:
-                        emit(compose(sigma, Syn(head1.proof, s.proof)),
-                             head1.action, False, to_initial(head1.cont), s.cont)
+                        emit(head1, s, False, to_initial(head1.cont), s.cont)
 
         if in1 and in2:
             if head1.action != head2.action:
                 raise NotReachableError(
                     "both operands executed different synchronizing actions"
                 )
-            emit(compose(sigma, Syn(head1.proof, head2.proof)), head1.action, True,
-                 head1.cont, head2.cont)
+            emit(head1, head2, True, head1.cont, head2.cont)
             replay_head1()
             replay_head2()
-        elif not in1 and (in2 or order.leq(phi1, phi2)):
-            emit(phi1, head1.action, True, head1.cont, u2)
+        elif not in1 and (in2 or order.leq(compose(sigma, ParL(head1.proof)),
+                                           compose(sigma, ParR(head2.proof)))):
+            emit(head1, None, True, head1.cont, u2)
             replay_head2()
         elif not in2:
-            emit(phi2, head2.action, True, u1, head2.cont)
+            emit(None, head2, True, u1, head2.cont)
             replay_head1()
         else:  # pragma: no cover - guarded by the totality of orders
             raise OrderUndefinedError("cannot order the two executed actions")

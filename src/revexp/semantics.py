@@ -124,12 +124,12 @@ def _steps(p: ProcessLike, back: bool,
     elif isinstance(p, BrsPrefix):
         if p.executed:
             steps = [
-                (Dot(theta), o, BrsPrefix(p.action, True, p.ready, cont, proof=p.proof))
+                (Dot(theta), o, BrsPrefix(p.action, True, p.ready, cont, p.proof, p.state))
                 for theta, o, cont in _steps(p.cont, back, memo)
             ]
         elif p.cont.initial:
             steps = [(Act(p.action), (p.action, tuple(sorted(p.ready))),
-                      BrsPrefix(p.action, True, p.ready, p.cont, proof=p.proof))]
+                      BrsPrefix(p.action, True, p.ready, p.cont, p.proof, p.state))]
         else:
             steps = []
     else:

@@ -232,23 +232,37 @@ def _mark(executed: bool, unicode: bool) -> str:
     return "†" if unicode else "!"
 
 
-def _render(p: ProcessLike, level: int, uni: bool, recency: tuple[str, ...]) -> str:
+def _render(p: ProcessLike, level: int, uni: bool, recency: tuple[str, ...],
+            memo: dict | None = None) -> str:
+    """Text of ``p`` at precedence ``level``.  ``memo``, when given, keeps
+    the text of each plain node by ``(id, level)`` with the node (which
+    keeps its id unique); it serves one value of ``uni``."""
     if isinstance(p, Nil):
         return "0"
+    if memo is not None and p.plain:
+        hit = memo.get((id(p), level))
+        if hit is not None:
+            return hit[0]
     if isinstance(p, Prefix):
-        return f"{p.action}{_mark(p.executed, uni)}.{_render(p.cont, _PREC_PREFIX, uni, recency)}"
-    if isinstance(p, BrsPrefix):
+        text = f"{p.action}{_mark(p.executed, uni)}.{_render(p.cont, _PREC_PREFIX, uni, recency, memo)}"
+    elif isinstance(p, BrsPrefix):
         recency = touch(recency, p.action)
         ready = ",".join(display_order(p.ready, recency))
         l, r = ("⟨", "⟩") if uni else ("<", ">")
-        return f"{l}{p.action}{_mark(p.executed, uni)},{{{ready}}}{r}.{_render(p.cont, _PREC_PREFIX, uni, recency)}"
-    if isinstance(p, Choice):
-        text = (f"{_render(p.left, _PREC_CHOICE, uni, recency)} + "
-                f"{_render(p.right, _PREC_PREFIX, uni, recency)}")
-        return f"({text})" if level > _PREC_CHOICE else text
-    text = (f"{_render(p.left, _PREC_PAR, uni, recency)} |[{','.join(p.sync)}]| "
-            f"{_render(p.right, _PREC_CHOICE, uni, recency)}")
-    return f"({text})" if level > _PREC_PAR else text
+        text = f"{l}{p.action}{_mark(p.executed, uni)},{{{ready}}}{r}.{_render(p.cont, _PREC_PREFIX, uni, recency, memo)}"
+    elif isinstance(p, Choice):
+        text = (f"{_render(p.left, _PREC_CHOICE, uni, recency, memo)} + "
+                f"{_render(p.right, _PREC_PREFIX, uni, recency, memo)}")
+        if level > _PREC_CHOICE:
+            text = f"({text})"
+    else:
+        text = (f"{_render(p.left, _PREC_PAR, uni, recency, memo)} |[{','.join(p.sync)}]| "
+                f"{_render(p.right, _PREC_CHOICE, uni, recency, memo)}")
+        if level > _PREC_PAR:
+            text = f"({text})"
+    if memo is not None and p.plain:
+        memo[(id(p), level)] = (text, p)
+    return text
 
 
 def fired_ready(u: ProcessLike, theta: ProofTerm) -> tuple[str, ...]:

@@ -213,25 +213,29 @@ class BrsPrefix(_Node):
     """Prefix of a ready-set process: action, executed flag, ready set.
 
     ``proof`` records which action occurrence of the source process this
-    prefix stands for; it is attached by the encoder and excluded from
+    prefix stands for, and ``state`` the plain process that firing it
+    reaches, seen from the root the encoder started from (its ready set is
+    ``ready``).  Both are attached by the encoder and excluded from
     equality, so ready-set prefixes are not hash-consed.  The order in which
     a ready set is displayed is not stored: it depends on the prefixes above
     this one (see :func:`display_order`), so renderers read it off the path.
     """
 
-    __slots__ = ("action", "executed", "ready", "cont", "proof",
+    __slots__ = ("action", "executed", "ready", "cont", "proof", "state",
                  "initial", "wellformed", "backward_ready", "_hash", "_rollback",
                  "_key")
     __match_args__ = ("action", "executed", "ready", "cont")
     plain = False
 
     def __init__(self, action: str, executed: bool, ready: frozenset[str],
-                 cont: "BrsProcess", proof: "ProofTerm | None" = None):
+                 cont: "BrsProcess", proof: "ProofTerm | None" = None,
+                 state: "Process | None" = None):
         self.action = action
         self.executed = executed
         self.ready = ready
         self.cont = cont
         self.proof = proof
+        self.state = state
         _fill_prefix(self, action, executed, cont)
         self._hash = hash((action, executed, ready, cont._hash))
         self._key = None
@@ -382,7 +386,7 @@ def to_initial(p: ProcessLike) -> ProcessLike:
     if isinstance(p, Prefix):
         q = Prefix(p.action, False, to_initial(p.cont))
     elif isinstance(p, BrsPrefix):
-        q = BrsPrefix(p.action, False, p.ready, to_initial(p.cont), proof=p.proof)
+        q = BrsPrefix(p.action, False, p.ready, to_initial(p.cont), p.proof, p.state)
     elif isinstance(p, Choice):
         q = Choice(to_initial(p.left), to_initial(p.right))
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revexp import (
     Act,
@@ -22,13 +23,17 @@ from revexp import (
 from revexp.encoding import (
     brs_preserved_shape,
     canonical_history,
+    canonical_order,
     default_order,
     last_executed,
     minimal_trace_histories,
 )
 from revexp.errors import EncodingInputError, NotReachableError, OrderUndefinedError
 from revexp.generate import enumerate_processes
-from revexp.terms import BrsPrefix, Choice, NIL, brs, is_initial, to_initial
+from revexp.semantics import forward_steps
+from revexp.terms import BrsPrefix, Choice, Dot, NIL, Par, Prefix, brs, is_initial, to_initial, upd
+from test_byte_identity import _products
+from test_semantics import _initial_processes, _names
 
 P = parse
 
@@ -153,6 +158,90 @@ def test_expand_parallel_requires_annotations():
     bare = BrsPrefix("a", False, frozenset("a"), NIL)
     with pytest.raises(EncodingInputError):
         expand_parallel(bare, NIL, (), P("a.0 |[]| 0"))
+
+
+def test_expand_parallel_requires_operand_states():
+    stateless = BrsPrefix("a", False, frozenset("a"), NIL, proof=Act("a"))
+    with pytest.raises(EncodingInputError):
+        expand_parallel(stateless, NIL, (), P("a.0 |[]| 0"))
+
+
+def test_expand_parallel_requires_a_parallel_composition_at_the_path():
+    with pytest.raises(EncodingInputError):
+        expand_parallel(NIL, NIL, (), P("a.0"))
+    with pytest.raises(EncodingInputError):
+        expand_parallel(NIL, NIL, (), P("a.0 |[]| 0"), (Dot,))
+
+
+def test_expand_parallel_under_a_prefix():
+    env = P("c!.(a.0 |[]| b.0)")
+    u = expand_parallel(encode(P("a.0")), encode(P("b.0")), (), env, (Dot,))
+    assert u == encode(env).cont
+    assert render(u) == "<a,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
+
+
+# --- operand states ------------------------------------------------------------
+#
+# The encoder reads each emitted prefix's environment off its operands'
+# states instead of marking the root environment.  Re-derive every prefix's
+# environment the way that marking does, by ``upd`` along the path from
+# ``to_initial(p)``, and compare.
+
+def _assert_states_are_marked_environments(p, u) -> int:
+    """Check every path of the encoding ``u`` of ``p``; returns the number
+    of (prefix, environment) pairs checked."""
+    seen: dict = {}
+    stack = [(u, to_initial(p))]
+    while stack:
+        v, env = stack.pop()
+        if (id(v), id(env)) in seen:
+            continue
+        seen[id(v), id(env)] = (v, env)
+        if isinstance(v, Choice):
+            stack += [(v.left, env), (v.right, env)]
+        elif isinstance(v, BrsPrefix):
+            env = upd(env, v.proof)
+            assert v.state is env
+            assert v.ready == env.backward_ready
+            stack.append((v.cont, env))
+    return sum(isinstance(v, BrsPrefix) for v, _ in seen.values())
+
+
+def test_operand_states_on_the_size_3_family():
+    for p in enumerate_processes(3, ("a", "b")):
+        for order in (default_order(), canonical_order(p)):
+            _assert_states_are_marked_environments(p, encode(p, order))
+
+
+def test_operand_states_on_the_k3_products():
+    products = _products()
+    assert len(products) == 54
+    for p in products:
+        assert _assert_states_are_marked_environments(p, encode(p)) > 0
+
+
+def _nested_products():
+    """A parallel composition under a prefix or a choice (a non-empty
+    operator path), at the top or inside a parallel operand."""
+    par = st.builds(lambda sync, l, r: Par(tuple(sync), l, r),
+                    st.lists(st.sampled_from(["a", "b"]), max_size=1),
+                    _initial_processes(), _initial_processes())
+    nested = st.one_of(st.builds(Prefix, _names, st.just(False), par),
+                       st.builds(Choice, par, _initial_processes()),
+                       st.builds(Choice, _initial_processes(), par))
+    return nested | st.builds(Par, st.just(()), nested, _initial_processes())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_nested_products(), st.lists(st.integers(0, 10**6), max_size=4))
+def test_operand_states_on_random_nested_products(p, picks):
+    for pick in picks:
+        steps = forward_steps(p)
+        if not steps:
+            break
+        p = steps[pick % len(steps)][1]
+    for order in (default_order(), canonical_order(p)):
+        _assert_states_are_marked_environments(p, encode(p, order))
 
 
 # --- serialization orders ------------------------------------------------------

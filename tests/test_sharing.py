@@ -110,6 +110,20 @@ def test_branches_that_differ_only_in_marking_order_share_one_expansion():
     assert len(_objects(encode(parse(REFERENCE_K4)))) == 1297
 
 
+def test_an_expansion_steps_operand_states_without_marking_the_root(monkeypatch):
+    # upd marks one environment per source prefix; the expansion of the
+    # products reuses the states its operand encodings recorded
+    calls = []
+
+    def counted(env, t):
+        calls.append(t)
+        return upd(env, t)
+
+    monkeypatch.setattr(revexp.encoding, "upd", counted)
+    encode(parse(REFERENCE_K4))
+    assert len(calls) == 12
+
+
 def test_a_shared_suffix_displays_its_ready_set_by_its_path():
     u = encode(parse("a.0 |[]| b.0 |[]| c.0"))
     ab, ba = u.left.left.cont.left, u.left.right.cont.left
