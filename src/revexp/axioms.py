@@ -22,6 +22,7 @@ from .encoding import (
     ExecutionOrder,
     HistoryOrder,
     _flatten,
+    _order_blind,
     _sum,
     canonical_order,
     encode,
@@ -311,9 +312,11 @@ def _is_frnf_node(u: BrsProcess, memo: dict) -> bool:
     return True
 
 
-def _copy_prefix(s: BrsPrefix, cont: BrsProcess, executed: bool | None = None) -> BrsPrefix:
-    return BrsPrefix(s.action, s.executed if executed is None else executed, s.ready,
-                     cont, s.proof, s.state)
+def _copy_prefix(s: BrsPrefix, cont: BrsProcess) -> BrsPrefix:
+    """``s`` over ``cont``; ``s`` itself when ``cont`` is its continuation."""
+    if cont is s.cont:
+        return s
+    return BrsPrefix(s.action, s.executed, s.ready, cont, s.proof, s.state)
 
 
 def normalize_r(u: BrsProcess, trace: Trace | None = None,
@@ -454,6 +457,8 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
         return _fr_encoding(p, False)[0]
     if not is_reachable(p):
         raise NotReachableError(f"{render(p)} is not reachable")
+    if _order_blind(p):
+        return encode_reachable(p)
     return encode_reachable(p, canonical_order(p))
 
 
@@ -463,9 +468,13 @@ def _fr_encoding(p: Process, traced: bool):
     canonicalization) when ``traced`` is set, else ``None``."""
     if not is_reachable(p):
         raise NotReachableError(f"{render(p)} is not reachable")
+    if _order_blind(p):
+        orders = [None]
+    else:
+        orders = (HistoryOrder(hist) for hist in minimal_trace_histories(p))
     best = None
-    for hist in minimal_trace_histories(p):
-        u = encode_reachable(p, HistoryOrder(hist))
+    for order in orders:
+        u = encode_reachable(p, order)
         steps = [] if traced else None
         form = canonical(normalize_fr(u, steps), Theory.FR, steps)
         key = structural_key(form)

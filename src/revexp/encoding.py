@@ -22,7 +22,11 @@ which comes first.  The order is an explicit parameter: verification walks
 supply the genuine execution history, static entry points default to a
 fixed lexicographic order, and the equational deciders derive a canonical
 history from the term's own undo structure so that equivalent operand
-arrangements serialize compatibly.
+arrangements serialize compatibly.  The order is read at that point only:
+a process in which no parallel composition has executed actions in both
+operands encodes the same under every order, so the deciders skip the
+history search for it, and an initial parallel composition keeps its
+encoding on the node (:func:`encode_reachable`).
 """
 
 from __future__ import annotations
@@ -225,10 +229,33 @@ def encode(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
 
 
 def encode_reachable(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
-    """:func:`encode` for a process already known to be reachable."""
+    """:func:`encode` for a process already known to be reachable.
+
+    The encoding of an initial parallel composition reads no order, so it
+    is made once and kept on the node: every later call, under any order,
+    returns the same object.  Other encodings are made afresh.
+    """
     if order is None:
         order = default_order()
+    if type(p) is Par and p.initial:
+        if p._enc is None:
+            p._enc = _encode(p, (), p, order)
+        return p._enc
     return _encode(p, (), to_initial(p), order)
+
+
+def _order_blind(p: Process) -> bool:
+    """True when no parallel composition in ``p`` has executed actions in
+    both operands, so the encoding of ``p`` reads no order (see
+    :func:`_expand`) and every history gives the same encoding."""
+    if p.initial:
+        return True
+    if isinstance(p, Prefix):
+        return _order_blind(p.cont)
+    if isinstance(p, Choice):
+        return _order_blind(p.left) and _order_blind(p.right)
+    return ((p.left.initial or p.right.initial)
+            and _order_blind(p.left) and _order_blind(p.right))
 
 
 def _encode(p: Process, sigma: ProofPath, env: Process,
@@ -344,8 +371,10 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
     ``state`` replaces its operand, and the new composition is put back at
     ``sigma`` (for an empty ``sigma``, it is the new environment).  ``memo``
     is shared by one expansion and maps operands and environment to the
-    result, and each operand fragment to its split (the values keep the
-    nodes alive, so their ids stay unique)."""
+    result, each operand fragment to its split, and each summand that fires
+    alone, by side, to its proof (the values keep the nodes alive, so their
+    ids stay unique).  The order is read only where both operands have an
+    executed head and neither head synchronizes."""
     key = (id(u1), id(u2), id(env))
     hit = memo.get(key)
     if hit is not None:
@@ -355,19 +384,28 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
     par = _at(env, sigma)
     out: list[BrsProcess] = []
 
+    def moved(side, s: BrsPrefix):
+        # the proof of the operand summand s firing alone, made once per
+        # summand and side (both operands may be one shared encoding)
+        got = memo.get((side, id(s)))
+        if got is None:
+            got = memo[side, id(s)] = (compose(sigma, side(s.proof)), s)
+        return got[0]
+
     def emit(s1: BrsPrefix | None, s2: BrsPrefix | None, executed: bool,
              left: BrsProcess, right: BrsProcess) -> None:
         # fire the left summand s1, the right summand s2, or both in sync
         if s2 is None:
-            theta, step = ParL(s1.proof), Par(par.sync, s1.state, par.right)
+            proof, step = moved(ParL, s1), Par(par.sync, s1.state, par.right)
         elif s1 is None:
-            theta, step = ParR(s2.proof), Par(par.sync, par.left, s2.state)
+            proof, step = moved(ParR, s2), Par(par.sync, par.left, s2.state)
         else:
-            theta, step = Syn(s1.proof, s2.proof), Par(par.sync, s1.state, s2.state)
+            proof = compose(sigma, Syn(s1.proof, s2.proof))
+            step = Par(par.sync, s1.state, s2.state)
         env2 = _put(env, sigma, lambda _: step) if sigma else step
         cont = _expand(left, right, sync, sigma, env2, order, memo)
         out.append(BrsPrefix((s2 if s1 is None else s1).action, executed,
-                             env2.backward_ready, cont, compose(sigma, theta), env2))
+                             env2.backward_ready, cont, proof, env2))
 
     def left_moves(frag2: BrsProcess) -> None:
         for s in alts1:
@@ -439,8 +477,7 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
             emit(head1, head2, True, head1.cont, head2.cont)
             replay_head1()
             replay_head2()
-        elif not in1 and (in2 or order.leq(compose(sigma, ParL(head1.proof)),
-                                           compose(sigma, ParR(head2.proof)))):
+        elif not in1 and (in2 or order.leq(moved(ParL, head1), moved(ParR, head2))):
             emit(head1, None, True, head1.cont, u2)
             replay_head2()
         elif not in2:

@@ -170,13 +170,22 @@ def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:
     """Replay forward steps from the initial version of ``p`` until it shows up.
 
     Terms are hash-consed, so states are compared by identity; the seen
-    table maps ``id`` to the node, which keeps the ids unique.
+    table maps ``id`` to the node, which keeps the ids unique.  The answer
+    of a finished search is kept on ``p``, and a later call returns it
+    whatever its ``cap``; a search that exceeds ``cap`` raises
+    :class:`StateBudgetError` and keeps nothing.
     """
     if not is_wellformed(p):
         return False
     start = to_initial(p)
     if start is p:
         return True
+    if p._reach is None:
+        p._reach = _replay_to(p, start, cap)
+    return p._reach
+
+
+def _replay_to(p: Process, start: Process, cap: int) -> bool:
     seen = {id(start): start}
     frontier = [start]
     while frontier:

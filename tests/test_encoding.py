@@ -20,11 +20,15 @@ from revexp import (
     render,
     verify_correspondence,
 )
+from revexp.axioms import Theory, canonical, normalize_fr, structural_key, theory_encoding
 from revexp.encoding import (
+    ExecutionOrder,
+    _order_blind,
     brs_preserved_shape,
     canonical_history,
     canonical_order,
     default_order,
+    encode_reachable,
     last_executed,
     minimal_trace_histories,
 )
@@ -242,6 +246,89 @@ def test_operand_states_on_random_nested_products(p, picks):
         p = steps[pick % len(steps)][1]
     for order in (default_order(), canonical_order(p)):
         _assert_states_are_marked_environments(p, encode(p, order))
+
+
+# --- order-blind processes -----------------------------------------------------
+#
+# When no parallel composition has executed actions in both operands, the
+# encoding reads no order, and the deciders encode once under the default
+# order instead of searching histories.  Check both claims against an order
+# that fails when read and against the history path the deciders skip.
+
+class _Unreadable(ExecutionOrder):
+    def leq(self, t1, t2):
+        raise AssertionError("the order was read")
+
+    def project(self, prefix):
+        return self
+
+
+def _history_path(p):
+    """R and FR theory encodings of ``p`` made the way the deciders make
+    them for a process whose encoding reads the order."""
+    r = encode_reachable(p, canonical_order(p))
+    best = None
+    for hist in minimal_trace_histories(p):
+        u = encode_reachable(p, HistoryOrder(hist))
+        key = structural_key(canonical(normalize_fr(u), Theory.FR))
+        if best is None or key < best[0]:
+            best = (key, u)
+    return r, best[1]
+
+
+def _assert_order_blind_shortcut(p) -> bool:
+    """For an order-blind ``p``, check the claims above; returns whether
+    ``p`` is order-blind.  Otherwise returns whether the unreadable order
+    was read (it must be, unless a synchronization decides)."""
+    if not _order_blind(p):
+        try:
+            encode_reachable(p, _Unreadable())
+        except AssertionError:
+            return False
+        assert any(par.sync for par in _pars(p))
+        return False
+    encode_reachable(p, _Unreadable())
+    for theory, expected in zip((Theory.R, Theory.FR), _history_path(p)):
+        got = theory_encoding(p, theory)
+        assert render(got) == render(expected)
+        assert structural_key(got) == structural_key(expected)
+    return True
+
+
+def _pars(p):
+    if isinstance(p, Par):
+        return [p] + _pars(p.left) + _pars(p.right)
+    if isinstance(p, Prefix):
+        return _pars(p.cont)
+    if isinstance(p, Choice):
+        return _pars(p.left) + _pars(p.right)
+    return []
+
+
+def test_order_blind_shortcut_on_the_size_3_family():
+    family = list(enumerate_processes(3, ("a", "b")))
+    blind = sum(_assert_order_blind_shortcut(p) for p in family)
+    assert 0 < blind < len(family)
+
+
+def test_order_blind_shortcut_on_the_k3_products():
+    products = _products()
+    # each walked product has executed actions in two of its three operands
+    assert [_assert_order_blind_shortcut(p) for p in products] == [True, False] * 27
+    for p in products:
+        for _, q in forward_steps(p):
+            _assert_order_blind_shortcut(q)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_nested_products(), st.lists(st.integers(0, 10**6), max_size=4))
+def test_order_blind_shortcut_on_random_nested_products(p, picks):
+    for pick in picks:
+        steps = forward_steps(p)
+        if not steps:
+            break
+        p = steps[pick % len(steps)][1]
+    _assert_order_blind_shortcut(p)
 
 
 # --- serialization orders ------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import sys
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from revexp import (
     build_union,
     encode,
     is_initial,
+    is_reachable,
     parse,
     prove_eq,
     render,
@@ -26,8 +29,11 @@ from revexp import (
     upd,
 )
 from revexp.axioms import theory_encoding
-from revexp.errors import NotReachableError
+from revexp.encoding import _flatten
+from revexp.errors import NotReachableError, StateBudgetError
+from revexp.syntax import render_proof
 from revexp.terms import BrsPrefix, ParL
+from test_encoding import _assert_states_are_marked_environments
 
 REFERENCE_K4 = " |[]| ".join(["(a.b.0 + c.0)"] * 4)
 
@@ -65,26 +71,29 @@ def test_cached_attributes_on_a_deep_chain():
 def _tree_and_distinct(u) -> tuple[int, int]:
     """Nodes of ``u`` unfolded into a tree, and its distinct subterms (ready
     sets as sets), counted over the DAG."""
-    sizes: dict = {}
     table: dict = {}
+    return _tree_size_and_class(u, {}, table)[0], len(table)
 
-    def walk(v):
-        got = sizes.get(id(v))
-        if got is not None:
-            return got[:2]
-        if isinstance(v, BrsPrefix):
-            size, child = walk(v.cont)
-            key = ("p", v.action, v.executed, v.ready, child)
-            size += 1
-        elif isinstance(v, Choice):
-            (left, lid), (right, rid) = walk(v.left), walk(v.right)
-            key, size = ("+", lid, rid), 1 + left + right
-        else:
-            key, size = ("0",), 1
-        got = sizes[id(v)] = (size, table.setdefault(key, len(table)), v)
+
+def _tree_size_and_class(v, sizes: dict, table: dict) -> tuple[int, int]:
+    # a module-level walk: a nested recursive one would hold ``sizes``, and
+    # with it the encoding and its cached operand encodings, in a reference
+    # cycle until the next collection
+    got = sizes.get(id(v))
+    if got is not None:
         return got[:2]
-
-    return walk(u)[0], len(table)
+    if isinstance(v, BrsPrefix):
+        size, child = _tree_size_and_class(v.cont, sizes, table)
+        key = ("p", v.action, v.executed, v.ready, child)
+        size += 1
+    elif isinstance(v, Choice):
+        left, lid = _tree_size_and_class(v.left, sizes, table)
+        right, rid = _tree_size_and_class(v.right, sizes, table)
+        key, size = ("+", lid, rid), 1 + left + right
+    else:
+        key, size = ("0",), 1
+    got = sizes[id(v)] = (size, table.setdefault(key, len(table)), v)
+    return got[:2]
 
 
 def _objects(u) -> set:
@@ -122,6 +131,109 @@ def test_an_expansion_steps_operand_states_without_marking_the_root(monkeypatch)
     monkeypatch.setattr(revexp.encoding, "upd", counted)
     encode(parse(REFERENCE_K4))
     assert len(calls) == 12
+
+
+# --- encodings and reachability answers kept on their nodes --------------------
+
+def _counted_upd(monkeypatch) -> list:
+    calls = []
+
+    def counted(env, t):
+        calls.append(t)
+        return upd(env, t)
+
+    monkeypatch.setattr(revexp.encoding, "upd", counted)
+    return calls
+
+
+def test_an_initial_product_is_encoded_once(monkeypatch):
+    p = parse("(a.b.0 + c.0) |[]| (c.0 + b.0) |[c]| c.a.0")
+    u = encode(p)
+    calls = _counted_upd(monkeypatch)
+    assert encode(p) is u
+    assert theory_encoding(p, Theory.R) is u
+    assert theory_encoding(p, Theory.FR) is u
+    assert calls == []
+
+
+def test_only_initial_products_keep_their_encoding():
+    p = parse("(a.0 |[]| b.0) |[]| c!.0")
+    results = [encode(p)] + [theory_encoding(p, theory) for theory in (Theory.R, Theory.FR)]
+    assert all(u == results[0] for u in results)
+    assert p._enc is None
+    assert p.left._enc is not None  # an initial operand product is kept
+    for state in (u.state for u in _flatten(results[0])):
+        assert state._enc is None
+
+
+def test_an_initial_products_encoding_forms_no_cycle():
+    # with the cycle collector off, only reference counting can free the
+    # product, so its cached encoding must not refer back to it
+    gc.disable()
+    try:
+        p = parse("(u.v.0 |[]| w.0) |[]| (u.v.0 |[]| w.0)")
+        u = encode(p)
+        assert p._enc is u and p.left._enc is not None
+        ref = weakref.ref(p)
+        del p, u
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _encoding_text(u) -> str:
+    """``render(u)``, then every prefix's proof and state, in a fixed walk
+    of the unfolded tree."""
+    lines = [render(u)]
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Choice):
+            stack += [v.right, v.left]
+        elif isinstance(v, BrsPrefix):
+            lines.append(f"{render_proof(v.proof)} {render(v.state)}")
+            stack.append(v.cont)
+    return "\n".join(lines)
+
+
+def test_identical_operands_share_one_encoding_and_keep_their_sides():
+    # both operands are one node, so the expansion reads one operand
+    # encoding on both sides; a move on the right must still get a right proof
+    p = parse("(a.0 |[]| b.0) |[]| (a.0 |[]| b.0)")
+    u = encode(p)
+    assert p.left is p.right
+    text = _encoding_text(u)
+    assert text.count("\n") == 64
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ae679438046e2d617dd810c34a7550f456520d32b7adc678ba9f8fc7c5fdcca2")
+    assert _assert_states_are_marked_environments(p, u) > 0
+
+
+def test_a_reachability_answer_is_searched_once(monkeypatch):
+    walked = parse("a!.b.0 |[]| (c!.0 + b.0)")
+    unreachable = parse("a!.0 |[a]| 0", allow_illformed=True)
+    assert is_reachable(walked) and not is_reachable(unreachable)
+    calls = []
+    steps = revexp.semantics._steps
+
+    def counted(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(revexp.semantics, "_steps", counted)
+    # a kept answer holds for any budget
+    assert is_reachable(walked) and is_reachable(walked, cap=1)
+    assert not is_reachable(unreachable) and not is_reachable(unreachable, cap=1)
+    assert calls == []
+
+
+def test_a_search_over_budget_keeps_no_answer():
+    p = parse("a!.b!.0 |[]| c!.0")
+    with pytest.raises(StateBudgetError):
+        is_reachable(p, cap=1)
+    assert p._reach is None
+    assert is_reachable(p)
+    assert p._reach is True
 
 
 def test_a_shared_suffix_displays_its_ready_set_by_its_path():
