@@ -277,9 +277,9 @@ def _history_path(p):
 
 
 def _assert_order_blind_shortcut(p) -> bool:
-    """For an order-blind ``p``, check the claims above; returns whether
-    ``p`` is order-blind.  Otherwise returns whether the unreadable order
-    was read (it must be, unless a synchronization decides)."""
+    """Check the claims above if ``p`` is order-blind, and return whether
+    it is.  A ``p`` that is not must read the order, unless a
+    synchronization decides the serialization first."""
     if not _order_blind(p):
         try:
             encode_reachable(p, _Unreadable())
