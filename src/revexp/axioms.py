@@ -103,11 +103,11 @@ class _Pass:
             log.append((label, entry[1]))
         return entry[0]
 
-    def run(self, x, trace: Trace | None, path: tuple[str, ...] = ()):
+    def run(self, x, trace: Trace | None):
         log = [] if self.tracing else None
         result = self(x, log, None)
         if log:
-            _replay(log, path, trace)
+            _replay(log, (), trace)
         return result
 
 
@@ -319,10 +319,9 @@ def _copy_prefix(s: BrsPrefix, cont: BrsProcess) -> BrsPrefix:
     return BrsPrefix(s.action, s.executed, s.ready, cont, s.proof, s.state)
 
 
-def normalize_r(u: BrsProcess, trace: Trace | None = None,
-                _path: tuple[str, ...] = ()) -> BrsProcess:
+def normalize_r(u: BrsProcess, trace: Trace | None = None) -> BrsProcess:
     """Reverse normal form of an encoding: only the executed spine survives."""
-    return _Pass(_normalize_r, trace).run(u, trace, _path)
+    return _Pass(_normalize_r, trace).run(u, trace)
 
 
 def _normalize_r(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
@@ -336,10 +335,9 @@ def _normalize_r(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     return _copy_prefix(head, rw(head.cont, log, f"{head.action}!."))
 
 
-def normalize_fr(u: BrsProcess, trace: Trace | None = None,
-                 _path: tuple[str, ...] = ()) -> BrsProcess:
+def normalize_fr(u: BrsProcess, trace: Trace | None = None) -> BrsProcess:
     """Forward-reverse normal form: drop 0 summands, executed branch first."""
-    return _Pass(_normalize_fr, trace).run(u, trace, _path)
+    return _Pass(_normalize_fr, trace).run(u, trace)
 
 
 def _normalize_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:

@@ -283,7 +283,7 @@ def _witness(lts: Lts, blocks: list[int]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(set(members))) for _, members in sorted(grouped.items()))
 
 
-def _union(x1, x2, kind: str, max_states: int) -> tuple[Lts, int, int]:
+def _union(x1, x2, max_states: int) -> tuple[Lts, int, int]:
     """The system a check decides on, and the states of ``x1`` and ``x2``.
 
     The union closes the initial version of ``x1``, then that of ``x2``,
@@ -292,7 +292,7 @@ def _union(x1, x2, kind: str, max_states: int) -> tuple[Lts, int, int]:
     system follow those of ``x1``'s in their own order; equal ones share
     one closure.
     """
-    union = build_union([[to_initial(x1)], [to_initial(x2)]], kind, max_states)
+    union = build_union([[to_initial(x1)], [to_initial(x2)]], max_states)
     sids = [union.index.get(x) for x in (x1, x2)]
     for x, sid in zip((x1, x2), sids):
         if sid is None:
@@ -300,8 +300,8 @@ def _union(x1, x2, kind: str, max_states: int) -> tuple[Lts, int, int]:
     return union, sids[0], sids[1]
 
 
-def _check_on(x1, x2, kind: str, variant: Variant, max_states: int) -> Verdict:
-    union, s1, s2 = _union(x1, x2, kind, max_states)
+def _check_on(x1, x2, variant: Variant, max_states: int) -> Verdict:
+    union, s1, s2 = _union(x1, x2, max_states)
     blocks, split = refine(union, variant, watch=(s1, s2))
     if blocks[s1] == blocks[s2]:
         return Verdict._from_partition(variant, union, blocks)
@@ -317,7 +317,7 @@ def check(p1: Process, p2: Process, variant: Variant,
 
     ``max_states`` bounds the states of each process's system.
     """
-    return _check_on(p1, p2, "proved", variant, max_states)
+    return _check_on(p1, p2, variant, max_states)
 
 
 def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
@@ -325,7 +325,7 @@ def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
     """Decide reverse or forward-reverse equivalence over ready-set processes."""
     if not variant.backward:
         raise ValueError("ready-set systems are compared under RB or FRB only")
-    return _check_on(u1, u2, "brs", variant, max_states)
+    return _check_on(u1, u2, variant, max_states)
 
 
 def necessary_check(p1: Process, p2: Process, variant: Variant) -> bool:

@@ -64,7 +64,6 @@ from .terms import (
     brs,
     compose,
     is_initial,
-    size,
     to_initial,
     upd,
 )
@@ -119,10 +118,6 @@ class HistoryOrder(ExecutionOrder):
 
     def leq(self, t1: ProofTerm, t2: ProofTerm) -> bool:
         return self._index(t1) <= self._index(t2)
-
-    def extended(self, t: ProofTerm) -> "HistoryOrder":
-        """History with ``t`` appended as the newest executed proof."""
-        return HistoryOrder(self.history + (t,), self.prefix)
 
     def project(self, prefix: ProofPath) -> "ExecutionOrder":
         return HistoryOrder(self.history, self.prefix + tuple(prefix))
@@ -513,38 +508,34 @@ class CorrespondenceReport:
         return not self.violations
 
 
-def verify_correspondence(p0: Process, depth: int | None = None,
-                          max_violations: int = 10) -> CorrespondenceReport:
+def verify_correspondence(p0: Process) -> CorrespondenceReport:
     """Check transition correspondence between a process and its encoding.
 
-    Walks every forward path from the initial process ``p0`` up to ``depth``
-    steps, keeping the genuine execution history as the serialization order.
-    At every visited state the proved transitions and the transitions of the
-    encoding must match bijectively on (action, ready set of the target) and
-    the encoded targets must be the encodings under the extended history.
+    Walks every forward path from the initial process ``p0``, keeping the
+    genuine execution history as the serialization order.  At every visited
+    state the proved transitions and the transitions of the encoding must
+    match bijectively on (action, ready set of the target) and the encoded
+    targets must be the encodings under the extended history.  The walk
+    stops at the tenth violation.
     """
     if not is_initial(p0):
         raise NotReachableError("correspondence walks start from an initial process")
-    if depth is None:
-        depth = size(p0)
     report = CorrespondenceReport()
-    seen: set[tuple[str, tuple[str, ...]]] = set()
+    seen: set[tuple[Process, tuple[ProofTerm, ...]]] = set()
     stack: list[tuple[Process, tuple[ProofTerm, ...]]] = [(p0, ())]
     while stack:
         p, hist = stack.pop()
-        key = (render(p), tuple(render_proof(t) for t in hist))
-        if key in seen:
+        if (p, hist) in seen:
             continue
-        seen.add(key)
+        seen.add((p, hist))
         report.states_checked += 1
         encoded = encode_reachable(p, HistoryOrder(hist))
         steps = forward_steps(p)
-        expected = []
-        nexts = []
-        for theta, target in steps:
-            enc_target = encode_reachable(target, HistoryOrder(hist + (theta,)))
-            expected.append((act(theta), brs(target), comparison_key(enc_target)))
-            nexts.append((theta, target))
+        expected = [
+            (act(theta), brs(target),
+             comparison_key(encode_reachable(target, HistoryOrder(hist + (theta,)))))
+            for theta, target in steps
+        ]
         actual = [
             (act(theta), frozenset(ready), comparison_key(target))
             for (theta, ready), target in brs_forward_steps(encoded)
@@ -556,14 +547,12 @@ def verify_correspondence(p0: Process, depth: int | None = None,
                             (extra, "unmatched encoded transition")):
             for action, ready, _target in label:
                 report.violations.append(Violation(
-                    render(p), key[1],
+                    render(p), tuple(render_proof(t) for t in hist),
                     f"{kind}: {action} / {{{','.join(sorted(ready))}}}",
                 ))
-                if len(report.violations) >= max_violations:
+                if len(report.violations) >= 10:
                     return report
-        if len(hist) < depth:
-            for theta, target in nexts:
-                stack.append((target, hist + (theta,)))
+        stack.extend((target, hist + (theta,)) for theta, target in steps)
     return report
 
 
@@ -624,26 +613,24 @@ def _split_plain(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
     return head, rest
 
 
-def brs_preserved_shape(p: Process, order: ExecutionOrder | None = None) -> bool:
+def brs_preserved_shape(p: Process) -> bool:
     """Side condition under which the encoding preserves backward ready sets.
 
     Fails exactly when some parallel subterm has both operands non-initial
     with different last executed actions, neither in the synchronization set.
     """
-    if order is None:
-        order = default_order()
     if isinstance(p, (Nil,)):
         return True
     if isinstance(p, Prefix):
-        return brs_preserved_shape(p.cont, order)
+        return brs_preserved_shape(p.cont)
     if isinstance(p, Choice):
-        return brs_preserved_shape(p.left, order) and brs_preserved_shape(p.right, order)
-    if not (brs_preserved_shape(p.left, order) and brs_preserved_shape(p.right, order)):
+        return brs_preserved_shape(p.left) and brs_preserved_shape(p.right)
+    if not (brs_preserved_shape(p.left) and brs_preserved_shape(p.right)):
         return False
     if is_initial(p.left) or is_initial(p.right):
         return True
-    b1 = last_executed(encode_reachable(p.left, order))
-    b2 = last_executed(encode_reachable(p.right, order))
+    b1 = last_executed(encode_reachable(p.left))
+    b2 = last_executed(encode_reachable(p.right))
     if b1 == b2:
         return True
     return b1 in p.sync or b2 in p.sync

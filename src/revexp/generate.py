@@ -12,17 +12,17 @@ exercise every operator without a combinatorial explosion:
   whose leaf chains have height at most one;
 
 with ``op`` ranging over choice and parallel composition with an empty or
-singleton synchronization set drawn from the alphabet.  Second, the proved
-transition system of every seed is built and all its states are yielded in
-construction order, deduplicated globally, so the stream contains reachable
-non-initial processes as well.
+singleton synchronization set drawn from the alphabet.  Second, one proved
+transition system closes the seeds one after another, and its states are
+yielded in construction order, so the stream contains reachable
+non-initial processes as well, each once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .semantics import DEFAULT_STATE_CAP, build_lts
+from .semantics import DEFAULT_STATE_CAP, build_union
 from .terms import NIL, Choice, Nil, Par, Prefix, Process, height, size
 
 
@@ -98,10 +98,11 @@ def _wrap(chain: Process, core: Process) -> Process:
 
 def enumerate_processes(max_size: int, alphabet,
                         max_states: int = DEFAULT_STATE_CAP) -> Iterator[Process]:
-    """All reachable states of all seeds, deduplicated, in deterministic order."""
-    seen: set[Process] = set()
-    for seed in seed_terms(max_size, alphabet):
-        for term in build_lts(seed, max_states).terms:
-            if term not in seen:
-                seen.add(term)
-                yield term
+    """All reachable states of all seeds, deduplicated, in deterministic order.
+
+    They are the states of one :func:`~revexp.semantics.build_union` with a
+    group per seed: each seed's states in construction order, less those an
+    earlier seed reached.  ``max_states`` bounds the states each seed adds.
+    """
+    groups = [[seed] for seed in seed_terms(max_size, alphabet)]
+    return iter(build_union(groups, max_states).terms)

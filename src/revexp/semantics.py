@@ -291,12 +291,11 @@ class _Nodes:
     an operand.
     """
 
-    __slots__ = ("memo", "by_id", "ids", "parts", "terms", "initial", "steps",
+    __slots__ = ("memo", "ids", "parts", "terms", "initial", "steps",
                  "sid", "par_l", "par_r", "syn")
 
-    def __init__(self, by_id: bool):
+    def __init__(self):
         self.memo: dict = {}  # the steps of each leaf term, and of its subterms
-        self.by_id = by_id
         self.ids: dict = {}  # leaf key, pair parts or a kept term's id -> node
         self.parts: list[tuple | None] = []  # a pair's parts; None for a leaf
         self.terms: list = []  # a leaf's term; a pair's once built
@@ -319,9 +318,9 @@ class _Nodes:
         """The node of ``p``, added with the nodes it is made of if missing.
 
         The nodes keep ``p``, so a parallel ``p`` is also keyed by its
-        identity, as leaves are, and finding it again takes one probe.
+        identity, as plain leaves are, and finding it again takes one probe.
         """
-        key = id(p) if self.by_id else p
+        key = id(p) if p.plain else p
         x = self.ids.get(key)
         if x is not None:
             return x
@@ -339,8 +338,8 @@ class _Nodes:
 
     def find_pair(self, p: Par) -> int | None:
         """The node of the parallel term ``p``, found through its operands'
-        nodes, or ``None``.  Only a proved build has pairs, and it keys the
-        terms it keeps by identity; a term found is kept and keyed so."""
+        nodes, or ``None``.  Pairs are plain, so the nodes key the terms
+        they keep by identity; a term found is kept and keyed so."""
         ids = self.ids
         l, r = p.left, p.right
         lx, rx = ids.get(id(l)), ids.get(id(r))
@@ -356,7 +355,7 @@ class _Nodes:
 
     def term(self, x: int):
         p = self.terms[x]
-        if p is None:  # a pair, so the build is proved and keys terms by id
+        if p is None:  # a pair: a plain term, so keyed by id
             sync, l, r = self.parts[x]
             p = self.terms[x] = Par(sync, self.term(l), self.term(r))
             self.ids[id(p)] = x
@@ -369,10 +368,10 @@ class _Nodes:
         parts = self.parts[x]
         if parts is not None:
             return self._pair_steps(*parts)
-        ids, by_id, add = self.ids, self.by_id, self._add
+        ids, add = self.ids, self._add
         steps = []
         for theta, o, q in _steps(self.terms[x], False, self.memo):
-            key = id(q) if by_id else q
+            key = id(q) if q.plain else q
             y = ids.get(key)
             steps.append((theta, o, add(key, None, q, q.initial) if y is None else y))
         return steps
@@ -467,7 +466,7 @@ class StateIndex:
 
     def __getitem__(self, term) -> int:
         nodes = self._nodes
-        x = nodes.ids.get(id(term) if nodes.by_id else term)
+        x = nodes.ids.get(id(term) if term.plain else term)
         if x is None and type(term) is Par:
             x = nodes.find_pair(term)
         sid = None if x is None else nodes.sid[x]
@@ -489,9 +488,10 @@ class StateIndex:
 class Lts:
     """Finite proved transition system.
 
-    ``kind`` is ``"proved"`` for plain processes and ``"brs"`` for ready-set
-    processes.  States are numbered breadth first, one group of roots after
-    another (see :func:`build_union`), so construction is deterministic.
+    ``kind`` is ``"brs"`` when a root is a ready-set process and
+    ``"proved"`` otherwise.  States are numbered breadth first, one group of
+    roots after another (see :func:`build_union`), so construction is
+    deterministic; state 0 is the first root.
     ``terms`` is a read-only sequence of the states' terms and ``renders``
     of their texts, each built when first read; ``len(terms)`` builds
     none.  ``index`` maps a term to its state id (``x in index``,
@@ -509,7 +509,6 @@ class Lts:
     """
 
     kind: str
-    root: int
     terms: Terms
     initial: list[bool]
     source: list[int] = field(repr=False)
@@ -539,7 +538,7 @@ class Lts:
         return sid
 
 
-def _build(kind: str, groups: list[list], max_states: int) -> Lts:
+def _build(groups: list[list], max_states: int) -> Lts:
     """Close each group of roots under forward steps, one group after another.
 
     A group's roots are numbered first, then its new states breadth first;
@@ -551,12 +550,10 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
     steps come from :func:`_steps`, memoized for this build only, and a
     parallel position's from its operands' steps, so a proved system is
     the product of its operands' systems and no successor term is built.
-    A ready-set system has no parallel positions, so its states are
-    leaves.  ``kind`` only picks how leaves are keyed.
+    A ready-set process has no parallel positions, so its states are
+    leaves.  A system is a ready-set one when any root is not plain.
     """
-    if kind not in ("proved", "brs"):
-        raise ValueError(f"unknown system kind {kind!r}")
-    nodes = _Nodes(by_id=kind == "proved")
+    nodes = _Nodes()
     sid_of, steps_of = nodes.sid, nodes.steps_of
     node_of: list[int] = []  # state id -> node
     source: list[int] = []
@@ -600,21 +597,21 @@ def _build(kind: str, groups: list[list], max_states: int) -> Lts:
             sid += 1
     initial = [nodes.initial[x] for x in node_of]
     nodes.close()
-    return Lts(kind, 0, Terms(nodes, node_of), initial, source, target_ids, proofs,
+    kind = "proved" if all(root.plain for group in groups for root in group) else "brs"
+    return Lts(kind, Terms(nodes, node_of), initial, source, target_ids, proofs,
                observations, outgoing, incoming_ids, StateIndex(nodes))
 
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Close ``root`` under forward steps.  Callers normally pass an initial term."""
-    return _build("proved", [[root]], max_states)
+    return _build([[root]], max_states)
 
 
 def build_brs_lts(root: BrsProcess, max_states: int = DEFAULT_STATE_CAP) -> Lts:
-    return _build("brs", [[root]], max_states)
+    return _build([[root]], max_states)
 
 
-def build_union(groups: list[list], kind: str = "proved",
-                max_states: int = DEFAULT_STATE_CAP) -> Lts:
+def build_union(groups: list[list], max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """One system closing each group of roots in turn, over shared nodes.
 
     States are numbered group by group: a group's roots, then the states
@@ -627,7 +624,7 @@ def build_union(groups: list[list], kind: str = "proved",
     one set of nodes (see :func:`_build`), so an operand state that two
     roots have in common is stepped once.
     """
-    return _build(kind, groups, max_states)
+    return _build(groups, max_states)
 
 
 def incoming(lts: Lts, sid: int):
@@ -651,7 +648,7 @@ def export(lts: Lts, fmt: str = "dot") -> str:
     if fmt == "dot":
         lines = ["digraph lts {"]
         for sid in range(lts.num_states):
-            shape = ", shape=doublecircle" if sid == lts.root else ""
+            shape = ", shape=doublecircle" if sid == 0 else ""
             lines.append(f'  n{sid} [label="{lts.renders[sid]}"{shape}];')
         for t in lts.transitions:
             label, fired = render_proof(t.proof), ready(t)
@@ -673,7 +670,7 @@ def export(lts: Lts, fmt: str = "dot") -> str:
                 entry["ready"] = list(fired)
             transitions.append(entry)
         return json.dumps(
-            {"root": lts.root, "states": states, "transitions": transitions},
+            {"root": 0, "states": states, "transitions": transitions},
             indent=2,
         )
     raise ValueError(f"unknown export format {fmt!r}")

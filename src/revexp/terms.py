@@ -510,13 +510,3 @@ def addressed_occurrences(t: ProofTerm) -> frozenset[tuple[str, ...]]:
         ("|r",) + p for p in addressed_occurrences(t.right)
     )
 
-
-def actions_of(p: ProcessLike) -> frozenset[str]:
-    """All action names occurring in ``p`` (prefixes and sync sets)."""
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, (Prefix, BrsPrefix)):
-        return frozenset((p.action,)) | actions_of(p.cont)
-    if isinstance(p, Choice):
-        return actions_of(p.left) | actions_of(p.right)
-    return frozenset(p.sync) | actions_of(p.left) | actions_of(p.right)

@@ -156,7 +156,7 @@ def test_the_known_failures_are_failures_of_encoding_reflection():
         else:
             keys = [structural_key(canonical(normalize_fr(u), theory)) for u in encodings]
         term_ids = selfcheck.class_ids(terms, variant)
-        encoding_ids = selfcheck.brs_class_ids(encodings, variant)
+        encoding_ids = selfcheck.class_ids(encodings, variant)
 
         def disagreements(left, right):
             return selfcheck._partitions_agree(theory.name, terms, left, right).failures

@@ -38,7 +38,7 @@ ALL = (Variant.FB, Variant.FBPS, Variant.RB, Variant.FRB)
 def _check_union(p, q):
     """The system ``check(p, q, ...)`` decides on, and the states of ``p``
     and ``q`` in it."""
-    return bisim._union(p, q, "proved", semantics.DEFAULT_STATE_CAP)
+    return bisim._union(p, q, semantics.DEFAULT_STATE_CAP)
 
 
 def test_duplicate_choice_identified_by_everything():
@@ -195,10 +195,10 @@ def _joined(first, second) -> tuple:
     return list(first.terms) + list(second.terms), transitions, outgoing, incoming
 
 
-def _assert_one_system_after_the_other(x, y, kind, build) -> bool:
+def _assert_one_system_after_the_other(x, y, build) -> bool:
     """The check union of ``x`` and ``y`` against the two systems joined;
     returns whether the two share their initial version."""
-    union, s_x, s_y = bisim._union(x, y, kind, semantics.DEFAULT_STATE_CAP)
+    union, s_x, s_y = bisim._union(x, y, semantics.DEFAULT_STATE_CAP)
     r_x, r_y = to_initial(x), to_initial(y)
     shared = r_x == r_y
     if shared:  # one closure, not two copies of it
@@ -216,7 +216,7 @@ def _assert_one_system_after_the_other(x, y, kind, build) -> bool:
 
 def test_the_check_union_is_one_system_after_the_other():
     products = _products()
-    shared = [_assert_one_system_after_the_other(p, q, "proved", build_lts)
+    shared = [_assert_one_system_after_the_other(p, q, build_lts)
               for p, q in zip(products, products[1:] + products[:1])]
     # each product is followed by a walked state of its own system half the time
     assert shared.count(True) == 27
@@ -225,17 +225,17 @@ def test_the_check_union_is_one_system_after_the_other():
     pairs = [tuple(rng.sample(terms, 2)) for _ in range(40)]
     for p in rng.sample(terms, 20):
         pairs.append((p, rng.choice(build_lts(to_initial(p)).terms)))
-    shared = [_assert_one_system_after_the_other(p, q, "proved", build_lts)
+    shared = [_assert_one_system_after_the_other(p, q, build_lts)
               for p, q in pairs]
     assert shared.count(True) >= 20 and shared.count(False) >= 20
     for p, q in pairs[::4]:
         u, v = theory_encoding(p, Theory.FR), theory_encoding(q, Theory.FR)
-        _assert_one_system_after_the_other(u, v, "brs", build_brs_lts)
+        _assert_one_system_after_the_other(u, v, build_brs_lts)
 
 
 def test_the_state_budget_is_per_process():
     small, p, q = P("a.0"), P("a.0 |[]| b.0"), P("a.b.0 + c.0")  # 2, 4, 4 states
-    union, _, _ = bisim._union(p, q, "proved", 4)
+    union, _, _ = bisim._union(p, q, 4)
     assert union.num_states == 8
     for v in ALL:
         check(p, q, v, max_states=4)
@@ -450,7 +450,7 @@ def test_refine_matches_the_round_loop():
             _assert_refine_matches(union, v, pairs)
     for v, theory in ((Variant.RB, Theory.R), (Variant.FRB, Theory.FR)):
         encodings = [to_initial(theory_encoding(s, theory)) for s in seeds]
-        brs_union = build_union([encodings], "brs")
+        brs_union = build_union([encodings])
         roots = [brs_union.index[u] for u in encodings]
         _assert_refine_matches(brs_union, v, zip(roots[::45], roots[7::45]))
 

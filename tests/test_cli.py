@@ -96,6 +96,19 @@ def test_lts_brs_export_text(capsys):
     }, indent=2) + "\n"
 
 
+def test_lts_brs_of_a_prefix_free_term(capsys):
+    # the encodings of 0 and 0 + 0 are plain terms; their systems read as
+    # those of the ready-set build
+    for text in ("0", "0 + 0"):
+        assert run(capsys, "lts", "--brs", text) == (
+            0, f'digraph lts {{\n  n0 [label="{text}", shape=doublecircle];\n}}\n\n', "")
+        assert run(capsys, "lts", "--brs", "--format", "json", text) == (0, json.dumps({
+            "root": 0,
+            "states": [{"id": 0, "term": text, "initial": True}],
+            "transitions": [],
+        }, indent=2) + "\n", "")
+
+
 def test_lts_state_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("REVEXP_STATE_CAP", "2")
     code, _, err = run(capsys, "lts", "a.0 |[]| b.0")

@@ -5,7 +5,7 @@ states by node.  They cover the verdicts, witness blocks (in order) and
 counterexample fields of ``check`` under all four variants and of
 ``check_brs`` under RB and FRB, the JSON and DOT exports of every size-3
 seed's system and of its ready-set encoding's system, and the class ids
-that ``class_ids`` and ``brs_class_ids`` give the size-3 family.  Any
+that ``class_ids`` gives the size-3 family and its encodings.  Any
 change to a state's text, a state's number, the order of a witness or the
 wording of a counterexample shows up here.
 """
@@ -19,7 +19,7 @@ from revexp import encode, enumerate_processes, export
 from revexp.axioms import Theory, theory_encoding
 from revexp.bisim import Variant, check, check_brs
 from revexp.generate import seed_terms
-from revexp.selfcheck import brs_class_ids, class_ids
+from revexp.selfcheck import class_ids
 from revexp.semantics import build_brs_lts, build_lts
 
 from test_byte_identity import _products
@@ -83,7 +83,7 @@ def digests() -> dict:
     ]
     for variant, theory in ((Variant.RB, Theory.R), (Variant.FRB, Theory.FR)):
         encodings = [theory_encoding(p, theory) for p in family]
-        id_texts.append(f"brs {variant.name} {brs_class_ids(encodings, variant)}")
+        id_texts.append(f"brs {variant.name} {class_ids(encodings, variant)}")
     return {
         "check": _digest(check_texts),
         "check_brs": _digest(brs_texts),

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from revexp import render
+from revexp.errors import StateBudgetError
 from revexp.generate import enumerate_processes, seed_terms
 from revexp.semantics import build_lts
 from revexp.terms import Choice, NIL, Nil, Par, Prefix, height, size
@@ -91,3 +94,26 @@ def test_enumeration_is_the_union_of_seed_state_spaces():
         expected.update(lts.renders)
     got = {render(p) for p in enumerate_processes(2, ("a", "b"))}
     assert got == expected
+
+
+def _per_seed_reference(max_size, alphabet):
+    """Each seed's system built alone, its states kept unless an earlier
+    seed reached them; with the most states one seed added."""
+    seen, out, most = set(), [], 0
+    for seed in seed_terms(max_size, alphabet):
+        added = [t for t in build_lts(seed).terms if t not in seen]
+        seen.update(added)
+        out.extend(added)
+        most = max(most, len(added))
+    return out, most
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_enumeration_matches_per_seed_builds(max_size):
+    expected, most = _per_seed_reference(max_size, ("a", "b"))
+    got = list(enumerate_processes(max_size, ("a", "b")))
+    assert len(got) == len(expected) and all(g is e for g, e in zip(got, expected))
+    # the budget bounds the states each seed adds
+    assert list(enumerate_processes(max_size, ("a", "b"), most)) == expected
+    with pytest.raises(StateBudgetError):
+        enumerate_processes(max_size, ("a", "b"), most - 1)

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every function is named somewhere outside its own body."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "revexp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "revexp"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -27,3 +29,40 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _named(tree: ast.Module):
+    """Each name a module mentions, with its line: names, attributes, and
+    string constants that are identifiers (as ``setattr`` and probe tables
+    name functions)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_every_function_is_named_outside_its_own_body():
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    readers = sources + sorted((ROOT / "tests").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    mentions: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _named(tree):
+            mentions.setdefault(name, []).append((path, line))
+    unnamed = []
+    for path in sources:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            outside = [(p, line) for p, line in mentions.get(node.name, [])
+                       if p != path or not node.lineno <= line <= node.end_lineno]
+            if not outside:
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unnamed == []

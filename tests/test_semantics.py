@@ -31,10 +31,10 @@ from revexp import (
     render,
 )
 from revexp import semantics
-from revexp.bisim import Variant, _union, check, refine
+from revexp.bisim import Variant, _union, check, check_brs, refine
 from revexp.errors import StateBudgetError, UnknownStateError
 from revexp.generate import seed_terms
-from revexp.selfcheck import brs_class_ids
+from revexp.selfcheck import class_ids
 from revexp.semantics import build_union, undo_steps
 from revexp.syntax import render_proof
 from revexp.terms import Choice, Par, Prefix, act, to_initial
@@ -234,12 +234,13 @@ def _raised(build):
 
 
 def _assert_builds_the_reference(groups, kind="proved"):
-    """The system of ``build_union(groups, kind)`` against the reference:
-    terms, columns, adjacency, initiality, ``state_of`` of every state, and
-    which budgets raise :class:`StateBudgetError`."""
+    """The system of ``build_union(groups)``, of kind ``kind``, against the
+    reference: terms, columns, adjacency, initiality, ``state_of`` of every
+    state, and which budgets raise :class:`StateBudgetError`."""
     steps = forward_steps if kind == "proved" else brs_forward_steps
     states, edges = _reference_system(groups, steps=steps)
-    lts = build_union(groups, kind)
+    lts = build_union(groups)
+    assert lts.kind == kind
     assert lts.num_states == len(lts.terms) == len(states)
     # ``state_of`` before any term is read
     assert [lts.state_of(s) for s in states] == list(range(len(states)))
@@ -264,7 +265,7 @@ def _assert_builds_the_reference(groups, kind="proved"):
     # and again once they have been read
     assert [lts.state_of(s) for s in states] == list(range(len(states)))
     for cap in range(1, len(states) + 2):
-        assert _raised(lambda: build_union(groups, kind, max_states=cap)) == _raised(
+        assert _raised(lambda: build_union(groups, max_states=cap)) == _raised(
             lambda: _reference_system(groups, cap, steps))
     return states
 
@@ -390,7 +391,7 @@ def test_reading_the_witness_builds_the_reference_blocks(monkeypatch):
     verdict = check(p, q, Variant.FB)
     assert verdict.equivalent and made == []
     states, _ = _reference_system([[p], [q]])
-    union, _, _ = _union(p, q, "proved", semantics.DEFAULT_STATE_CAP)
+    union, _, _ = _union(p, q, semantics.DEFAULT_STATE_CAP)
     blocks, _ = refine(union, Variant.FB)
     grouped: dict = {}
     for sid, bid in enumerate(blocks):
@@ -413,17 +414,55 @@ def test_union_shares_structurally_equal_ready_set_states():
         u = encode(parse(text))
         v = _copied(u)
         assert u == v and u is not v and render(u) == render(v)
-        union = build_union([[to_initial(u)], [to_initial(v)]], "brs")
+        union = build_union([[to_initial(u)], [to_initial(v)]])
         assert union.num_states == build_brs_lts(to_initial(u)).num_states
         assert union.state_of(v) == union.state_of(u)
         for variant in (Variant.RB, Variant.FRB):
-            first, second = brs_class_ids([u, v], variant)
+            first, second = class_ids([u, v], variant)
             assert first == second
+
+
+def test_a_union_is_ready_set_exactly_when_a_root_is():
+    plain = [parse("a.0 |[]| b.0"), parse("a!.0 + b.0"), NIL]
+    ready = [encode(p) for p in plain[:2]]
+    for groups, kind in (([plain], "proved"), ([[p] for p in plain], "proved"),
+                         ([[ready[0]]], "brs"), ([plain, [ready[1]]], "brs"),
+                         ([[NIL], ready], "brs")):
+        lts = build_union(groups)
+        assert lts.kind == kind
+        # each term is keyed by its own family, plain ones by identity
+        assert [lts.state_of(t) for t in lts.terms] == list(range(lts.num_states))
+
+
+# the encodings of 0 and 0 + 0 have no prefix, so they are plain terms; their
+# check_brs verdicts against the encodings of these terms, and the class ids
+# of all five, are those a structurally keyed ready-set build gives
+_PREFIX_FREE = ("0", "0 + 0", "a.0", "a!.0", "a.0 + 0")
+_PREFIX_FREE_VERDICTS = {Variant.RB: [True, True, True, False, True],
+                         Variant.FRB: [True, True, False, False, False]}
+_PREFIX_FREE_CLASSES = {Variant.RB: [0, 0, 0, 1, 0], Variant.FRB: [0, 0, 1, 2, 1]}
+
+
+def test_prefix_free_encodings_keep_their_verdicts():
+    us = [encode(parse(text)) for text in _PREFIX_FREE]
+    assert [u.plain for u in us] == [True, True, False, False, False]
+    for u in us[:2]:
+        lts = build_brs_lts(u)
+        assert (lts.kind, lts.num_states, lts.source) == ("proved", 1, [])
+    for variant in (Variant.RB, Variant.FRB):
+        for u in us[:2]:
+            verdicts = [check_brs(u, w, variant) for w in us]
+            assert [v.equivalent for v in verdicts] == _PREFIX_FREE_VERDICTS[variant]
+            assert verdicts[0].witness == (tuple(sorted({"0", render(u)})),)
+            ce = verdicts[3].counterexample
+            assert (ce.left, ce.direction, ce.observation) == (render(u), "backward", "a / {a}")
+        assert class_ids(us, variant) == _PREFIX_FREE_CLASSES[variant]
+        assert class_ids(us[:2], variant) == [0, 0]
 
 
 def test_incoming():
     diamond = build_lts(parse("a.0 |[]| b.0"))
-    assert incoming(diamond, diamond.root) == []
+    assert incoming(diamond, 0) == []
     bottom = diamond.state_of(parse("a!.0 |[]| b!.0"))
     labels = {act(t.proof) for t in incoming(diamond, bottom)}
     assert labels == {"a", "b"}

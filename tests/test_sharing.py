@@ -121,15 +121,22 @@ def test_branches_that_differ_only_in_marking_order_share_one_expansion():
 
 def test_an_expansion_steps_operand_states_without_marking_the_root(monkeypatch):
     # upd marks one environment per source prefix; the expansion of the
-    # products reuses the states its operand encodings recorded
-    calls = []
-
-    def counted(env, t):
-        calls.append(t)
-        return upd(env, t)
-
-    monkeypatch.setattr(revexp.encoding, "upd", counted)
-    encode(parse(REFERENCE_K4))
+    # products reuses the states its operand encodings recorded.  An
+    # initial product keeps its encoding, so the count holds only when no
+    # product in the term is encoded yet: the term is built by no other
+    # test, and after a collection none of its products may keep one
+    p = parse(" |[]| ".join(["(d.e.0 + f.0)"] * 4))
+    gc.collect()
+    products, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Par):
+            products.append(q)
+            stack += [q.left, q.right]
+    assert len(products) == 3
+    assert [q for q in products if q._enc is not None] == []
+    calls = _counted_upd(monkeypatch)
+    encode(p)
     assert len(calls) == 12
 
 
