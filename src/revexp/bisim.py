@@ -4,9 +4,13 @@ All four are decided by partition refinement over one system holding both
 processes' states: the union that closes the two initial versions root by
 root, in which a state both reach is one state.  Refining it is sound
 because every incoming transition of a reachable state originates from a
-reachable state.  Each transition is observed through the system's ``obs``
-column: its action, or for a ready-set system its action with its sorted
-fired ready set.  Signatures are deduplicated per state: matching in the
+reachable state.  Under FB, FB:ps and FRB, :func:`check` first quotients
+each sequential leaf of a product (an operand of a parallel composition
+with no parallel composition inside) by the variant's bisimilarity and decides on the product of the quotients,
+which keeps every round partition of the union (Graf & Steffen's
+compositional minimisation; see :func:`_check_on`).  Each transition is
+observed through the system's ``obs`` column: its action, or for a
+ready-set system its action with its sorted fired ready set.  Signatures are deduplicated per state: matching in the
 transfer clauses is existential per observation, so the multiplicity of
 equally labeled transitions must not split blocks.
 
@@ -23,11 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotReachableError, WitnessCheckError
-from .semantics import DEFAULT_STATE_CAP, Lts, build_union
+from .errors import NotReachableError, StateBudgetError, WitnessCheckError
+from .semantics import DEFAULT_STATE_CAP, Lts, _build, build_lts, build_union, undo_steps
 from .syntax import render
 from .terms import (
     BrsProcess,
+    Choice,
+    Par,
+    Prefix,
     Process,
     brs,
     frs,
@@ -70,9 +77,10 @@ class Verdict:
     ``witness`` is, for an equivalent verdict, the stable partition of both
     systems' states: one tuple of sorted rendered states per block, in block
     order; it is ``None`` for a non-equivalent verdict.  A decider's verdict
-    keeps the union system and its blocks, and the first read of
-    ``witness`` checks them with :func:`verify_partition` and renders them;
-    a partition that fails the check raises :class:`WitnessCheckError`.
+    keeps a function giving the union system and its stable blocks, and the
+    first read of ``witness`` calls it, checks the blocks with
+    :func:`verify_partition` and renders them; a partition that fails the
+    check raises :class:`WitnessCheckError`.
     Verdicts are immutable by contract and compare by their four fields.
     """
 
@@ -85,18 +93,18 @@ class Verdict:
         self.variant = variant
         self.counterexample = counterexample
         self._witness = witness
-        self._partition: tuple[Lts, list[int]] | None = None
+        self._partition = None
 
     @classmethod
-    def _from_partition(cls, variant: Variant, lts: Lts, blocks: list[int]) -> Verdict:
+    def _from_partition(cls, variant: Variant, partition) -> Verdict:
         verdict = cls(True, variant)
-        verdict._partition = (lts, blocks)
+        verdict._partition = partition
         return verdict
 
     @property
     def witness(self) -> tuple[tuple[str, ...], ...] | None:
         if self._partition is not None:
-            lts, blocks = self._partition
+            lts, blocks = self._partition()
             problem = verify_partition(lts, blocks, self.variant)
             if problem is not None:
                 raise WitnessCheckError(f"witness is not a bisimulation: {problem}")
@@ -241,14 +249,14 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     return [ids.setdefault(b, len(ids)) for b in blocks], split
 
 
-def _describe_split(lts: Lts, variant: Variant, s1: int, s2: int, split) -> Counterexample:
-    """The counterexample for a pair that ``split`` (from :func:`refine`) separates.
+def _describe_split(left: str, right: str, variant: Variant, split) -> Counterexample:
+    """The counterexample for the pair, rendered ``left`` and ``right``,
+    that ``split`` (from :func:`refine`) separates.
 
     Only observations are read: the direction whose sets differ and the
     least differing observation.  Block ids serve only to tell the sets
     apart, so any consistent numbering of the blocks gives the same text.
     """
-    left, right = lts.renders[s1], lts.renders[s2]
     if split == ((), ()):
         return Counterexample(
             left, right, "initiality",
@@ -283,6 +291,86 @@ def _witness(lts: Lts, blocks: list[int]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(set(members))) for _, members in sorted(grouped.items()))
 
 
+def _leaves(p):
+    """The non-parallel operands of the parallel compositions in ``p``."""
+    if type(p) is Par:
+        for side in (p.left, p.right):
+            if type(side) is Par:
+                yield from _leaves(side)
+            else:
+                yield side
+
+
+def _sequential(p) -> bool:
+    """Whether ``p`` has no parallel composition.  Its system then has one
+    state per prefix and one more, so building it costs no more than the
+    term's size."""
+    while type(p) is Prefix:
+        p = p.cont
+    if type(p) is Choice:
+        return _sequential(p.left) and _sequential(p.right)
+    return type(p) is not Par
+
+
+def _leaf_classes(roots: list, variant: Variant, max_states: int) -> dict:
+    """Each sequential leaf of ``roots`` quotiented by ``variant``'s
+    bisimilarity.
+
+    A leaf's system is built and refined once.  Each class is represented
+    by its first state, so an initial leaf represents its own class, and
+    its steps are the images of all its states' transitions, one per
+    observation and target class.  A leaf whose quotient is not smaller,
+    whose system exceeds ``max_states``, or that is itself a root keeps its
+    states.  So does a leaf with a parallel composition inside: its system
+    can be exponential in its size while a synchronization set keeps the
+    product from reaching most of it.  Returns the map from each state of
+    a quotiented leaf to its class, a pair of its representative and its
+    steps, that :func:`~revexp.semantics._build` takes.
+    """
+    classes: dict = {}
+    done = set(roots)
+    for leaf in (leaf for root in roots for leaf in _leaves(root)):
+        if leaf in done or not _sequential(leaf):
+            continue
+        done.add(leaf)
+        try:
+            lts = build_lts(leaf, max_states)
+        except StateBudgetError:
+            continue
+        blocks, _ = refine(lts, variant)
+        first: dict[int, int] = {}
+        for sid, bid in enumerate(blocks):
+            first.setdefault(bid, sid)
+        if len(first) == lts.num_states:
+            continue
+        terms = list(lts.terms)
+        members = {bid: (terms[sid], []) for bid, sid in first.items()}
+        seen = set()
+        for source, theta, o, target in zip(lts.source, lts.proof, lts.obs, lts.target):
+            image = (blocks[source], o, blocks[target])
+            if image not in seen:
+                seen.add(image)
+                members[image[0]][1].append((theta, o, members[image[2]][0]))
+        classes.update((t, members[bid]) for t, bid in zip(terms, blocks))
+    return classes
+
+
+def _reached(p) -> bool:
+    """Whether ``p`` is reachable, by a greedy undo walk.
+
+    Every incoming transition of a reachable state comes from a reachable
+    state, and a reachable state that is not initial has one, so any path
+    of undo steps from a reachable ``p`` ends in its initial version; none
+    does from an unreachable one.
+    """
+    while not p.initial:
+        steps = undo_steps(p)
+        if not steps:
+            return False
+        p = steps[0][1]
+    return True
+
+
 def _union(x1, x2, max_states: int) -> tuple[Lts, int, int]:
     """The system a check decides on, and the states of ``x1`` and ``x2``.
 
@@ -300,22 +388,57 @@ def _union(x1, x2, max_states: int) -> tuple[Lts, int, int]:
     return union, sids[0], sids[1]
 
 
+def _stable(x1, x2, variant: Variant, max_states: int) -> tuple[Lts, list[int]]:
+    """The union of ``x1`` and ``x2`` and its stable partition."""
+    union, _, _ = _union(x1, x2, max_states)
+    return union, refine(union, variant)[0]
+
+
 def _check_on(x1, x2, variant: Variant, max_states: int) -> Verdict:
-    union, s1, s2 = _union(x1, x2, max_states)
-    blocks, split = refine(union, variant, watch=(s1, s2))
+    """Decide on the union of ``x1`` and ``x2``, with each leaf quotiented
+    by a forward variant's bisimilarity when that makes it smaller.
+
+    Under FB, FB:ps and FRB a leaf's classes agree on forward observations,
+    so the quotient's closure is the image of the union's, and the map to
+    it is a functional bisimulation: it keeps every round partition, and so
+    the separating round and its signatures' observations.  An RB class
+    agrees only on incoming observations, so RB decides on the union
+    itself.  The quotient cannot tell which states are reachable, nor name
+    a state's term, so a root's reachability comes from an undo walk, a
+    counterexample is rendered from ``x1`` and ``x2``, and a witness from
+    the union, built when first read.
+    """
+    roots = [to_initial(x1), to_initial(x2)]
+    classes = _leaf_classes(roots, variant, max_states) if variant.forward else {}
+    if not classes:
+        system, s1, s2 = _union(x1, x2, max_states)
+    else:
+        system = _build([[root] for root in roots], max_states, classes)
+        for x in (x1, x2):
+            if not _reached(x):
+                raise NotReachableError(f"{render(x)} is not reachable")
+        s1, s2 = system.index[x1], system.index[x2]
+    blocks, split = refine(system, variant, watch=(s1, s2))
     if blocks[s1] == blocks[s2]:
-        return Verdict._from_partition(variant, union, blocks)
-    return Verdict(
-        False, variant,
-        counterexample=_describe_split(union, variant, s1, s2, split),
-    )
+        if classes:
+            return Verdict._from_partition(
+                variant, lambda: _stable(x1, x2, variant, max_states))
+        return Verdict._from_partition(variant, lambda: (system, blocks))
+    texts = (render(x1), render(x2)) if classes else (system.renders[s1], system.renders[s2])
+    return Verdict(False, variant,
+                   counterexample=_describe_split(*texts, variant, split))
 
 
 def check(p1: Process, p2: Process, variant: Variant,
           max_states: int = DEFAULT_STATE_CAP) -> Verdict:
     """Decide whether two reachable processes are equivalent under ``variant``.
 
-    ``max_states`` bounds the states of each process's system.
+    ``max_states`` bounds the states the check builds for each process:
+    the states of its leaf-quotiented system when the check quotients (see
+    :func:`_check_on`; a leaf whose own system exceeds the budget is not
+    quotiented), otherwise those of its system.  An equivalent verdict's
+    witness is read off the unquotiented union, which its first read
+    builds under the same budget when the check quotiented.
     """
     return _check_on(p1, p2, variant, max_states)
 

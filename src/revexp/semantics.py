@@ -289,13 +289,21 @@ class _Nodes:
     wraps, which it keeps alive.  A pair's term is built on first read.
     ``sid`` gives each node's state id, ``None`` for a node that is only
     an operand.
+
+    ``classes`` quotients leaves: it maps each state of a quotiented leaf
+    to its class, a pair of the class's representative and the class's
+    steps, whose targets are representatives too.  A representative takes
+    its class's steps in place of its own, so only representatives become
+    nodes, and a parallel term is found through its leaves' classes.  Only
+    :func:`~revexp.bisim.check` passes a map that is not empty.
     """
 
-    __slots__ = ("memo", "ids", "parts", "terms", "initial", "steps",
+    __slots__ = ("memo", "classes", "ids", "parts", "terms", "initial", "steps",
                  "sid", "par_l", "par_r", "syn")
 
-    def __init__(self):
+    def __init__(self, classes: dict):
         self.memo: dict = {}  # the steps of each leaf term, and of its subterms
+        self.classes = classes  # a quotiented leaf state -> (representative, steps)
         self.ids: dict = {}  # leaf key, pair parts or a kept term's id -> node
         self.parts: list[tuple | None] = []  # a pair's parts; None for a leaf
         self.terms: list = []  # a leaf's term; a pair's once built
@@ -339,19 +347,25 @@ class _Nodes:
     def find_pair(self, p: Par) -> int | None:
         """The node of the parallel term ``p``, found through its operands'
         nodes, or ``None``.  Pairs are plain, so the nodes key the terms
-        they keep by identity; a term found is kept and keyed so."""
+        they keep by identity; a term found is kept and keyed so, unless its
+        node keeps one already (in a quotient a node stands for many terms)."""
         ids = self.ids
         l, r = p.left, p.right
         lx, rx = ids.get(id(l)), ids.get(id(r))
-        if lx is None and type(l) is Par:
-            lx = self.find_pair(l)
-        if rx is None and type(r) is Par:
-            rx = self.find_pair(r)
+        if lx is None:
+            lx = self.find_pair(l) if type(l) is Par else self._class_of(l)
+        if rx is None:
+            rx = self.find_pair(r) if type(r) is Par else self._class_of(r)
         x = ids.get((p.sync, lx, rx))  # no key holds None
-        if x is not None:
+        if x is not None and self.terms[x] is None:
             self.terms[x] = p
             ids[id(p)] = x
         return x
+
+    def _class_of(self, p) -> int | None:
+        """The node of the class of the leaf ``p``, or ``None``."""
+        cls = self.classes.get(p)
+        return None if cls is None else self.ids.get(id(cls[0]))
 
     def term(self, x: int):
         p = self.terms[x]
@@ -369,8 +383,11 @@ class _Nodes:
         if parts is not None:
             return self._pair_steps(*parts)
         ids, add = self.ids, self._add
+        p = self.terms[x]
+        cls = self.classes.get(p) if self.classes else None
+        moves = _steps(p, False, self.memo) if cls is None else cls[1]
         steps = []
-        for theta, o, q in _steps(self.terms[x], False, self.memo):
+        for theta, o, q in moves:
             key = id(q) if q.plain else q
             y = ids.get(key)
             steps.append((theta, o, add(key, None, q, q.initial) if y is None else y))
@@ -538,7 +555,7 @@ class Lts:
         return sid
 
 
-def _build(groups: list[list], max_states: int) -> Lts:
+def _build(groups: list[list], max_states: int, classes: dict) -> Lts:
     """Close each group of roots under forward steps, one group after another.
 
     A group's roots are numbered first, then its new states breadth first;
@@ -552,8 +569,13 @@ def _build(groups: list[list], max_states: int) -> Lts:
     the product of its operands' systems and no successor term is built.
     A ready-set process has no parallel positions, so its states are
     leaves.  A system is a ready-set one when any root is not plain.
+
+    ``classes`` maps each state of a quotiented leaf to its class (see
+    :class:`_Nodes`), and a build given a non-empty map is the product of
+    the quotiented leaves: its states are the images of the states the
+    roots reach.  Every public build passes an empty map.
     """
-    nodes = _Nodes()
+    nodes = _Nodes(classes)
     sid_of, steps_of = nodes.sid, nodes.steps_of
     node_of: list[int] = []  # state id -> node
     source: list[int] = []
@@ -604,11 +626,11 @@ def _build(groups: list[list], max_states: int) -> Lts:
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Close ``root`` under forward steps.  Callers normally pass an initial term."""
-    return _build([[root]], max_states)
+    return _build([[root]], max_states, {})
 
 
 def build_brs_lts(root: BrsProcess, max_states: int = DEFAULT_STATE_CAP) -> Lts:
-    return _build([[root]], max_states)
+    return _build([[root]], max_states, {})
 
 
 def build_union(groups: list[list], max_states: int = DEFAULT_STATE_CAP) -> Lts:
@@ -624,7 +646,7 @@ def build_union(groups: list[list], max_states: int = DEFAULT_STATE_CAP) -> Lts:
     one set of nodes (see :func:`_build`), so an operand state that two
     roots have in common is stepped once.
     """
-    return _build(groups, max_states)
+    return _build(groups, max_states, {})
 
 
 def incoming(lts: Lts, sid: int):

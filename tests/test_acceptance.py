@@ -32,6 +32,8 @@ from revexp.axioms import (
 from revexp.encoding import brs_preserved_shape, verify_correspondence
 from revexp.generate import enumerate_processes, seed_terms
 from revexp import selfcheck
+from revexp.semantics import undo_steps
+from revexp.terms import act
 
 P = parse
 
@@ -165,6 +167,38 @@ def test_the_known_failures_are_failures_of_encoding_reflection():
         reflection = disagreements(term_ids, encoding_ids)
         assert disagreements(term_ids, keys) == reflection
         assert len(reflection) == failing
+
+
+def _backward_ready_traces(p, memo: dict) -> frozenset:
+    """Every complete undo sequence from ``p`` to its initial version, each
+    step recorded as its action and the backward ready set it leaves."""
+    traces = memo.get(p)
+    if traces is None:
+        if p.initial:
+            traces = frozenset([()])
+        else:
+            traces = frozenset(((act(theta), brs(q)),) + rest
+                               for theta, q in undo_steps(p)
+                               for rest in _backward_ready_traces(q, memo))
+        memo[p] = traces
+    return traces
+
+
+def test_the_encoding_with_backward_ready_traces_gives_the_classes():
+    """What the encoding loses, named at size 4 (notes/decisions.md): the
+    class of a term's theory encoding together with its backward ready
+    traces gives its RB and FRB class, with no exception.  A check only;
+    no theory, suite or criterion uses it."""
+    terms = list(enumerate_processes(4, ("a", "b")))
+    memo: dict = {}
+    traces = [_backward_ready_traces(p, memo) for p in terms]
+    for variant, theory in ((Variant.RB, Theory.R), (Variant.FRB, Theory.FR)):
+        encoding_ids = selfcheck.class_ids([theory_encoding(p, theory) for p in terms],
+                                           variant)
+        labels = list(zip(encoding_ids, traces))
+        term_ids = selfcheck.class_ids(terms, variant)
+        report = selfcheck._partitions_agree(theory.name, terms, term_ids, labels)
+        assert report.failures == []
 
 def test_criterion_6_congruence():
     report = selfcheck.congruence_suite(3, ("a", "b"), samples=200)

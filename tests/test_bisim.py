@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revexp import (
     Variant,
@@ -21,12 +22,12 @@ from revexp import (
 from revexp import bisim, semantics
 from revexp.bisim import Verdict, refine, verify_partition
 from revexp.axioms import Theory, theory_encoding
-from revexp.errors import NotReachableError, StateBudgetError, WitnessCheckError
+from revexp.errors import NotReachableError, RevexpError, StateBudgetError, WitnessCheckError
 from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
 from revexp.semantics import brs_forward_steps, build_brs_lts, build_union
 from revexp import is_reachable
-from revexp.terms import Par, act, is_initial, to_initial
+from revexp.terms import NIL, Choice, Par, Prefix, act, is_initial, to_initial
 
 from test_byte_identity import _products
 
@@ -430,9 +431,9 @@ def _assert_refine_matches(lts, variant, watched):
         ids: dict = {}
         assert blocks == [ids.setdefault(b, len(ids)) for b in rounds[first]]
         sigs = history[first - 1]
-        assert (bisim._describe_split(lts, variant, left, right, split)
-                == bisim._describe_split(lts, variant, left, right,
-                                         (sigs[left], sigs[right])))
+        texts = lts.renders[left], lts.renders[right]
+        assert (bisim._describe_split(*texts, variant, split)
+                == bisim._describe_split(*texts, variant, (sigs[left], sigs[right])))
 
 
 def test_refine_matches_the_round_loop():
@@ -493,3 +494,177 @@ def test_refine_recomputes_fewer_signatures_than_the_round_loop(monkeypatch):
         computed.clear()
         refine(union, v)
         assert len(computed) < len(rounds) * union.num_states
+
+
+# --- leaf quotients -------------------------------------------------------------
+#
+# Under FB, FB:ps and FRB, ``check`` decides on a union whose leaves are
+# quotiented by the variant's bisimilarity.  Its answers must be those of the
+# unquotiented decision: the union, refinement watching the pair, and the
+# separating round's counterexample.
+
+def _unquotiented(p, q, variant):
+    union, s1, s2 = bisim._union(p, q, semantics.DEFAULT_STATE_CAP)
+    blocks, split = refine(union, variant, watch=(s1, s2))
+    if blocks[s1] == blocks[s2]:
+        return True, bisim._witness(union, blocks), None
+    return False, None, bisim._describe_split(
+        union.renders[s1], union.renders[s2], variant, split)
+
+
+def _answer(decide, *args):
+    try:
+        return decide(*args)
+    except RevexpError as error:
+        return type(error), str(error)
+
+
+def _checked(p, q, variant):
+    verdict = check(p, q, variant)
+    return verdict.equivalent, verdict.witness, verdict.counterexample
+
+
+_two = st.sampled_from(["a", "b"])
+
+
+def _pars(operands):
+    return st.builds(lambda sync, l, r: Par(tuple(sync), l, r),
+                     st.lists(_two, max_size=2), operands, operands)
+
+
+def _leaf_terms():
+    """Sequential terms over {a, b}, whose repeated branches the variants'
+    bisimilarities merge, and now and then a prefixed product."""
+    sequential = st.recursive(
+        st.sampled_from([NIL, P("a.0"), P("b.0")]),
+        lambda sub: st.builds(Prefix, _two, st.just(False), sub)
+        | st.builds(Choice, sub, sub)
+        | sub.map(lambda x: Choice(x, x)),
+        max_leaves=4,
+    )
+    return sequential | st.builds(Prefix, _two, st.just(False), _pars(sequential))
+
+
+def _random_products():
+    """Products with nested synchronization sets."""
+    return st.recursive(_leaf_terms(), _pars, max_leaves=4)
+
+
+def _walked_to(p, picks):
+    for pick in picks:
+        steps = semantics.forward_steps(p)
+        if not steps:
+            break
+        p = steps[pick % len(steps)][1]
+    return p
+
+
+def _marked(p, pick):
+    """``p`` with one of its unexecuted prefixes flagged executed, which
+    mostly gives an unreachable or ill-formed term."""
+    prefixes = []
+
+    def collect(x):
+        if isinstance(x, Prefix):
+            if not x.executed:
+                prefixes.append(x)
+            collect(x.cont)
+        elif isinstance(x, (Choice, Par)):
+            collect(x.left)
+            collect(x.right)
+
+    def rebuild(x, target):
+        if x is target:
+            return Prefix(x.action, True, x.cont)
+        if isinstance(x, Prefix):
+            return Prefix(x.action, x.executed, rebuild(x.cont, target))
+        if isinstance(x, Choice):
+            return Choice(rebuild(x.left, target), rebuild(x.right, target))
+        if isinstance(x, Par):
+            return Par(x.sync, rebuild(x.left, target), rebuild(x.right, target))
+        return x
+
+    collect(p)
+    return rebuild(p, prefixes[pick % len(prefixes)]) if prefixes else p
+
+
+_roots = st.tuples(_random_products(), st.lists(st.integers(0, 10**6), max_size=6),
+                   st.integers(0, 4), st.integers(0, 10**6))
+
+
+def _root(spec):
+    """A walked state, or about one time in five a marked one."""
+    p, picks, which, mark = spec
+    p = _walked_to(p, picks)
+    return _marked(p, mark) if which == 4 else p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_roots, _roots)
+def test_check_answers_as_the_unquotiented_decision(left, right):
+    p, q = _root(left), _root(right)
+    for v in ALL:
+        assert _answer(_checked, p, q, v) == _answer(_unquotiented, p, q, v), v
+
+
+def test_an_unreachable_root_is_not_found_through_its_class():
+    # both executed choice states of a.0 + b.0 are one FB class, so the
+    # root's image is reachable in the quotient while the root is not
+    x = P("(a!.0 + b.0) |[a,b]| (a.0 + b!.0)")
+    message = f"{render(x)} is not reachable"
+    for v in ALL:
+        assert _answer(_unquotiented, x, P("a.0"), v) == (NotReachableError, message)
+        with pytest.raises(NotReachableError) as raised:
+            check(x, P("a.0"), v)
+        assert str(raised.value) == message
+
+
+def _built_states(monkeypatch) -> list:
+    sizes = []
+    build = bisim._build
+
+    def counted(groups, max_states, classes):
+        lts = build(groups, max_states, classes)
+        sizes.append(lts.num_states)
+        return lts
+
+    monkeypatch.setattr(bisim, "_build", counted)
+    return sizes
+
+
+def test_forward_variants_decide_on_the_leaf_quotients(monkeypatch):
+    # four states per leaf; FB and FB:ps merge the two terminal ones, FRB
+    # keeps them apart by their incoming actions
+    p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 5))
+    q = P(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
+    sizes = _built_states(monkeypatch)
+    for v in ALL:
+        sizes.clear()
+        verdict = check(p, q, v)
+        assert verdict.equivalent
+        if v in (Variant.FB, Variant.FBPS):
+            assert sizes == [2 * 3 ** 5], v  # the two roots reach no common state
+        else:
+            assert sizes == [], v
+        assert verdict.witness == _unquotiented(p, q, v)[1]
+
+
+def test_roots_and_leaves_with_a_product_inside_keep_their_states(monkeypatch):
+    sizes = _built_states(monkeypatch)
+    leaf, q = P("a.0 + a.0"), P("(a.0 + a.0) |[]| 0")
+    # the one leaf that shrinks is also a root, so nothing is quotiented
+    assert check(q, leaf, Variant.FB).equivalent and sizes == []
+    # 244 leaf states, of which the synchronization lets the product reach one
+    inner = " |[]| ".join(["(b.0 + b.0)"] * 5)
+    blocked = P(f"a.({inner}) |[a]| 0")
+    assert check(blocked, P("0 |[a]| 0"), Variant.FB).equivalent and sizes == []
+    r = P("(a.0 + a.0) |[]| (b.0 + b.0)")
+    assert check(r, q, Variant.FB).counterexample == _unquotiented(r, q, Variant.FB)[2]
+    assert sizes == [2 * 2 + 2]  # 3 states per choice leaf, 2 classes; 0 keeps its one
+
+
+def test_the_undo_walk_decides_reachability():
+    terms = [t for t in enumerate_processes(3, ("a", "b")) if not is_initial(t)]
+    assert terms
+    for t in terms:
+        assert bisim._reached(t) == is_reachable(t), render(t)
