@@ -395,8 +395,9 @@ def _stable(x1, x2, variant: Variant, max_states: int) -> tuple[Lts, list[int]]:
 
 
 def _check_on(x1, x2, variant: Variant, max_states: int) -> Verdict:
-    """Decide on the union of ``x1`` and ``x2``, with each leaf quotiented
-    by a forward variant's bisimilarity when that makes it smaller.
+    """Decide on the union of ``x1`` and ``x2``, with each sequential leaf
+    quotiented by a forward variant's bisimilarity when that makes it
+    smaller.
 
     Under FB, FB:ps and FRB a leaf's classes agree on forward observations,
     so the quotient's closure is the image of the union's, and the map to
