@@ -6,13 +6,14 @@ root, in which a state both reach is one state.  Refining it is sound
 because every incoming transition of a reachable state originates from a
 reachable state.  Under FB, FB:ps and FRB, :func:`check` first quotients
 each sequential leaf of a product (an operand of a parallel composition
-with no parallel composition inside) by the variant's bisimilarity and decides on the product of the quotients,
-which keeps every round partition of the union (Graf & Steffen's
-compositional minimisation; see :func:`_check_on`).  Each transition is
-observed through the system's ``obs`` column: its action, or for a
-ready-set system its action with its sorted fired ready set.  Signatures are deduplicated per state: matching in the
-transfer clauses is existential per observation, so the multiplicity of
-equally labeled transitions must not split blocks.
+with no parallel composition inside) by the variant's bisimilarity and
+decides on the product of the quotients, which keeps every round
+partition of the union (Graf & Steffen's compositional minimisation; see
+:func:`_check_on`).  Each transition is observed through the system's
+``obs`` column: its action, or for a ready-set system its action with its
+sorted fired ready set.  Signatures are deduplicated per state: matching
+in the transfer clauses is existential per observation, so the
+multiplicity of equally labeled transitions must not split blocks.
 
 Refinement keeps the rounds of the signature loop (each round splits every
 block by its states' signatures under the last partition) but runs them as
@@ -28,7 +29,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NotReachableError, StateBudgetError, WitnessCheckError
-from .semantics import DEFAULT_STATE_CAP, Lts, _build, build_lts, build_union, undo_steps
+from .semantics import (
+    DEFAULT_STATE_CAP,
+    Lts,
+    _build,
+    build_lts,
+    build_union,
+    undo_steps,
+)
 from .syntax import render
 from .terms import (
     BrsProcess,
@@ -425,7 +433,10 @@ def _check_on(x1, x2, variant: Variant, max_states: int) -> Verdict:
             return Verdict._from_partition(
                 variant, lambda: _stable(x1, x2, variant, max_states))
         return Verdict._from_partition(variant, lambda: (system, blocks))
-    texts = (render(x1), render(x2)) if classes else (system.renders[s1], system.renders[s2])
+    if classes:
+        texts = render(x1), render(x2)
+    else:
+        texts = system.renders[s1], system.renders[s2]
     return Verdict(False, variant,
                    counterexample=_describe_split(*texts, variant, split))
 
