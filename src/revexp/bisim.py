@@ -32,6 +32,7 @@ from .errors import NotReachableError, StateBudgetError, WitnessCheckError
 from .semantics import (
     DEFAULT_STATE_CAP,
     Lts,
+    Renders,
     _build,
     build_lts,
     build_union,
@@ -88,8 +89,13 @@ class Verdict:
     keeps a function giving the union system and its stable blocks, and the
     first read of ``witness`` calls it, checks the blocks with
     :func:`verify_partition` and renders them; a partition that fails the
-    check raises :class:`WitnessCheckError`.
-    Verdicts are immutable by contract and compare by their four fields.
+    check raises :class:`WitnessCheckError`.  When :func:`check` quotiented
+    the leaves, that first read builds the unquotiented union, which can
+    exceed the budget the quotient kept to and raise
+    :class:`StateBudgetError`.
+    Verdicts are immutable by contract and compare by their four fields,
+    so ``==``, ``hash`` and ``repr`` read ``witness`` and can raise the
+    same errors.
     """
 
     __slots__ = ("equivalent", "variant", "counterexample", "_witness", "_partition")
@@ -433,12 +439,9 @@ def _check_on(x1, x2, variant: Variant, max_states: int) -> Verdict:
             return Verdict._from_partition(
                 variant, lambda: _stable(x1, x2, variant, max_states))
         return Verdict._from_partition(variant, lambda: (system, blocks))
-    if classes:
-        texts = render(x1), render(x2)
-    else:
-        texts = system.renders[s1], system.renders[s2]
+    left, right = Renders((x1, x2))  # as the union's own renders read them
     return Verdict(False, variant,
-                   counterexample=_describe_split(*texts, variant, split))
+                   counterexample=_describe_split(left, right, variant, split))
 
 
 def check(p1: Process, p2: Process, variant: Variant,

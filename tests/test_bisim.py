@@ -649,6 +649,23 @@ def test_forward_variants_decide_on_the_leaf_quotients(monkeypatch):
         assert verdict.witness == _unquotiented(p, q, v)[1]
 
 
+def test_a_budget_that_fits_the_quotient_but_not_the_union():
+    # 3 ** 5 = 243 quotient states per process, 4 ** 5 = 1,024 union states
+    p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 5))
+    q = P(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
+    budget = "state budget of 300 states exceeded"
+    for v in (Variant.FB, Variant.FBPS):
+        verdict = check(p, q, v, max_states=300)
+        assert verdict.equivalent and verdict.counterexample is None
+        for read in (lambda: verdict.witness, lambda: verdict == verdict,
+                     lambda: hash(verdict), lambda: repr(verdict)):
+            with pytest.raises(StateBudgetError, match=budget):
+                read()
+    for v in (Variant.RB, Variant.FRB):  # no leaf shrinks under these
+        with pytest.raises(StateBudgetError, match=budget):
+            check(p, q, v, max_states=300)
+
+
 def test_roots_and_leaves_with_a_product_inside_keep_their_states(monkeypatch):
     sizes = _built_states(monkeypatch)
     leaf, q = P("a.0 + a.0"), P("(a.0 + a.0) |[]| 0")
