@@ -1,19 +1,26 @@
 """Decision procedures for the four equivalences, with witnesses.
 
-All four are decided by partition refinement over one system holding both
-processes' states: the union that closes the two initial versions root by
-root, in which a state both reach is one state.  Refining it is sound
-because every incoming transition of a reachable state originates from a
-reachable state.  Under FB, FB:ps and FRB, :func:`check` first quotients
-each sequential leaf of a product (an operand of a parallel composition
-with no parallel composition inside) by the variant's bisimilarity and
-decides on the product of the quotients, which keeps every round
-partition of the union (Graf & Steffen's compositional minimisation; see
-:func:`_check_on`).  Each transition is observed through the system's
-``obs`` column: its action, or for a ready-set system its action with its
-sorted fired ready set.  Signatures are deduplicated per state: matching
-in the transfer clauses is existential per observation, so the
-multiplicity of equally labeled transitions must not split blocks.
+Each is decided by partition refinement on the states its signatures read.
+A backward signature reads only incoming transitions, so :func:`check`
+decides RB on the undo cone of its two processes, the states that can
+reach either; a forward one reads only outgoing transitions, so FB and
+FB:ps are decided on the two processes' forward closure.  FRB reads both,
+and is decided, as :func:`check_brs` decides ready-set processes, on the
+union that closes the two initial versions root by root, in which a state
+both reach is one state.  Every incoming transition of a reachable state
+originates from a reachable state, so refining the union is sound, and
+its round partitions restricted to a cone or a closure are that system's
+own.  Under FB, FB:ps and FRB, :func:`check` also quotients each
+sequential leaf of a product (an operand of a parallel composition with
+no parallel composition inside) by the variant's bisimilarity and decides
+on the product of the quotients, which keeps every round partition too
+(Graf & Steffen's compositional minimisation; see :func:`check`).  An
+equivalent verdict's witness is the stable partition of the union.  Each
+transition is observed through the system's ``obs`` column: its action,
+or for a ready-set system its action with its sorted fired ready set.
+Signatures are deduplicated per state: matching in the transfer clauses
+is existential per observation, so the multiplicity of equally labeled
+transitions must not split blocks.
 
 Refinement keeps the rounds of the signature loop (each round splits every
 block by its states' signatures under the last partition) but runs them as
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import NotReachableError, StateBudgetError, WitnessCheckError
 from .semantics import (
@@ -34,6 +42,7 @@ from .semantics import (
     Lts,
     Renders,
     _build,
+    _undo_cone,
     build_lts,
     build_union,
     undo_steps,
@@ -89,10 +98,10 @@ class Verdict:
     keeps a function giving the union system and its stable blocks, and the
     first read of ``witness`` calls it, checks the blocks with
     :func:`verify_partition` and renders them; a partition that fails the
-    check raises :class:`WitnessCheckError`.  When :func:`check` quotiented
-    the leaves, that first read builds the unquotiented union, which can
-    exceed the budget the quotient kept to and raise
-    :class:`StateBudgetError`.
+    check raises :class:`WitnessCheckError`.  When :func:`check` decided
+    on an undo cone, a forward closure or a quotient, that first read
+    builds the union, which can exceed the budget the check kept to and
+    raise :class:`StateBudgetError`.
     Verdicts are immutable by contract and compare by their four fields,
     so ``==``, ``hash`` and ``repr`` read ``witness`` and can raise the
     same errors.
@@ -408,37 +417,17 @@ def _stable(x1, x2, variant: Variant, max_states: int) -> tuple[Lts, list[int]]:
     return union, refine(union, variant)[0]
 
 
-def _check_on(x1, x2, variant: Variant, max_states: int) -> Verdict:
-    """Decide on the union of ``x1`` and ``x2``, with each sequential leaf
-    quotiented by a forward variant's bisimilarity when that makes it
-    smaller.
+def _decide(system: Lts, x1, x2, variant: Variant, witness) -> Verdict:
+    """Refine ``system``, watching the states of ``x1`` and ``x2``.
 
-    Under FB, FB:ps and FRB a leaf's classes agree on forward observations,
-    so the quotient's closure is the image of the union's, and the map to
-    it is a functional bisimulation: it keeps every round partition, and so
-    the separating round and its signatures' observations.  An RB class
-    agrees only on incoming observations, so RB decides on the union
-    itself.  The quotient cannot tell which states are reachable, nor name
-    a state's term, so a root's reachability comes from an undo walk, a
-    counterexample is rendered from ``x1`` and ``x2``, and a witness from
-    the union, built when first read.
+    An equivalent verdict's witness comes from ``witness``, a function
+    giving a union and its stable partition, or from ``system`` itself
+    when ``witness`` is ``None``.
     """
-    roots = [to_initial(x1), to_initial(x2)]
-    classes = _leaf_classes(roots, variant, max_states) if variant.forward else {}
-    if not classes:
-        system, s1, s2 = _union(x1, x2, max_states)
-    else:
-        system = _build([[root] for root in roots], max_states, classes)
-        for x in (x1, x2):
-            if not _reached(x):
-                raise NotReachableError(f"{render(x)} is not reachable")
-        s1, s2 = system.index[x1], system.index[x2]
+    s1, s2 = system.index[x1], system.index[x2]
     blocks, split = refine(system, variant, watch=(s1, s2))
     if blocks[s1] == blocks[s2]:
-        if classes:
-            return Verdict._from_partition(
-                variant, lambda: _stable(x1, x2, variant, max_states))
-        return Verdict._from_partition(variant, lambda: (system, blocks))
+        return Verdict._from_partition(variant, witness or (lambda: (system, blocks)))
     left, right = Renders((x1, x2))  # as the union's own renders read them
     return Verdict(False, variant,
                    counterexample=_describe_split(left, right, variant, split))
@@ -448,22 +437,64 @@ def check(p1: Process, p2: Process, variant: Variant,
           max_states: int = DEFAULT_STATE_CAP) -> Verdict:
     """Decide whether two reachable processes are equivalent under ``variant``.
 
-    ``max_states`` bounds the states the check builds for each process:
-    the states of its leaf-quotiented system when the check quotients (see
-    :func:`_check_on`; a leaf whose own system exceeds the budget is not
-    quotiented), otherwise those of its system.  An equivalent verdict's
-    witness is read off the unquotiented union, which its first read
-    builds under the same budget when the check quotiented.
+    The initial versions must be well-formed and both processes reachable,
+    checked in that order before anything is built, so an unreachable
+    process raises :class:`NotReachableError` before a budget is exceeded.
+    RB is decided on the undo cone of ``p1`` and ``p2``: a backward
+    signature reads only incoming transitions, each of which leaves from a
+    state that can reach its target.  FB and FB:ps are decided on the
+    forward closure of ``p1`` and ``p2``, as a forward signature reads
+    only outgoing transitions and the FB:ps seed a state's own initiality.
+    So the union's round partitions, restricted to the cone or closure,
+    are the cone's or closure's own, and the separating round and its
+    signatures' observations are the same.  FRB reads both directions and
+    is decided on the union.
+
+    Under FB, FB:ps and FRB each sequential leaf is quotiented by the
+    variant's bisimilarity when that makes it smaller.  A leaf's classes
+    agree on forward observations, so the quotient's closure is the image
+    of the unquotiented one, and the map to it is a functional
+    bisimulation: it keeps every round partition too.  A leaf whose own
+    system exceeds the budget is not quotiented.
+
+    ``max_states`` bounds the states each process adds to the system
+    decided on.  Neither a cone, a closure nor a quotient names every
+    state of the union, so a counterexample is rendered from ``p1`` and
+    ``p2``, and an equivalent verdict's witness is read off the union,
+    which its first read builds under the same budget unless the check
+    decided on that union.
     """
-    return _check_on(p1, p2, variant, max_states)
+    roots = [to_initial(p1), to_initial(p2)]
+    for root in roots:
+        if not is_wellformed(root):
+            raise NotReachableError(f"{render(root)} is not well-formed")
+    for p in (p1, p2):
+        if not _reached(p):
+            raise NotReachableError(f"{render(p)} is not reachable")
+    witness = partial(_stable, p1, p2, variant, max_states)
+    if variant is Variant.RB:
+        system = _undo_cone([[p1], [p2]], max_states)
+    else:
+        starts = roots if variant.backward else [p1, p2]
+        groups = [[p] for p in starts]
+        classes = _leaf_classes(roots, variant, max_states)
+        if classes:
+            system = _build(groups, max_states, classes)
+        else:
+            system = build_union(groups, max_states)
+            if starts == roots:  # the union itself
+                witness = None
+    return _decide(system, p1, p2, variant, witness)
 
 
 def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
               max_states: int = DEFAULT_STATE_CAP) -> Verdict:
-    """Decide reverse or forward-reverse equivalence over ready-set processes."""
+    """Decide reverse or forward-reverse equivalence over ready-set processes,
+    on the union of their initial versions' closures."""
     if not variant.backward:
         raise ValueError("ready-set systems are compared under RB or FRB only")
-    return _check_on(u1, u2, variant, max_states)
+    union, _, _ = _union(u1, u2, max_states)
+    return _decide(union, u1, u2, variant, None)
 
 
 def necessary_check(p1: Process, p2: Process, variant: Variant) -> bool:

@@ -624,6 +624,64 @@ def _build(groups: list[list], max_states: int, classes: dict) -> Lts:
                observations, outgoing, incoming_ids, StateIndex(nodes))
 
 
+def _undo_cone(groups: list[list], max_states: int) -> Lts:
+    """The states that can reach a root, with every incoming transition of each.
+
+    Each group's roots are numbered first, then the states they are undone
+    to, breadth first over :func:`_steps` read backward; a state already
+    met in an earlier group is that group's state.  Every incoming
+    transition of a state leaves from a state that can reach it, so the
+    cone holds the source of each: it is all a backward signature reads.
+    Outgoing transitions are those into the cone.  ``max_states`` bounds
+    the states each group adds.  The roots must be reachable, so that
+    every state met is well-formed; states are plain terms and are their
+    own index.
+    """
+    memo: dict = {}
+    index: dict = {}
+    terms: list = []
+    source: list[int] = []
+    target_ids: list[int] = []
+    proofs: list[ProofTerm] = []
+    observations: list = []
+    outgoing: list[list[int]] = []
+    incoming_ids: list[list[int]] = []
+
+    def add(p) -> int:
+        sid = index[p] = len(terms)
+        terms.append(p)
+        outgoing.append([])
+        incoming_ids.append([])
+        return sid
+
+    sid = 0
+    for group in groups:
+        first = len(terms)
+        for root in group:
+            if root not in index:
+                add(root)
+        while sid < len(terms):
+            inc = incoming_ids[sid]
+            for theta, o, p in _steps(terms[sid], True, memo):
+                pid = index.get(p)
+                if pid is None:
+                    if len(terms) - first >= max_states:
+                        raise StateBudgetError(
+                            f"state budget of {max_states} states exceeded"
+                        )
+                    pid = add(p)
+                tr_id = len(source)
+                source.append(pid)
+                target_ids.append(sid)
+                proofs.append(theta)
+                observations.append(o)
+                outgoing[pid].append(tr_id)
+                inc.append(tr_id)
+            sid += 1
+    return Lts("proved", terms, [p.initial for p in terms], source, target_ids,
+               proofs, observations, outgoing, incoming_ids, index)
+
+
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Close ``root`` under forward steps.  Callers normally pass an initial term."""
     return _build([[root]], max_states, {})

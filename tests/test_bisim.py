@@ -17,6 +17,7 @@ from revexp import (
     encode,
     necessary_check,
     parse,
+    prove_eq,
     render,
 )
 from revexp import bisim, semantics
@@ -37,8 +38,8 @@ ALL = (Variant.FB, Variant.FBPS, Variant.RB, Variant.FRB)
 
 
 def _check_union(p, q):
-    """The system ``check(p, q, ...)`` decides on, and the states of ``p``
-    and ``q`` in it."""
+    """The union of the closures of the initial versions of ``p`` and
+    ``q``, and the states of ``p`` and ``q`` in it."""
     return bisim._union(p, q, semantics.DEFAULT_STATE_CAP)
 
 
@@ -607,6 +608,119 @@ def test_check_answers_as_the_unquotiented_decision(left, right):
         assert _answer(_checked, p, q, v) == _answer(_unquotiented, p, q, v), v
 
 
+def _deep_products():
+    """Left-nested products of three to five leaves, each parallel
+    composition with its own synchronization set."""
+    def nest(leaves, syncs):
+        p = leaves[0]
+        for leaf, sync in zip(leaves[1:], syncs):
+            p = Par(tuple(sync), p, leaf)
+        return p
+    return st.builds(nest, st.lists(_leaf_terms(), min_size=3, max_size=5),
+                     st.lists(st.lists(_two, max_size=2), min_size=4, max_size=4))
+
+
+_deep_roots = st.tuples(_deep_products(), st.lists(st.integers(0, 10**6), max_size=12),
+                        st.integers(0, 4), st.integers(0, 10**6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_deep_roots, _deep_roots)
+def test_check_answers_as_the_unquotiented_decision_on_deep_walks(left, right):
+    # a state walked far into a product reaches, and is undone to, a small
+    # part of the union: the cones and closures check decides on
+    p, q = _root(left), _root(right)
+    for v in ALL:
+        assert _answer(_checked, p, q, v) == _answer(_unquotiented, p, q, v), v
+
+
+def _proved_f(p, q):
+    return prove_eq(p, q, Theory.F)
+
+
+def _fbps_verdict(p, q):
+    return check(p, q, Variant.FBPS).equivalent
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_roots, _roots)
+def test_the_f_theory_agrees_with_fbps(left, right):
+    # the F theory is complete for FB:ps and shares no code with check
+    p, q = _root(left), _root(right)
+    proved, decided = _answer(_proved_f, p, q), _answer(_fbps_verdict, p, q)
+    if isinstance(proved, tuple):
+        assert isinstance(decided, tuple) and decided[0] is proved[0]
+    else:
+        assert proved == decided
+
+
+def test_an_unreachable_root_raises_before_the_budget():
+    # the union of either pair exceeds the budget of 2 states; the marked
+    # root is found unreachable first, whichever side it is on
+    x = P("(a!.0 + b.0) |[a,b]| (a.0 + b!.0)")
+    other = P("a.0 |[]| b.0")
+    with pytest.raises(StateBudgetError):
+        build_union([[to_initial(x)], [other]], 2)
+    message = f"{render(x)} is not reachable"
+    for v in ALL:
+        for pair in ((x, other), (other, x)):
+            with pytest.raises(NotReachableError) as raised:
+                check(*pair, v, max_states=2)
+            assert str(raised.value) == message, v
+
+
+def _decided_on(monkeypatch) -> list:
+    """The number of states of each system a check refines, watching its pair."""
+    sizes = []
+    refine_on = bisim.refine
+
+    def counted(lts, variant, watch=None):
+        if watch is not None:
+            sizes.append(lts.num_states)
+        return refine_on(lts, variant, watch)
+
+    monkeypatch.setattr(bisim, "refine", counted)
+    return sizes
+
+
+def _closed(lts, starts, edges, end) -> int:
+    """The number of states of ``lts`` met from ``starts`` along ``edges``."""
+    seen, frontier = set(starts), list(starts)
+    while frontier:
+        for i in edges[frontier.pop()]:
+            if end[i] not in seen:
+                seen.add(end[i])
+                frontier.append(end[i])
+    return len(seen)
+
+
+def test_each_check_decides_on_the_states_its_variant_reads(monkeypatch):
+    sizes = _decided_on(monkeypatch)
+    p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 5))
+    q = P(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
+    # two initial processes can be undone to nothing but themselves
+    assert check(p, q, Variant.RB).equivalent and sizes == [2]
+    # the leaves of x1 undo to 3, 2 and 2 states and those of x2 to 2, 2
+    # and 2, so the cones hold 12 + 8 of the union's 2,048 states
+    x1 = _walked_to(p, [0, 0, 1, 7])
+    x2 = _walked_to(q, [0, 0, 1])
+    union, s1, s2 = _check_union(x1, x2)
+    cone = _closed(union, [s1, s2], union.incoming_ids, union.source)
+    sizes.clear()
+    check(x1, x2, Variant.RB)
+    assert sizes == [cone] == [12 + 8] and union.num_states == 2 * 4 ** 5
+    # chains keep every leaf state under FB, so nothing is quotiented; the
+    # closures of y1 and y2 hold 1 * 4 * 4 and 4 * 2 * 4 states, 8 of them
+    # shared, of the 64 their common initial version reaches
+    r = P(" |[]| ".join(["a.b.c.0"] * 3))
+    y1, y2 = _walked_to(r, [0, 0, 0]), _walked_to(r, [4, 4])
+    union, s1, s2 = _check_union(y1, y2)
+    closure = _closed(union, [s1, s2], union.outgoing, union.target)
+    sizes.clear()
+    check(y1, y2, Variant.FB)
+    assert sizes == [closure] == [16 + 32 - 8] and union.num_states == 64
+
+
 def test_an_unreachable_root_is_not_found_through_its_class():
     # both executed choice states of a.0 + b.0 are one FB class, so the
     # root's image is reachable in the quotient while the root is not
@@ -654,14 +768,15 @@ def test_a_budget_that_fits_the_quotient_but_not_the_union():
     p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 5))
     q = P(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
     budget = "state budget of 300 states exceeded"
-    for v in (Variant.FB, Variant.FBPS):
+    # RB decides on the roots' undo cone, the two roots themselves
+    for v in (Variant.FB, Variant.FBPS, Variant.RB):
         verdict = check(p, q, v, max_states=300)
         assert verdict.equivalent and verdict.counterexample is None
         for read in (lambda: verdict.witness, lambda: verdict == verdict,
                      lambda: hash(verdict), lambda: repr(verdict)):
             with pytest.raises(StateBudgetError, match=budget):
                 read()
-    for v in (Variant.RB, Variant.FRB):  # no leaf shrinks under these
+    for v in (Variant.FRB,):  # no leaf shrinks under FRB
         with pytest.raises(StateBudgetError, match=budget):
             check(p, q, v, max_states=300)
 
