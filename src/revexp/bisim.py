@@ -395,7 +395,8 @@ def _reached(p) -> bool:
 
 
 def _union(x1, x2, max_states: int) -> tuple[Lts, int, int]:
-    """The system a check decides on, and the states of ``x1`` and ``x2``.
+    """The union that FRB, :func:`check_brs` and every witness read, and
+    the states of ``x1`` and ``x2`` in it.
 
     The union closes the initial version of ``x1``, then that of ``x2``,
     each with its own budget of ``max_states`` states.  Two distinct

@@ -645,7 +645,8 @@ def _fbps_verdict(p, q):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_roots, _roots)
 def test_the_f_theory_agrees_with_fbps(left, right):
-    # the F theory is complete for FB:ps and shares no code with check
+    # the F theory is complete for FB:ps; its normal forms decide without
+    # building or refining any system
     p, q = _root(left), _root(right)
     proved, decided = _answer(_proved_f, p, q), _answer(_fbps_verdict, p, q)
     if isinstance(proved, tuple):
@@ -659,8 +660,9 @@ def test_an_unreachable_root_raises_before_the_budget():
     # root is found unreachable first, whichever side it is on
     x = P("(a!.0 + b.0) |[a,b]| (a.0 + b!.0)")
     other = P("a.0 |[]| b.0")
-    with pytest.raises(StateBudgetError):
-        build_union([[to_initial(x)], [other]], 2)
+    for pair in ((x, other), (other, x)):
+        with pytest.raises(StateBudgetError):
+            build_union([[to_initial(p)] for p in pair], 2)
     message = f"{render(x)} is not reachable"
     for v in ALL:
         for pair in ((x, other), (other, x)):
