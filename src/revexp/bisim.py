@@ -45,7 +45,7 @@ from .semantics import (
     _undo_cone,
     build_lts,
     build_union,
-    undo_steps,
+    is_reachable,
 )
 from .syntax import render
 from .terms import (
@@ -378,22 +378,6 @@ def _leaf_classes(roots: list, variant: Variant, max_states: int) -> dict:
     return classes
 
 
-def _reached(p) -> bool:
-    """Whether ``p`` is reachable, by a greedy undo walk.
-
-    Every incoming transition of a reachable state comes from a reachable
-    state, and a reachable state that is not initial has one, so any path
-    of undo steps from a reachable ``p`` ends in its initial version; none
-    does from an unreachable one.
-    """
-    while not p.initial:
-        steps = undo_steps(p)
-        if not steps:
-            return False
-        p = steps[0][1]
-    return True
-
-
 def _union(x1, x2, max_states: int) -> tuple[Lts, int, int]:
     """The union that FRB, :func:`check_brs` and every witness read, and
     the states of ``x1`` and ``x2`` in it.
@@ -438,9 +422,9 @@ def check(p1: Process, p2: Process, variant: Variant,
           max_states: int = DEFAULT_STATE_CAP) -> Verdict:
     """Decide whether two reachable processes are equivalent under ``variant``.
 
-    The initial versions must be well-formed and both processes reachable,
-    checked in that order before anything is built, so an unreachable
-    process raises :class:`NotReachableError` before a budget is exceeded.
+    Both processes must be reachable, which is checked before anything is
+    built, so an unreachable process raises :class:`NotReachableError`
+    before a budget is exceeded.
     RB is decided on the undo cone of ``p1`` and ``p2``: a backward
     signature reads only incoming transitions, each of which leaves from a
     state that can reach its target.  FB and FB:ps are decided on the
@@ -466,11 +450,8 @@ def check(p1: Process, p2: Process, variant: Variant,
     decided on that union.
     """
     roots = [to_initial(p1), to_initial(p2)]
-    for root in roots:
-        if not is_wellformed(root):
-            raise NotReachableError(f"{render(root)} is not well-formed")
     for p in (p1, p2):
-        if not _reached(p):
+        if not is_reachable(p):
             raise NotReachableError(f"{render(p)} is not reachable")
     witness = partial(_stable, p1, p2, variant, max_states)
     if variant is Variant.RB:

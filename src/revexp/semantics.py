@@ -41,7 +41,6 @@ from .terms import (
     ProofTerm,
     Syn,
     is_wellformed,
-    to_initial,
 )
 
 DEFAULT_STATE_CAP = 10**6
@@ -166,40 +165,27 @@ def brs_forward_steps(
     return [((theta, fired_ready(u, theta)), q) for theta, _, q in _steps(u, False)]
 
 
-def is_reachable(p: Process, cap: int = DEFAULT_STATE_CAP) -> bool:
-    """Replay forward steps from the initial version of ``p`` until it shows up.
+def is_reachable(p: Process) -> bool:
+    """Whether a run from the initial version of ``p`` reaches ``p``, by a
+    greedy undo walk.
 
-    Terms are hash-consed, so states are compared by identity; the seen
-    table maps ``id`` to the node, which keeps the ids unique.  The answer
-    of a finished search is kept on ``p``, and a later call returns it
-    whatever its ``cap``; a search that exceeds ``cap`` raises
-    :class:`StateBudgetError` and keeps nothing.
+    By the loop property every forward step into ``p`` is an undo step of
+    ``p``.  Reachable states are closed under undo: a run that ends in an
+    undo can be rearranged into undos followed by forward steps (the
+    parabolic lemma of CCSK), and an initial version has nothing to undo.
+    A reachable state that is not initial has an undo step, so any chain of
+    undo steps from a reachable ``p`` ends in its initial version; a chain
+    that ends there is a run to ``p`` read backward, so none does from an
+    unreachable one.  The walk takes the first undo step each time, and
+    each step clears an executed flag.  An ill-formed process has no undo
+    step and is not initial, so it is unreachable.
     """
-    if not is_wellformed(p):
-        return False
-    start = to_initial(p)
-    if start is p:
-        return True
-    if p._reach is None:
-        p._reach = _replay_to(p, start, cap)
-    return p._reach
-
-
-def _replay_to(p: Process, start: Process, cap: int) -> bool:
-    seen = {id(start): start}
-    frontier = [start]
-    while frontier:
-        q = frontier.pop()
-        for _, _, nxt in _steps(q, False):
-            if nxt is p:
-                return True
-            if id(nxt) in seen:
-                continue
-            if len(seen) >= cap:
-                raise StateBudgetError(f"state budget of {cap} states exceeded")
-            seen[id(nxt)] = nxt
-            frontier.append(nxt)
-    return False
+    while not p.initial:
+        steps = undo_steps(p)
+        if not steps:
+            return False
+        p = steps[0][1]
+    return True
 
 
 @dataclass(frozen=True, slots=True)

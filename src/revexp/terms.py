@@ -35,14 +35,13 @@ PAST = "#past"
 # ``Prefix``, ``Par``, and ``Choice`` over plain operands) are hash-consed:
 # equal plain processes are the same object, so ``==`` on them is identity
 # and ``upd``, ``to_initial`` and ``forward_steps`` return shared nodes.
-# Four slots are filled on first use: ``_rollback`` keeps ``to_initial`` of a
+# Three slots are filled on first use: ``_rollback`` keeps ``to_initial`` of a
 # non-initial node, ``_key`` the structural key of a ready-set node
-# (``axioms.structural_key``), so a shared subterm is keyed once,
-# ``_reach`` the finished answer of ``semantics.is_reachable`` for a
-# non-initial plain node, and ``_enc`` the encoding of an initial parallel
-# composition (``encoding.encode_reachable``), which reads no serialization
-# order.  None of them refers back to its node, so a node's caches die with
-# it, by reference counting.
+# (``axioms.structural_key``), so a shared subterm is keyed once, and
+# ``_enc`` the encoding of an initial parallel composition
+# (``encoding.encode_reachable``), which reads no serialization order.
+# None of them refers back to its node, so a node's caches die with it, by
+# reference counting.
 
 _EMPTY: frozenset[str] = frozenset()
 
@@ -89,7 +88,7 @@ class Nil(_Node):
 
 class Prefix(_Node):
     __slots__ = ("action", "executed", "cont", "initial", "wellformed",
-                 "backward_ready", "_hash", "_rollback", "_reach", "__weakref__")
+                 "backward_ready", "_hash", "_rollback", "__weakref__")
     __match_args__ = ("action", "executed", "cont")
     plain = True
 
@@ -106,7 +105,6 @@ class Prefix(_Node):
         node.cont = cont
         _fill_prefix(node, action, executed, cont)
         node._hash = hash((action, executed, cont._hash))
-        node._reach = None
         _interned[key] = KeyedRef(node, _forget, key)
         return node
 
@@ -136,8 +134,7 @@ class Choice(_Node):
     """
 
     __slots__ = ("left", "right", "plain", "initial", "wellformed",
-                 "backward_ready", "_hash", "_rollback", "_key", "_reach",
-                 "__weakref__")
+                 "backward_ready", "_hash", "_rollback", "_key", "__weakref__")
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: "ProcessLike", right: "ProcessLike"):
@@ -160,7 +157,6 @@ class Choice(_Node):
         node._hash = hash((left._hash, right._hash))
         node._rollback = None
         node._key = None
-        node._reach = None
         if plain:
             _interned[key] = KeyedRef(node, _forget, key)
         return node
@@ -181,8 +177,7 @@ class Choice(_Node):
 
 class Par(_Node):
     __slots__ = ("sync", "left", "right", "initial", "wellformed",
-                 "backward_ready", "_hash", "_rollback", "_reach", "_enc",
-                 "__weakref__")
+                 "backward_ready", "_hash", "_rollback", "_enc", "__weakref__")
     __match_args__ = ("sync", "left", "right")
     plain = True
 
@@ -211,7 +206,6 @@ class Par(_Node):
             node.backward_ready = (bl - s) | (br_ - s) | (bl & br_ & s)
         node._hash = hash((sync, left._hash, right._hash))
         node._rollback = None
-        node._reach = None
         node._enc = None
         _interned[key] = KeyedRef(node, _forget, key)
         return node

@@ -797,8 +797,27 @@ def test_roots_and_leaves_with_a_product_inside_keep_their_states(monkeypatch):
     assert sizes == [2 * 2 + 2]  # 3 states per choice leaf, 2 classes; 0 keeps its one
 
 
-def test_the_undo_walk_decides_reachability():
-    terms = [t for t in enumerate_processes(3, ("a", "b")) if not is_initial(t)]
-    assert terms
+def _in_closure(x) -> bool:
+    """Whether ``x`` is a state of the closure of its initial version: a
+    reachability answer that does not walk back."""
+    return build_lts(to_initial(x)).index.get(x) is not None
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(_roots, _deep_roots))
+def test_the_undo_walk_decides_reachability(spec):
+    x = _root(spec)
+    assert is_reachable(x) == _in_closure(x), render(x)
+
+
+def test_the_undo_walk_decides_reachability_on_the_size_3_family():
+    # the family's terms are reachable; marking one more prefix gives
+    # hundreds of well-formed unreachable ones
+    family = list(enumerate_processes(3, ("a", "b")))
+    terms = set(family) | {_marked(t, pick) for t in family for pick in range(3)}
+    unreachable = 0
     for t in terms:
-        assert bisim._reached(t) == is_reachable(t), render(t)
+        reached = is_reachable(t)
+        assert reached == _in_closure(t), render(t)
+        unreachable += not reached and t.wellformed
+    assert unreachable > 100

@@ -16,12 +16,13 @@ from revexp import (
     Par,
     Prefix,
     Theory,
+    Variant,
     brs,
     build_lts,
     build_union,
+    check,
     encode,
     is_initial,
-    is_reachable,
     parse,
     prove_eq,
     render,
@@ -30,7 +31,7 @@ from revexp import (
 )
 from revexp.axioms import theory_encoding
 from revexp.encoding import _flatten
-from revexp.errors import NotReachableError, StateBudgetError
+from revexp.errors import NotReachableError
 from revexp.syntax import render_proof
 from revexp.terms import BrsPrefix, ParL
 from test_encoding import _assert_states_are_marked_environments
@@ -216,33 +217,6 @@ def test_identical_operands_share_one_encoding_and_keep_their_sides():
     assert _assert_states_are_marked_environments(p, u) > 0
 
 
-def test_a_reachability_answer_is_searched_once(monkeypatch):
-    walked = parse("a!.b.0 |[]| (c!.0 + b.0)")
-    unreachable = parse("a!.0 |[a]| 0", allow_illformed=True)
-    assert is_reachable(walked) and not is_reachable(unreachable)
-    calls = []
-    steps = revexp.semantics._steps
-
-    def counted(*args):
-        calls.append(args)
-        return steps(*args)
-
-    monkeypatch.setattr(revexp.semantics, "_steps", counted)
-    # a kept answer holds for any budget
-    assert is_reachable(walked) and is_reachable(walked, cap=1)
-    assert not is_reachable(unreachable) and not is_reachable(unreachable, cap=1)
-    assert calls == []
-
-
-def test_a_search_over_budget_keeps_no_answer():
-    p = parse("a!.b!.0 |[]| c!.0")
-    with pytest.raises(StateBudgetError):
-        is_reachable(p, cap=1)
-    assert p._reach is None
-    assert is_reachable(p)
-    assert p._reach is True
-
-
 def test_a_shared_suffix_displays_its_ready_set_by_its_path():
     u = encode(parse("a.0 |[]| b.0 |[]| c.0"))
     ab, ba = u.left.left.cont.left, u.left.right.cont.left
@@ -296,10 +270,16 @@ def test_no_module_level_cache_outlives_a_query():
     assert grown == {}
 
 
-@pytest.mark.parametrize("text", ["a!.0 |[a]| 0", "a!.0 + b!.0"])
+@pytest.mark.parametrize("text", ["a!.0 |[a]| 0", "a!.0 + b!.0",
+                                  "(a!.0 + b.0) |[a,b]| (a.0 + b!.0)"])
 def test_unreachable_input_is_refused_everywhere(text):
     p = parse(text, allow_illformed=True)
     fine = parse("a.0")
+    for variant in Variant:
+        with pytest.raises(NotReachableError):
+            check(p, fine, variant)
+        with pytest.raises(NotReachableError):
+            check(fine, p, variant)
     with pytest.raises(NotReachableError):
         encode(p)
     for theory in (Theory.R, Theory.FR):

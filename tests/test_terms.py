@@ -23,7 +23,8 @@ from revexp import (
 )
 from revexp.errors import ActUndefinedError
 from revexp.generate import enumerate_processes
-from revexp.semantics import build_lts
+from revexp import semantics
+from revexp.semantics import build_lts, forward_steps
 from revexp.syntax import render
 
 
@@ -73,6 +74,27 @@ def test_initial_wellformed_processes_are_reachable():
 
 def test_reachability_by_replay():
     assert is_reachable(P("a!.0 |[]| b!.0"))
+
+
+def test_reachability_walks_back_instead_of_searching_forward(monkeypatch):
+    # two steps into a product of nine components, whose closure has 4 ** 9
+    # states: the undo walk makes about 70 calls, a forward search from the
+    # initial version millions
+    p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 9))
+    for _ in range(2):
+        p = forward_steps(p)[0][1]
+    assert render(p).startswith("a!.b!.0 + c.0 |[]| a.b.0 + c.0")
+    calls = []
+    steps = semantics._steps
+
+    def bounded(*args):
+        calls.append(None)
+        if len(calls) > 200:
+            raise AssertionError("is_reachable stepped more than 200 terms")
+        return steps(*args)
+
+    monkeypatch.setattr(semantics, "_steps", bounded)
+    assert is_reachable(p)
 
 
 # --- frs / brs -------------------------------------------------------------
