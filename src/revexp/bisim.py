@@ -2,8 +2,8 @@
 
 Each is decided by partition refinement on the states its signatures read.
 A backward signature reads only incoming transitions, so :func:`check`
-decides RB on the undo cone of its two processes, the states that can
-reach either; a forward one reads only outgoing transitions, so FB and
+decides RB on the undo cone of its two processes, the reachable states
+that can reach either; a forward one reads only outgoing transitions, so FB and
 FB:ps are decided on the two processes' forward closure.  FRB reads both,
 and is decided, as :func:`check_brs` decides ready-set processes, on the
 union that closes the two initial versions root by root, in which a state
@@ -426,8 +426,8 @@ def check(p1: Process, p2: Process, variant: Variant,
     built, so an unreachable process raises :class:`NotReachableError`
     before a budget is exceeded.
     RB is decided on the undo cone of ``p1`` and ``p2``: a backward
-    signature reads only incoming transitions, each of which leaves from a
-    state that can reach its target.  FB and FB:ps are decided on the
+    signature reads only incoming transitions, and in the union each
+    leaves from a reachable state that can reach its target.  FB and FB:ps are decided on the
     forward closure of ``p1`` and ``p2``, as a forward signature reads
     only outgoing transitions and the FB:ps seed a state's own initiality.
     So the union's round partitions, restricted to the cone or closure,

@@ -147,33 +147,39 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
     serializations share the minimal trace; deciders that depend on the full
     encoding structure canonicalize over this tie set.  The histories come
     ordered by their rendered proofs, newest first; at most ``cap`` are
-    returned.
+    returned.  A history is a run read backward, so it passes only through
+    states from which undo steps lead to an initial term: an undo step of a
+    reachable state may land on a state no run reaches (see
+    :func:`~revexp.semantics.is_reachable`), and such steps are skipped.
     """
     # state -> (its least observation trace, newest first; the undo edges
-    # that start that trace, sorted by rendered proof)
+    # that start that trace, sorted by rendered proof), or None for a state
+    # no run reaches
     least: dict = {}
 
     def search(q: Process):
-        got = least.get(q)
-        if got is not None:
-            return got
+        if q in least:
+            return least[q]
+        got = None
         if is_initial(q):
             got = ((), [])
         else:
-            edges = undo_steps(q)
-            if not edges:
-                raise NotReachableError(
-                    f"{render(q)} has executed actions that cannot be undone"
-                )
             obs = tuple(sorted(brs(q)))
-            traces = [((act(t), obs),) + search(pred)[0] for t, pred in edges]
-            trace = min(traces)
-            kept = [e for e, tr in zip(edges, traces) if tr == trace]
-            got = (trace, sorted(kept, key=lambda e: render_proof(e[0])))
+            edges, traces = [], []
+            for edge in undo_steps(q):
+                before = search(edge[1])
+                if before is not None:
+                    edges.append(edge)
+                    traces.append(((act(edge[0]), obs),) + before[0])
+            if traces:
+                trace = min(traces)
+                kept = [e for e, tr in zip(edges, traces) if tr == trace]
+                got = (trace, sorted(kept, key=lambda e: render_proof(e[0])))
         least[q] = got
         return got
 
-    search(p)
+    if search(p) is None:
+        raise NotReachableError(f"{render(p)} is not reachable")
     histories: dict = {}
 
     def unfold(q: Process):

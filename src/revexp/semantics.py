@@ -2,8 +2,9 @@
 
 A single symmetric transition relation realizes the loop property: a forward
 transition from ``P`` to ``P'`` is also the backward (incoming) transition of
-``P'``.  Every forward step flips exactly one executed flag, so the reachable
-state space of any term is finite and :func:`build_lts` terminates.
+``P'``.  Every forward step sets an executed flag (a synchronization two),
+so the reachable state space of any term is finite and :func:`build_lts`
+terminates.
 Ready-set processes step by the same rules; a step's observation is its
 action, extended with the fired prefix's ready set on a ready-set process.
 
@@ -167,25 +168,40 @@ def brs_forward_steps(
 
 def is_reachable(p: Process) -> bool:
     """Whether a run from the initial version of ``p`` reaches ``p``, by a
-    greedy undo walk.
+    depth-first search over undo steps.
 
-    By the loop property every forward step into ``p`` is an undo step of
-    ``p``.  Reachable states are closed under undo: a run that ends in an
-    undo can be rearranged into undos followed by forward steps (the
-    parabolic lemma of CCSK), and an initial version has nothing to undo.
-    A reachable state that is not initial has an undo step, so any chain of
-    undo steps from a reachable ``p`` ends in its initial version; a chain
-    that ends there is a run to ``p`` read backward, so none does from an
-    unreachable one.  The walk takes the first undo step each time, and
-    each step clears an executed flag.  An ill-formed process has no undo
-    step and is not initial, so it is unreachable.
+    Each rule reads the same both ways (the loop property), so a chain of
+    undo steps from ``p`` that ends in an initial term is a run to ``p``
+    read backward, and a run to ``p`` read backward is such a chain: ``p``
+    is reachable exactly when some chain ends in its initial version.  Not
+    every chain does.  Synchronization carries no keys, so an undo step of
+    a reachable state may pair prefixes that no run fired together, and
+    land on a well-formed state that is unreachable and may have no undo
+    step: from ``(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)``, undoing
+    the two plain ``a!.0`` together leaves such a state.  So the search
+    backtracks.  It takes the first undo step first, which on the usual
+    reachable input is a straight walk back.  Each step clears an executed
+    flag, and a seen set and one ``_steps`` memo bound the search by the
+    states that can reach ``p``.  An ill-formed process is unreachable.
     """
-    while not p.initial:
-        steps = undo_steps(p)
-        if not steps:
-            return False
-        p = steps[0][1]
-    return True
+    return p.wellformed and _undoes_to_initial(p, {})
+
+
+def _undoes_to_initial(p: Process, memo: dict) -> bool:
+    """Whether a chain of undo steps from ``p`` ends in an initial term,
+    searched as :func:`is_reachable` searches, with ``memo`` passed to
+    :func:`_steps` read backward."""
+    seen = {id(p)}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if q.initial:
+            return True
+        for _, _, r in reversed(_steps(q, True, memo)):
+            if id(r) not in seen:
+                seen.add(id(r))
+                stack.append(r)
+    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -611,20 +627,24 @@ def _build(groups: list[list], max_states: int, classes: dict) -> Lts:
 
 
 def _undo_cone(groups: list[list], max_states: int) -> Lts:
-    """The states that can reach a root, with every incoming transition of each.
+    """The reachable states that can reach a root, with every incoming
+    transition of each.
 
     Each group's roots are numbered first, then the states they are undone
     to, breadth first over :func:`_steps` read backward; a state already
-    met in an earlier group is that group's state.  Every incoming
-    transition of a state leaves from a state that can reach it, so the
-    cone holds the source of each: it is all a backward signature reads.
+    met in an earlier group is that group's state.  An undo step of a
+    reachable state may land on a state that no run reaches (see
+    :func:`is_reachable`); such a state is skipped with its step.  Every
+    incoming transition of a reachable state leaves from a reachable state
+    that can reach it, so the cone holds the source of each: it is all a
+    backward signature reads, as in the closure of the initial versions.
     Outgoing transitions are those into the cone.  ``max_states`` bounds
-    the states each group adds.  The roots must be reachable, so that
-    every state met is well-formed; states are plain terms and are their
-    own index.
+    the states each group adds.  The roots must be reachable; states are
+    plain terms and are their own index.
     """
     memo: dict = {}
     index: dict = {}
+    unreached: set = set()
     terms: list = []
     source: list[int] = []
     target_ids: list[int] = []
@@ -651,6 +671,9 @@ def _undo_cone(groups: list[list], max_states: int) -> Lts:
             for theta, o, p in _steps(terms[sid], True, memo):
                 pid = index.get(p)
                 if pid is None:
+                    if p in unreached or not _undoes_to_initial(p, memo):
+                        unreached.add(p)
+                        continue
                     if len(terms) - first >= max_states:
                         raise StateBudgetError(
                             f"state budget of {max_states} states exceeded"

@@ -215,3 +215,13 @@ def test_prove_eq_agrees_with_the_checkers_on_a_sample():
         assert prove_eq(p1, p2, Theory.F) == check(p1, p2, Variant.FBPS).equivalent
         assert prove_eq(p1, p2, Theory.R) == check(p1, p2, Variant.RB).equivalent
         assert prove_eq(p1, p2, Theory.FR) == check(p1, p2, Variant.FRB).equivalent
+
+
+def test_a_history_takes_no_undo_step_that_no_run_takes():
+    # the first undo step of p leads to a state that no run reaches and that
+    # has nothing to undo; p's histories go round it
+    p = P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)")
+    for theory in Theory:
+        assert prove_eq(p, p, theory)
+    assert prove_eq(p, P("a!.b!.a!.0"), Theory.R)
+    assert check(p, P("a!.b!.a!.0"), Variant.RB).equivalent

@@ -815,9 +815,25 @@ def test_the_undo_walk_decides_reachability_on_the_size_3_family():
     # hundreds of well-formed unreachable ones
     family = list(enumerate_processes(3, ("a", "b")))
     terms = set(family) | {_marked(t, pick) for t in family for pick in range(3)}
+    # reachable, though its first undo step leads nowhere (see test_terms)
+    terms.add(P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)"))
     unreachable = 0
     for t in terms:
         reached = is_reachable(t)
         assert reached == _in_closure(t), render(t)
         unreachable += not reached and t.wellformed
     assert unreachable > 100
+
+
+def test_rb_reads_no_undo_step_that_no_run_takes():
+    # the first undo step of the walked synchronization leads to a state no
+    # run reaches; the union holds no such state, so neither does the cone
+    # RB decides on, and the walked state is RB-equivalent to a!.b!.a!.0
+    lefts = build_lts(P("(a.b.0 |[]| a.0) |[a,b]| (a.0 |[]| b.a.0)")).terms
+    rights = build_lts(P("a.b.a.0")).terms
+    for p, q in itertools.product(lefts, rights):
+        for v in ALL:
+            assert _checked(p, q, v) == _unquotiented(p, q, v), (render(p), render(q), v)
+    walked = P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)")
+    assert walked in lefts
+    assert check(walked, P("a!.b!.a!.0"), Variant.RB).equivalent

@@ -24,7 +24,7 @@ from revexp import (
 from revexp.errors import ActUndefinedError
 from revexp.generate import enumerate_processes
 from revexp import semantics
-from revexp.semantics import build_lts, forward_steps
+from revexp.semantics import build_lts, forward_steps, undo_steps
 from revexp.syntax import render
 
 
@@ -78,7 +78,7 @@ def test_reachability_by_replay():
 
 def test_reachability_walks_back_instead_of_searching_forward(monkeypatch):
     # two steps into a product of nine components, whose closure has 4 ** 9
-    # states: the undo walk makes about 70 calls, a forward search from the
+    # states: the undo search makes about 70 calls, a forward search from the
     # initial version millions
     p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 9))
     for _ in range(2):
@@ -96,6 +96,20 @@ def test_reachability_walks_back_instead_of_searching_forward(monkeypatch):
     monkeypatch.setattr(semantics, "_steps", bounded)
     assert is_reachable(p)
 
+
+
+def test_reachability_backtracks_past_an_undo_step_no_run_takes():
+    # synchronization carries no keys: the first undo step pairs the two
+    # plain a!.0, which no run fires together, and lands on a well-formed
+    # state that no run reaches and that has nothing to undo
+    p = P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)")
+    (_, dead), *_ = undo_steps(p)
+    assert render(dead) == "a!.b!.0 |[]| a.0 |[a,b]| (a.0 |[]| b!.a!.0)"
+    assert dead.wellformed and undo_steps(dead) == []
+    assert build_lts(to_initial(dead)).index.get(dead) is None
+    assert not is_reachable(dead)
+    assert build_lts(to_initial(p)).index.get(p) is not None
+    assert is_reachable(p)
 
 # --- frs / brs -------------------------------------------------------------
 
