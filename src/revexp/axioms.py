@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .encoding import (
-    ExecutionOrder,
     HistoryOrder,
-    _flatten,
     _order_blind,
+    _split,
     _sum,
+    _summands,
     canonical_order,
-    encode,
     encode_reachable,
     minimal_trace_histories,
 )
@@ -154,9 +153,10 @@ def _is_fnf_cont(p: Process, memo: dict) -> bool:
 
 
 def _fnf_parts(p: Process) -> tuple[str | None, list[Prefix]]:
-    if isinstance(p, Prefix) and p.executed:
-        return p.action, _flatten(p.cont)
-    return None, _flatten(p)
+    head, rest, _ = _split(p)
+    if head is None:
+        return None, rest
+    return head.action, _split(head.cont)[1]
 
 
 def expansion_law_f(p1: Process, p2: Process, sync) -> Process:
@@ -254,31 +254,6 @@ def is_rnf(u: BrsProcess) -> bool:
     return isinstance(u, BrsPrefix) and u.executed and is_rnf(u.cont)
 
 
-def _brs_summands(u: BrsProcess) -> list:
-    if isinstance(u, Choice):
-        return _brs_summands(u.left) + _brs_summands(u.right)
-    return [u]
-
-
-def _split_brs(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix], bool]:
-    """(executed-branch summand, initial summands, had 0 summands inside a choice)."""
-    head = None
-    rest = []
-    dropped = False
-    leaves = _brs_summands(u)
-    for leaf in leaves:
-        if isinstance(leaf, Nil):
-            dropped = dropped or len(leaves) > 1
-            continue
-        if leaf.executed or not leaf.cont.initial:
-            if head is not None:
-                raise NotNormalizedError("two non-initial summands in one choice")
-            head = leaf
-        else:
-            rest.append(leaf)
-    return head, rest, dropped
-
-
 def is_frnf(u: BrsProcess) -> bool:
     """Optional executed branch, then a sum of unexecuted prefixes with
     initial continuations in the same form (up to association)."""
@@ -293,23 +268,17 @@ def _is_frnf(u: BrsProcess, memo: dict) -> bool:
 
 
 def _is_frnf_node(u: BrsProcess, memo: dict) -> bool:
-    if isinstance(u, Nil):
-        return True
-    leaves = _brs_summands(u)
-    if any(isinstance(leaf, Nil) for leaf in leaves):
+    try:
+        head, rest, dropped = _split(u)
+    except NotNormalizedError:
         return False
-    heads = [i for i, leaf in enumerate(leaves) if leaf.executed]
-    if any(not leaf.executed and not leaf.cont.initial for leaf in leaves):
+    if dropped:
         return False
-    if len(heads) > 1 or (heads and heads[0] != 0):
-        return False
-    for i, leaf in enumerate(leaves):
-        if i in heads:
-            if not _is_frnf(leaf.cont, memo):
-                return False
-        elif not (leaf.cont.initial and _is_frnf(leaf.cont, memo)):
+    if head is not None:
+        if not head.executed or _summands(u)[0] is not head:
             return False
-    return True
+        rest = [head, *rest]
+    return all(_is_frnf(s.cont, memo) for s in rest)
 
 
 def _copy_prefix(s: BrsPrefix, cont: BrsProcess) -> BrsPrefix:
@@ -325,7 +294,7 @@ def normalize_r(u: BrsProcess, trace: Trace | None = None) -> BrsProcess:
 
 
 def _normalize_r(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
-    head, rest, _ = _split_brs(u)
+    head, rest, _ = _split(u)
     if head is None:
         if not isinstance(u, Nil):
             _log(log, "A_R,3")
@@ -343,13 +312,12 @@ def normalize_fr(u: BrsProcess, trace: Trace | None = None) -> BrsProcess:
 def _normalize_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     if isinstance(u, Nil):
         return u
-    head, rest, dropped = _split_brs(u)
+    head, rest, dropped = _split(u)
     if dropped:
         _log(log, "A_FR,3")
     parts: list[BrsProcess] = []
     if head is not None:
-        leaves = _brs_summands(u)
-        if leaves and leaves[0] is not head:
+        if _summands(u)[0] is not head:
             _log(log, "A_FR,2")
         parts.append(_copy_prefix(head, rw(head.cont, log, f"{head.action}!.")))
     parts.extend(
@@ -416,7 +384,7 @@ def structural_key(u: BrsProcess):
 def _canon_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     if isinstance(u, Nil):
         return u
-    head, rest, _ = _split_brs(u)
+    head, rest, _ = _split(u)
     canon_rest = [_copy_prefix(s, rw(s.cont, log, f"{s.action}.")) for s in rest]
     parts: list[BrsProcess] = []
     if head is not None:
@@ -482,14 +450,12 @@ def _fr_encoding(p: Process, traced: bool):
 
 
 def prove_eq(p1: Process, p2: Process, theory: Theory,
-             trace: Trace | None = None,
-             order: ExecutionOrder | None = None) -> bool:
+             trace: Trace | None = None) -> bool:
     """Equality in the chosen axiom system, decided via normal forms.
 
     The forward theory works on the processes themselves; the reverse and
-    forward-reverse theories encode both sides (under canonical histories,
-    unless an explicit order is supplied) and compare the encodings' normal
-    forms.
+    forward-reverse theories encode both sides under canonical histories
+    (see :func:`theory_encoding`) and compare the encodings' normal forms.
     """
     if theory is Theory.F:
         for p in (p1, p2):
@@ -498,19 +464,12 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
         n1 = canonical(normalize_f(p1, trace), Theory.F, trace)
         n2 = canonical(normalize_f(p2, trace), Theory.F, trace)
         return n1 == n2
-    if order is None and theory is Theory.FR:
+    if theory is Theory.FR:
         # choosing the encodings already normalized them
         _, n1, steps1 = _fr_encoding(p1, trace is not None)
         _, n2, steps2 = _fr_encoding(p2, trace is not None)
         if trace is not None:
             trace += steps1 + steps2
         return n1 == n2
-    if order is not None:
-        u1, u2 = encode(p1, order), encode(p2, order)
-    else:
-        u1, u2 = theory_encoding(p1, theory), theory_encoding(p2, theory)
-    if theory is Theory.R:
-        return normalize_r(u1, trace) == normalize_r(u2, trace)
-    n1 = canonical(normalize_fr(u1, trace), Theory.FR, trace)
-    n2 = canonical(normalize_fr(u2, trace), Theory.FR, trace)
-    return n1 == n2
+    u1, u2 = theory_encoding(p1, theory), theory_encoding(p2, theory)
+    return normalize_r(u1, trace) == normalize_r(u2, trace)

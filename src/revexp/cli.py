@@ -48,10 +48,6 @@ def _state_cap() -> int:
     return cap
 
 
-def _parse_term(text: str, allow_illformed: bool):
-    return parse(text, allow_illformed=allow_illformed)
-
-
 def _actions(text: str, option: str) -> tuple[str, ...]:
     """The comma-separated entries of ``option``, each an action name the
     parser accepts other than tau (alphabets also make synchronization sets)."""
@@ -87,8 +83,8 @@ def _order_from_spec(spec: str):
 
 
 def _cmd_check(args) -> int:
-    p1 = _parse_term(args.p1, args.allow_illformed)
-    p2 = _parse_term(args.p2, args.allow_illformed)
+    p1 = parse(args.p1, allow_illformed=args.allow_illformed)
+    p2 = parse(args.p2, allow_illformed=args.allow_illformed)
     verdict = check(p1, p2, _VARIANTS[args.variant], _state_cap())
     if verdict.equivalent:
         # read (and so check) the witness before printing the answer
@@ -105,7 +101,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lts(args) -> int:
-    p = _parse_term(args.process, args.allow_illformed)
+    p = parse(args.process, allow_illformed=args.allow_illformed)
     if args.brs:
         lts = build_brs_lts(encode(p, default_order()), _state_cap())
     else:
@@ -115,14 +111,14 @@ def _cmd_lts(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    p = _parse_term(args.process, args.allow_illformed)
+    p = parse(args.process, allow_illformed=args.allow_illformed)
     order = _order_from_spec(args.order)
     print(render(encode(p, order), unicode=args.unicode))
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    p = _parse_term(args.process, args.allow_illformed)
+    p = parse(args.process, allow_illformed=args.allow_illformed)
     theory = _THEORIES[args.theory]
     if theory is Theory.F:
         result = normalize_f(p)
@@ -135,8 +131,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    p1 = _parse_term(args.p1, args.allow_illformed)
-    p2 = _parse_term(args.p2, args.allow_illformed)
+    p1 = parse(args.p1, allow_illformed=args.allow_illformed)
+    p2 = parse(args.p2, allow_illformed=args.allow_illformed)
     trace = [] if args.trace else None
     equal = prove_eq(p1, p2, _THEORIES[args.theory], trace)
     print("equal" if equal else "not equal")
@@ -146,8 +142,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    p1 = _parse_term(args.p1, args.allow_illformed)
-    p2 = _parse_term(args.p2, args.allow_illformed)
+    p1 = parse(args.p1, allow_illformed=args.allow_illformed)
+    p2 = parse(args.p2, allow_illformed=args.allow_illformed)
     sync = _actions(args.sync, "--sync")
     expanded = expansion_law_f(normalize_f(p1), normalize_f(p2), sync)
     print(render(normalize_f(expanded), unicode=args.unicode))

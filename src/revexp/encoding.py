@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     EncodingInputError,
+    NotNormalizedError,
     NotReachableError,
     OrderUndefinedError,
 )
@@ -278,34 +279,52 @@ def _encode(p: Process, sigma: ProofPath, env: Process,
     return _expand(u1, u2, frozenset(p.sync), sigma, env, order, {})
 
 
-def _flatten(u: ProcessLike) -> list:
-    """The summands of a choice tree, left to right, without its 0 leaves."""
-    if isinstance(u, Nil):
-        return []
-    if isinstance(u, Choice):
-        return _flatten(u.left) + _flatten(u.right)
-    return [u]
+def _summands(u: ProcessLike) -> list:
+    """The leaves of a choice tree, left to right, 0 included."""
+    out = []
+    todo = [u]
+    while todo:
+        x = todo.pop()
+        if type(x) is Choice:
+            todo.append(x.right)
+            todo.append(x.left)
+        else:
+            out.append(x)
+    return out
+
+
+def _split(u: ProcessLike) -> tuple[ProcessLike | None, list, bool]:
+    """``(head, rest, dropped)``: the one summand of ``u`` that is executed
+    or sits over a non-initial continuation (``None`` if there is none), the
+    initial summands other than 0, left to right, and whether a 0 sat inside
+    a choice.  This is how the expansion laws and the normal forms read a
+    choice; a second non-initial summand raises :class:`NotNormalizedError`."""
+    leaves = _summands(u)
+    head = None
+    rest = []
+    for s in leaves:
+        if s.initial:
+            if s is not NIL:
+                rest.append(s)
+        elif head is None:
+            head = s
+        else:
+            raise NotNormalizedError("two non-initial summands in one choice")
+    return head, rest, len(leaves) > 1 and len(rest) + (head is not None) < len(leaves)
 
 
 def _decompose(u: BrsProcess, memo: dict) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
-    """Split into the executed head summand (if any) and the initial summands;
-    ``memo`` keeps the split by the id of ``u`` (the value keeps ``u``)."""
+    """:func:`_split` of an expansion operand fragment; ``memo`` keeps the
+    split by the id of ``u`` (the value keeps ``u``)."""
     got = memo.get(id(u))
     if got is not None:
         return got[0], got[1]
-    head = None
-    rest = []
-    for s in _flatten(u):
+    head, rest, _ = _split(u)
+    for s in rest if head is None else (head, *rest):
         if s.proof is None or s.state is None:
             raise EncodingInputError(
                 "expansion operands must carry proof and state annotations; use encode()"
             )
-        if s.executed or not s.cont.initial:
-            if head is not None:
-                raise EncodingInputError("operand has two non-initial summands")
-            head = s
-        else:
-            rest.append(s)
     memo[id(u)] = (head, rest, u)
     return head, rest
 
@@ -327,7 +346,11 @@ def expand_parallel(u1: BrsProcess, u2: BrsProcess, sync, env: Process,
     ``env`` is a process with a parallel composition at the operator path
     ``sigma``; ``u1`` and ``u2`` must be the results of :func:`encode` on
     its two operands (their prefixes carry proof and state annotations).
+    Well-formedness is inductive, so checking the operands here covers every
+    fragment the expansion splits.
     """
+    if not (u1.wellformed and u2.wellformed):
+        raise EncodingInputError("expansion operands must be well-formed")
     if order is None:
         order = default_order()
     sigma = tuple(sigma)
@@ -585,7 +608,7 @@ def comparison_key(u: BrsProcess):
     """
     if isinstance(u, Nil):
         return ("0",)
-    head, rest = _split_plain(u)
+    head, rest, _ = _split(u)
     keys = {_summand_key(s) for s in rest}
     if head is None:
         return ("+",) + tuple(sorted(keys))
@@ -601,22 +624,11 @@ def _summand_key(s: BrsPrefix):
 
 def last_executed(u: BrsProcess) -> str | None:
     """Action of the most recently executed prefix of a ready-set process."""
-    head, _ = _split_plain(u)
+    head = _split(u)[0]
     if head is None:
         return None
     inner = last_executed(head.cont)
     return inner if inner is not None else head.action
-
-
-def _split_plain(u: BrsProcess) -> tuple[BrsPrefix | None, list[BrsPrefix]]:
-    head = None
-    rest = []
-    for s in _flatten(u):
-        if s.executed or not is_initial(s.cont):
-            head = s
-        else:
-            rest.append(s)
-    return head, rest
 
 
 def brs_preserved_shape(p: Process) -> bool:

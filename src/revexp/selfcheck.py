@@ -28,7 +28,7 @@ from .axioms import (
     structural_key,
     theory_encoding,
 )
-from .bisim import Variant, check, check_brs, refine
+from .bisim import Variant, _sequential, check, check_brs, refine
 from .encoding import brs_preserved_shape, encode, verify_correspondence
 from .errors import NotReachableError
 from .generate import enumerate_processes, seed_terms
@@ -271,7 +271,7 @@ def loop_and_tree_suite(max_size: int, alphabet,
     report = SuiteReport("loop and tree properties")
     for seed in seed_terms(max_size, alphabet):
         lts = build_lts(seed, max_states)
-        sequential = not any(isinstance(sub, Par) for sub in _subterms(seed))
+        sequential = _sequential(seed)
         for sid in range(lts.num_states):
             report.checked += 1
             has_incoming = bool(lts.incoming_ids[sid])
@@ -286,14 +286,6 @@ def loop_and_tree_suite(max_size: int, alphabet,
         if sequential and len(lts.transitions) != lts.num_states - 1:
             report.failures.append(f"{render(seed)}: sequential system is not a tree")
     return report
-
-
-def _subterms(p):
-    yield p
-    for attr in ("cont", "left", "right"):
-        child = getattr(p, attr, None)
-        if child is not None:
-            yield from _subterms(child)
 
 
 def run_selftest(max_size: int, alphabet,

@@ -183,8 +183,24 @@ def is_reachable(p: Process) -> bool:
     reachable input is a straight walk back.  Each step clears an executed
     flag, and a seen set and one ``_steps`` memo bound the search by the
     states that can reach ``p``.  An ill-formed process is unreachable.
+
+    Under an interleaving ``|[]|`` the operands step independently, so a
+    product is reachable exactly when each operand is: such products are
+    decided operand by operand, and only the other parts are searched.  An
+    unreachable operand is then refused on its own cone, not on the product
+    of every operand's cone.
     """
-    return p.wellformed and _undoes_to_initial(p, {})
+    if not p.wellformed:
+        return False
+    memo: dict = {}
+    parts = [p]
+    while parts:
+        q = parts.pop()
+        if type(q) is Par and not q.sync:
+            parts += (q.right, q.left)
+        elif not _undoes_to_initial(q, memo):
+            return False
+    return True
 
 
 def _undoes_to_initial(p: Process, memo: dict) -> bool:

@@ -53,6 +53,14 @@ def test_is_frnf():
     assert not is_frnf(Choice(encode(P("a.0")), NIL))
 
 
+def test_the_normalizers_refuse_two_executed_summands():
+    two = Choice(encode(P("a!.0")), encode(P("b!.0")))
+    for normalize in (normalize_r, normalize_fr):
+        with pytest.raises(NotNormalizedError):
+            normalize(two)
+    assert not is_frnf(two)
+
+
 # --- the interleaving expansion ------------------------------------------------
 
 def test_expansion_of_nil_pair():

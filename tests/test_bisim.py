@@ -589,15 +589,45 @@ def _marked(p, pick):
     return rebuild(p, prefixes[pick % len(prefixes)]) if prefixes else p
 
 
+def _desynced(p, pick):
+    """``p`` with one operand of a synchronized product stepped alone by a
+    synchronized action, which mostly gives a well-formed term that no run
+    reaches."""
+    out = []
+
+    def visit(x, put):
+        if isinstance(x, Prefix):
+            visit(x.cont, lambda y: put(Prefix(x.action, x.executed, y)))
+        elif isinstance(x, Choice):
+            visit(x.left, lambda y: put(Choice(y, x.right)))
+            visit(x.right, lambda y: put(Choice(x.left, y)))
+        elif isinstance(x, Par):
+            for theta, y in semantics.forward_steps(x.left):
+                if act(theta) in x.sync:
+                    out.append(put(Par(x.sync, y, x.right)))
+            for theta, y in semantics.forward_steps(x.right):
+                if act(theta) in x.sync:
+                    out.append(put(Par(x.sync, x.left, y)))
+            visit(x.left, lambda y: put(Par(x.sync, y, x.right)))
+            visit(x.right, lambda y: put(Par(x.sync, x.left, y)))
+
+    visit(p, lambda y: y)
+    out = [q for q in out if q.wellformed]
+    return out[pick % len(out)] if out else p
+
+
 _roots = st.tuples(_random_products(), st.lists(st.integers(0, 10**6), max_size=6),
-                   st.integers(0, 4), st.integers(0, 10**6))
+                   st.integers(0, 5), st.integers(0, 10**6))
 
 
 def _root(spec):
-    """A walked state, or about one time in five a marked one."""
+    """A walked state, or about one time in six each a marked one and a
+    desynchronized one."""
     p, picks, which, mark = spec
     p = _walked_to(p, picks)
-    return _marked(p, mark) if which == 4 else p
+    if which == 4:
+        return _marked(p, mark)
+    return _desynced(p, mark) if which == 5 else p
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -621,7 +651,7 @@ def _deep_products():
 
 
 _deep_roots = st.tuples(_deep_products(), st.lists(st.integers(0, 10**6), max_size=12),
-                        st.integers(0, 4), st.integers(0, 10**6))
+                        st.integers(0, 5), st.integers(0, 10**6))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -170,6 +170,17 @@ def test_expand_parallel_requires_operand_states():
         expand_parallel(stateless, NIL, (), P("a.0 |[]| 0"))
 
 
+def test_expand_parallel_requires_well_formed_operands():
+    # both summands carry their annotations; only the second executed one is wrong
+    two = Choice(encode(P("a!.0")), encode(P("b!.0")))
+    env = P("(a!.0 + b!.0) |[]| c.0", allow_illformed=True)
+    with pytest.raises(EncodingInputError):
+        expand_parallel(two, encode(P("c.0")), (), env)
+    env = P("c.0 |[]| (a!.0 + b!.0)", allow_illformed=True)
+    with pytest.raises(EncodingInputError):
+        expand_parallel(encode(P("c.0")), two, (), env)
+
+
 def test_expand_parallel_requires_a_parallel_composition_at_the_path():
     with pytest.raises(EncodingInputError):
         expand_parallel(NIL, NIL, (), P("a.0"))

@@ -30,7 +30,7 @@ from revexp import (
     upd,
 )
 from revexp.axioms import theory_encoding
-from revexp.encoding import _flatten
+from revexp.encoding import _summands
 from revexp.errors import NotReachableError
 from revexp.syntax import render_proof
 from revexp.terms import BrsPrefix, ParL
@@ -170,7 +170,7 @@ def test_only_initial_products_keep_their_encoding():
     assert all(u == results[0] for u in results)
     assert p._enc is None
     assert p.left._enc is not None  # an initial operand product is kept
-    for state in (u.state for u in _flatten(results[0])):
+    for state in (u.state for u in _summands(results[0])):
         assert state._enc is None
 
 

@@ -84,18 +84,33 @@ def test_reachability_walks_back_instead_of_searching_forward(monkeypatch):
     for _ in range(2):
         p = forward_steps(p)[0][1]
     assert render(p).startswith("a!.b!.0 + c.0 |[]| a.b.0 + c.0")
+    _bound_steps(monkeypatch, 200)
+    assert is_reachable(p)
+
+
+def test_an_unreachable_interleaving_is_refused_without_its_whole_cone(monkeypatch):
+    # the synchronized part of each component has nothing to undo, so no
+    # run reaches it; the product's undo cone still has 3 ** 9 states, and
+    # a search over it makes tens of thousands of calls
+    part = "((a!.0 + b.0) |[a,b]| (a.0 + b!.0)) |[]| (a!.b!.0 + c.0)"
+    p = P(" |[]| ".join([f"({part})"] * 9))
+    assert p.wellformed
+    _bound_steps(monkeypatch, 200)
+    assert not is_reachable(p)
+
+
+def _bound_steps(monkeypatch, limit):
+    """Make ``semantics._steps`` fail once called more than ``limit`` times."""
     calls = []
     steps = semantics._steps
 
     def bounded(*args):
         calls.append(None)
-        if len(calls) > 200:
-            raise AssertionError("is_reachable stepped more than 200 terms")
+        if len(calls) > limit:
+            raise AssertionError(f"is_reachable stepped more than {limit} terms")
         return steps(*args)
 
     monkeypatch.setattr(semantics, "_steps", bounded)
-    assert is_reachable(p)
-
 
 
 def test_reachability_backtracks_past_an_undo_step_no_run_takes():
