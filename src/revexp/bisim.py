@@ -22,12 +22,17 @@ Signatures are deduplicated per state: matching in the transfer clauses
 is existential per observation, so the multiplicity of equally labeled
 transitions must not split blocks.
 
-Refinement keeps the rounds of the signature loop (each round splits every
-block by its states' signatures under the last partition) but runs them as
-a worklist over stable block ids: a round recomputes only the signatures
-that the last round's splits can have changed.  A check stops at the first
-round that separates its pair, and that round's two signatures explain the
-verdict.
+Every forward step executes a prefix, so the forward steps of a system
+form a DAG, and refinement finds the stable partition in a few sweeps over
+it: one sweep in topological order gives the coarsest refinement that is
+stable in one direction, and sweeps alternate between the variant's
+directions until neither splits a block (Dovier, Piazza & Policriti 2004).
+A pair that the stable partition separates is explained by the rounds of
+the signature loop (each round splits every block by its states'
+signatures under the last partition), run as a worklist over stable block
+ids: a round recomputes only the signatures that the last round's splits
+can have changed.  A check stops at the first round that separates its
+pair, and that round's two signatures explain the verdict.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import cycle
 
 from .errors import NotReachableError, StateBudgetError, WitnessCheckError
 from .semantics import (
@@ -174,34 +180,88 @@ def _signature_of(lts: Lts, blocks: list[int], variant: Variant):
     return signature
 
 
+def _forward_order(lts: Lts) -> list[int]:
+    """The states in a topological order of the forward steps, by Kahn's
+    algorithm over ``incoming_ids`` and ``outgoing``.
+
+    Every forward step executes a prefix, so the forward steps of a
+    system form a DAG; a state that the algorithm leaves unordered lies on
+    or behind a forward cycle, and raises ``ValueError``.
+    """
+    dst, outgoing = lts.target, lts.outgoing
+    pending = [len(edges) for edges in lts.incoming_ids]
+    order = [s for s, k in enumerate(pending) if not k]
+    for s in order:  # grows as it is read
+        for i in outgoing[s]:
+            t = dst[i]
+            pending[t] -= 1
+            if not pending[t]:
+                order.append(t)
+    if len(order) < len(pending):
+        raise ValueError(
+            f"refinement needs acyclic forward steps: {len(pending) - len(order)} "
+            f"states lie on or behind a forward cycle")
+    return order
+
+
+def _label(states, blocks, new, ids, edges, end, obs) -> None:
+    """Give each of ``states``, in order, the id of its block under
+    ``blocks`` and its (observation, new id) set along ``edges``."""
+    for s in states:
+        new[s] = ids.setdefault(
+            (blocks[s], frozenset([(obs[i], new[end[i]]) for i in edges[s]])), len(ids))
+
+
+def _sweep(lts: Lts, blocks: list[int], order: list[int], forward: bool,
+           watch: tuple[int, int] | None):
+    """One sweep over ``order``: the coarsest refinement of ``blocks``
+    that is stable in one direction, and its number of blocks.
+
+    A forward sweep reads outgoing steps in reverse topological order, a
+    backward one incoming steps in topological order, so the ends of a
+    state's steps have their new ids before the state.  With ``watch``,
+    the sweep returns ``None`` as soon as both states of the pair have
+    ids and they differ.
+    """
+    edges, end = (lts.outgoing, lts.target) if forward else (lts.incoming_ids, lts.source)
+    new = [0] * len(blocks)
+    ids: dict = {}
+    if watch is not None:
+        cut = 1 + max(order.index(watch[0]), order.index(watch[1]))
+        _label(order[:cut], blocks, new, ids, edges, end, lts.obs)
+        if new[watch[0]] != new[watch[1]]:
+            return None
+        order = order[cut:]
+    _label(order, blocks, new, ids, edges, end, lts.obs)
+    return new, len(ids)
+
+
 def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     """Coarsest stable partition; optionally reports the step splitting ``watch``.
 
     Returns ``(blocks, split)`` where ``blocks`` maps state id to block id.
-    The partitions P0, P1, ... are those of the round-based loop: P0 is the
-    seed (all states together, or split by initiality for FB:ps), and
-    P(k+1) splits each block of Pk by its states' signatures under Pk.
+    The seed is all states together, or split by initiality for FB:ps.
 
-    The rounds run as a worklist.  Block ids stay stable: a block that
-    splits keeps its id for one part and gives the others fresh ids.  A
-    state's signature can change only when a state it points to (forward)
-    or is pointed to by (backward) moved to a fresh id in the last round,
-    so a round recomputes the signatures of those dirty states alone.  The
-    clean members of a block share its last signature, so each touched
-    block compares its dirty states against one clean member, whose part
-    keeps the id.  The first round computes every signature.
+    The forward steps form a DAG (see :func:`_forward_order`), so the
+    coarsest refinement of a partition that is stable in one direction
+    takes one sweep (:func:`_sweep`; Dovier, Piazza & Policriti 2004).
+    Sweeps alternate between the variant's directions from the seed.  A
+    sweep's result is stable in its direction, and coarser than or equal
+    to the stable partition; once a sweep after one in the other
+    direction splits nothing, the partition is stable both ways.  FB,
+    FB:ps and RB take one sweep.
 
-    With ``watch``, ``split`` is ``None`` or ``(sig_left, sig_right)``, the
-    two signatures under the partition of the first round that separates
-    the pair, and ``refine`` returns that round's partition at once: a
-    non-equivalent verdict needs no stable partition.  ``split`` is
-    ``((), ())`` when the seed separates the pair.  Its signatures carry
-    stable ids, not the ids of a round loop, but the counterexample is the
-    same: :func:`_describe_split` reads which observations differ, never
-    the ids, and any renaming of blocks keeps which observations those are.
+    With ``watch``, ``split`` is ``None`` when the pair shares a block of
+    the stable partition.  A pair that a sweep separates is separated in
+    the stable partition too; then ``refine`` runs the round-based loop
+    (:func:`_worklist`) to the first round that separates the pair, and
+    returns that round's partition with ``split = (sig_left, sig_right)``,
+    the pair's signatures under the round before: a non-equivalent
+    verdict needs no stable partition.  ``split`` is ``((), ())`` when
+    the seed separates the pair.
 
-    Blocks are numbered by their first state at the end, as the round loop
-    numbers them; when no round splits, the seed comes back unchanged.
+    Blocks are numbered by their first state; when nothing splits, the
+    seed comes back unchanged.
     """
     n = lts.num_states
     if variant.past_sensitive:
@@ -210,6 +270,51 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
         seed = [0] * n
     if watch is not None and seed[watch[0]] != seed[watch[1]]:
         return seed, ((), ())  # separated by the initiality seed itself
+    order = _forward_order(lts)
+    orders = {True: order[::-1], False: order}
+    directions = [forward for forward, on in ((True, variant.forward),
+                                              (False, variant.backward)) if on]
+    blocks = seed
+    count = seeded = len(set(seed))
+    stable_ways = 0  # the directions the last sweeps found blocks stable in
+    for forward in cycle(directions):
+        swept = _sweep(lts, blocks, orders[forward], forward, watch)
+        if swept is None:
+            return _worklist(lts, variant, seed, watch)
+        blocks, last = swept
+        stable_ways = stable_ways + 1 if last == count else 1
+        count = last
+        if stable_ways == len(directions):
+            break
+    if count == seeded:
+        return seed, None
+    ids: dict[int, int] = {}
+    return [ids.setdefault(b, len(ids)) for b in blocks], None
+
+
+def _worklist(lts: Lts, variant: Variant, seed: list[int], watch: tuple[int, int]):
+    """The round-based refinement from ``seed``, run as a worklist to the
+    first round that separates the pair ``watch``.
+
+    The partitions P0, P1, ... are those of the round-based loop: P0 is
+    the seed, and P(k+1) splits each block of Pk by its states'
+    signatures under Pk.  Block ids stay stable: a block that splits
+    keeps its id for one part and gives the others fresh ids.  A state's
+    signature can change only when a state it points to (forward) or is
+    pointed to by (backward) moved to a fresh id in the last round, so a
+    round recomputes the signatures of those dirty states alone.  The
+    clean members of a block share its last signature, so each touched
+    block compares its dirty states against one clean member, whose part
+    keeps the id.  The first round computes every signature.
+
+    Returns that round's partition, its blocks numbered by their first
+    state as the round loop numbers them, and ``(sig_left, sig_right)``,
+    the pair's two signatures under the round before.  They carry stable
+    ids, not the ids of a round loop, but the counterexample is the same:
+    :func:`_describe_split` reads which observations differ, never the
+    ids, and any renaming of blocks keeps which observations those are.
+    """
+    n = lts.num_states
     src, dst = lts.source, lts.target
     outgoing, incoming = lts.outgoing, lts.incoming_ids
     blocks = list(seed)
@@ -253,8 +358,8 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
                     next_id += 1
         for s in dirty:
             is_dirty[s] = 0
-        if watch is not None:  # under the partition this round splits
-            watched = (signature(watch[0]), signature(watch[1]))
+        # under the partition this round splits
+        watched = (signature(watch[0]), signature(watch[1]))
         moved = []
         for nid, part in moves:
             members[blocks[part[0]]].difference_update(part)
@@ -262,12 +367,10 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
             for s in part:
                 blocks[s] = nid
             moved.extend(part)
-        if watch is not None and blocks[watch[0]] != blocks[watch[1]]:
+        if blocks[watch[0]] != blocks[watch[1]]:
             split = watched
             break
         dirty = {end[i] for edges, end in readers for s in moved for i in edges[s]}
-    if blocks == seed:
-        return seed, split
     ids: dict[int, int] = {}
     return [ids.setdefault(b, len(ids)) for b in blocks], split
 

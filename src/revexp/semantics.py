@@ -185,10 +185,13 @@ def is_reachable(p: Process) -> bool:
     states that can reach ``p``.  An ill-formed process is unreachable.
 
     Under an interleaving ``|[]|`` the operands step independently, so a
-    product is reachable exactly when each operand is: such products are
-    decided operand by operand, and only the other parts are searched.  An
-    unreachable operand is then refused on its own cone, not on the product
-    of every operand's cone.
+    product is reachable exactly when each operand is.  An executed prefix
+    fired before anything in its continuation, so it is reachable exactly
+    when its continuation is, and a choice that has fired is reachable
+    exactly when its non-initial side is.  The search descends through
+    these three and searches only the other parts, so an unreachable
+    operand is refused on its own cone, not on the product of every
+    operand's cone.
     """
     if not p.wellformed:
         return False
@@ -198,6 +201,10 @@ def is_reachable(p: Process) -> bool:
         q = parts.pop()
         if type(q) is Par and not q.sync:
             parts += (q.right, q.left)
+        elif type(q) is Prefix and q.executed:
+            parts.append(q.cont)
+        elif type(q) is Choice and not q.initial:
+            parts.append(q.right if q.left.initial else q.left)
         elif not _undoes_to_initial(q, memo):
             return False
     return True

@@ -478,7 +478,9 @@ def test_a_separated_pair_stops_at_its_separating_round():
 
 
 def test_refine_recomputes_fewer_signatures_than_the_round_loop(monkeypatch):
-    # the round loop computes every signature in every round, 4-6 per state here
+    # only a watched refinement that a sweep separates runs the rounds; the
+    # round loop computes every signature in each of the five rounds before
+    # the pair's separating one, the worklist about 3.5-4 per state
     computed = []
     signature_of = bisim._signature_of
 
@@ -487,14 +489,65 @@ def test_refine_recomputes_fewer_signatures_than_the_round_loop(monkeypatch):
         return lambda s: computed.append(s) or signature(s)
 
     monkeypatch.setattr(bisim, "_signature_of", counted)
+    leaves = ["(a.b.0 + c.0)"] * 3
+    # the roots differ in the action after four a's, the walked chains in
+    # the one before them
+    forward = [P(" |[]| ".join(leaves + [chain])) for chain in ("a.a.a.a.b.0", "a.a.a.a.c.0")]
+    backward = [_walked_to(P(" |[]| ".join([chain] + leaves)), [0] * 5)
+                for chain in ("b.a.a.a.a.0", "c.a.a.a.a.0")]
+    for v in ALL:
+        p, q = backward if v is Variant.RB else forward
+        union, s_p, s_q = _check_union(p, q)
+        rounds, _ = _round_loop(union, v)
+        first = next(k for k, blocks in enumerate(rounds) if blocks[s_p] != blocks[s_q])
+        assert first == 5, v
+        computed.clear()
+        _, split = refine(union, v, watch=(s_p, s_q))
+        assert split is not None
+        assert len(computed) < first * union.num_states, v
+
+
+def _sweeps(monkeypatch) -> list:
+    """The direction of each sweep refinement makes, ``True`` for forward."""
+    directions = []
+    sweep = bisim._sweep
+
+    def counted(lts, blocks, order, forward, watch):
+        directions.append(forward)
+        return sweep(lts, blocks, order, forward, watch)
+
+    monkeypatch.setattr(bisim, "_sweep", counted)
+    return directions
+
+
+def test_one_sweep_per_direction_and_one_more_for_frb(monkeypatch):
+    # one sweep stabilizes one direction; FRB's backward sweep splits the
+    # forward-stable partition, and a second forward sweep splits nothing
+    directions = _sweeps(monkeypatch)
     p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 5))
     q = P(" |[]| ".join(["(c.0 + a.b.0)"] * 5))
-    union, _, _ = _check_union(p, q)
+    union, s_p, s_q = _check_union(p, q)
+    expected = {Variant.FB: [True], Variant.FBPS: [True], Variant.RB: [False],
+                Variant.FRB: [True, False, True]}
     for v in ALL:
-        rounds, _ = _round_loop(union, v)
-        computed.clear()
-        refine(union, v)
-        assert len(computed) < len(rounds) * union.num_states
+        for watch in (None, (s_p, s_q)):
+            directions.clear()
+            assert refine(union, v, watch)[1] is None
+            assert directions == expected[v], (v, watch)
+
+
+def test_a_forward_cycle_is_refused():
+    # a.a.0's three states, with the second step turned back to the first
+    # state and then to the second: no forward step executes nothing, so
+    # neither system comes from a term
+    lts = build_lts(P("a.a.0"))
+    for targets in ([1, 0], [1, 1]):
+        looped = dataclasses.replace(
+            lts, target=targets,
+            incoming_ids=[[i for i, t in enumerate(targets) if t == s] for s in range(3)])
+        for v in ALL:
+            with pytest.raises(ValueError, match="refinement needs acyclic forward steps"):
+                refine(looped, v)
 
 
 # --- leaf quotients -------------------------------------------------------------
@@ -616,7 +669,7 @@ def _desynced(p, pick):
     return out[pick % len(out)] if out else p
 
 
-_roots = st.tuples(_random_products(), st.lists(st.integers(0, 10**6), max_size=6),
+_roots = st.tuples(_random_products(), st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
                    st.integers(0, 5), st.integers(0, 10**6))
 
 
@@ -650,7 +703,7 @@ def _deep_products():
                      st.lists(st.lists(_two, max_size=2), min_size=4, max_size=4))
 
 
-_deep_roots = st.tuples(_deep_products(), st.lists(st.integers(0, 10**6), max_size=12),
+_deep_roots = st.tuples(_deep_products(), st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
                         st.integers(0, 5), st.integers(0, 10**6))
 
 
@@ -662,6 +715,30 @@ def test_check_answers_as_the_unquotiented_decision_on_deep_walks(left, right):
     p, q = _root(left), _root(right)
     for v in ALL:
         assert _answer(_checked, p, q, v) == _answer(_unquotiented, p, q, v), v
+
+
+def _decided_systems(p, q, variant) -> list:
+    """The undo cone of ``p`` and ``q``, their closure with the leaves
+    quotiented by ``variant`` (that of their initial versions when it reads
+    backward), and the union, each with the states of ``p`` and ``q``."""
+    cap = semantics.DEFAULT_STATE_CAP
+    roots = [to_initial(p), to_initial(q)]
+    starts = roots if variant.backward else [p, q]
+    systems = (semantics._undo_cone([[p], [q]], cap),
+               semantics._build([[x] for x in starts], cap,
+                                bisim._leaf_classes(roots, variant, cap)),
+               bisim._union(p, q, cap)[0])
+    return [(lts, lts.index[p], lts.index[q]) for lts in systems]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(_roots, _roots), st.tuples(_deep_roots, _deep_roots)))
+def test_refine_matches_the_round_loop_on_the_systems_checks_decide_on(specs):
+    # an unreachable root stands for its initial version
+    p, q = (x if is_reachable(x) else to_initial(x) for x in map(_root, specs))
+    for v in ALL:
+        for lts, s_p, s_q in _decided_systems(p, q, v):
+            _assert_refine_matches(lts, v, [(s_p, s_q)])
 
 
 def _proved_f(p, q):
