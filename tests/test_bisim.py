@@ -537,9 +537,9 @@ def test_one_sweep_per_direction_and_one_more_for_frb(monkeypatch):
 
 
 def test_a_forward_cycle_is_refused():
-    # a.a.0's three states, with the second step turned back to the first
-    # state and then to the second: no forward step executes nothing, so
-    # neither system comes from a term
+    # a.a.0's second step turned back to the first state (a cycle of two)
+    # or to its own source (a loop); every forward step of a term executes
+    # a prefix, so no system built from terms has either
     lts = build_lts(P("a.a.0"))
     for targets in ([1, 0], [1, 1]):
         looped = dataclasses.replace(
