@@ -29,10 +29,10 @@ stable in one direction, and sweeps alternate between the variant's
 directions until neither splits a block (Dovier, Piazza & Policriti 2004).
 A pair that the stable partition separates is explained by the rounds of
 the signature loop (each round splits every block by its states'
-signatures under the last partition), run as a worklist over stable block
-ids: a round recomputes only the signatures that the last round's splits
-can have changed.  A check stops at the first round that separates its
-pair, and that round's two signatures explain the verdict.
+signatures under the last partition), run from the seed to the first
+round that separates the pair; the pair's two signatures under the round
+before explain the verdict.  A pair whose signatures under the seed
+differ is separated by round 1, and goes to the rounds without a sweep.
 """
 
 from __future__ import annotations
@@ -204,35 +204,22 @@ def _forward_order(lts: Lts) -> list[int]:
     return order
 
 
-def _label(states, blocks, new, ids, edges, end, obs) -> None:
-    """Give each of ``states``, in order, the id of its block under
-    ``blocks`` and its (observation, new id) set along ``edges``."""
-    for s in states:
-        new[s] = ids.setdefault(
-            (blocks[s], frozenset([(obs[i], new[end[i]]) for i in edges[s]])), len(ids))
-
-
-def _sweep(lts: Lts, blocks: list[int], order: list[int], forward: bool,
-           watch: tuple[int, int] | None):
+def _sweep(lts: Lts, blocks: list[int], order: list[int], forward: bool):
     """One sweep over ``order``: the coarsest refinement of ``blocks``
     that is stable in one direction, and its number of blocks.
 
     A forward sweep reads outgoing steps in reverse topological order, a
     backward one incoming steps in topological order, so the ends of a
-    state's steps have their new ids before the state.  With ``watch``,
-    the sweep returns ``None`` as soon as both states of the pair have
-    ids and they differ.
+    state's steps have their new ids before the state, which gets the id
+    of its block under ``blocks`` and its (observation, new id) set.
     """
     edges, end = (lts.outgoing, lts.target) if forward else (lts.incoming_ids, lts.source)
+    obs = lts.obs
     new = [0] * len(blocks)
     ids: dict = {}
-    if watch is not None:
-        cut = 1 + max(order.index(watch[0]), order.index(watch[1]))
-        _label(order[:cut], blocks, new, ids, edges, end, lts.obs)
-        if new[watch[0]] != new[watch[1]]:
-            return None
-        order = order[cut:]
-    _label(order, blocks, new, ids, edges, end, lts.obs)
+    for s in order:
+        new[s] = ids.setdefault(
+            (blocks[s], frozenset([(obs[i], new[end[i]]) for i in edges[s]])), len(ids))
     return new, len(ids)
 
 
@@ -252,13 +239,15 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     FB:ps and RB take one sweep.
 
     With ``watch``, ``split`` is ``None`` when the pair shares a block of
-    the stable partition.  A pair that a sweep separates is separated in
-    the stable partition too; then ``refine`` runs the round-based loop
-    (:func:`_worklist`) to the first round that separates the pair, and
-    returns that round's partition with ``split = (sig_left, sig_right)``,
-    the pair's signatures under the round before: a non-equivalent
-    verdict needs no stable partition.  ``split`` is ``((), ())`` when
-    the seed separates the pair.
+    the stable partition.  Otherwise ``refine`` returns the partition of
+    the first round that separates the pair (:func:`_rounds`) with
+    ``split = (sig_left, sig_right)``, the pair's signatures under the
+    round before, and ``split`` is ``((), ())`` when the seed separates
+    the pair.  A pair in one seed block whose signatures under the seed
+    differ is separated by round 1, which keys the blocks by seed block
+    and signature, so the rounds run without a sweep; any other pair runs
+    the sweeps first, and the rounds only when the stable partition
+    separates it.
 
     Blocks are numbered by their first state; when nothing splits, the
     seed comes back unchanged.
@@ -268,8 +257,12 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
         seed = [1 if lts.initial[s] else 0 for s in range(n)]
     else:
         seed = [0] * n
-    if watch is not None and seed[watch[0]] != seed[watch[1]]:
-        return seed, ((), ())  # separated by the initiality seed itself
+    if watch is not None:
+        if seed[watch[0]] != seed[watch[1]]:
+            return seed, ((), ())  # separated by the initiality seed itself
+        signature = _signature_of(lts, seed, variant)
+        if signature(watch[0]) != signature(watch[1]):
+            return _rounds(lts, variant, seed, watch)
     order = _forward_order(lts)
     orders = {True: order[::-1], False: order}
     directions = [forward for forward, on in ((True, variant.forward),
@@ -278,101 +271,39 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     count = seeded = len(set(seed))
     stable_ways = 0  # the directions the last sweeps found blocks stable in
     for forward in cycle(directions):
-        swept = _sweep(lts, blocks, orders[forward], forward, watch)
-        if swept is None:
-            return _worklist(lts, variant, seed, watch)
-        blocks, last = swept
+        blocks, last = _sweep(lts, blocks, orders[forward], forward)
         stable_ways = stable_ways + 1 if last == count else 1
         count = last
         if stable_ways == len(directions):
             break
+    if watch is not None and blocks[watch[0]] != blocks[watch[1]]:
+        return _rounds(lts, variant, seed, watch)
     if count == seeded:
         return seed, None
     ids: dict[int, int] = {}
     return [ids.setdefault(b, len(ids)) for b in blocks], None
 
 
-def _worklist(lts: Lts, variant: Variant, seed: list[int], watch: tuple[int, int]):
-    """The round-based refinement from ``seed``, run as a worklist to the
-    first round that separates the pair ``watch``.
+def _rounds(lts: Lts, variant: Variant, seed: list[int], watch: tuple[int, int]):
+    """The round-based refinement from ``seed`` to the first round that
+    separates the pair ``watch``, which the stable partition separates.
 
     The partitions P0, P1, ... are those of the round-based loop: P0 is
-    the seed, and P(k+1) splits each block of Pk by its states'
-    signatures under Pk.  Block ids stay stable: a block that splits
-    keeps its id for one part and gives the others fresh ids.  A state's
-    signature can change only when a state it points to (forward) or is
-    pointed to by (backward) moved to a fresh id in the last round, so a
-    round recomputes the signatures of those dirty states alone.  The
-    clean members of a block share its last signature, so each touched
-    block compares its dirty states against one clean member, whose part
-    keeps the id.  The first round computes every signature.
-
-    Returns that round's partition, its blocks numbered by their first
-    state as the round loop numbers them, and ``(sig_left, sig_right)``,
-    the pair's two signatures under the round before.  They carry stable
-    ids, not the ids of a round loop, but the counterexample is the same:
-    :func:`_describe_split` reads which observations differ, never the
-    ids, and any renaming of blocks keeps which observations those are.
+    the seed, and P(k+1) keys each state by its block of Pk and its
+    signature under Pk, its blocks numbered by their first state.
+    Returns that round's partition and ``(sig_left, sig_right)``, the
+    pair's two signatures under the round before.
     """
-    n = lts.num_states
-    src, dst = lts.source, lts.target
-    outgoing, incoming = lts.outgoing, lts.incoming_ids
-    blocks = list(seed)
-    signature = _signature_of(lts, blocks, variant)
-    members = {b: {s for s in range(n) if blocks[s] == b} for b in set(blocks)}
-    # whose signature reads a state's block: its sources for the forward
-    # set, its targets for the backward set
-    readers = ([(incoming, src)] if variant.forward else []) + (
-        [(outgoing, dst)] if variant.backward else [])
-    next_id = max(blocks, default=-1) + 1
-    is_dirty = bytearray(n)
-    dirty = range(n)
-    split = None
-    while dirty:
-        touched: dict[int, list[int]] = {}
-        for s in dirty:
-            is_dirty[s] = 1
-            touched.setdefault(blocks[s], []).append(s)
-        moves = []  # (fresh id, states) parts leaving their block this round
-        for bid, states in touched.items():
-            group = members[bid]
-            parts: dict = {}
-            kept = None  # the part that keeps the id
-            if len(states) < len(group):
-                clean = next(s for s in group if not is_dirty[s])
-                kept = parts[signature(clean)] = []
-            for s in states:
-                sig = signature(s)
-                part = parts.get(sig)
-                if part is None:
-                    parts[sig] = [s]
-                else:
-                    part.append(s)
-            if len(parts) == 1:
-                continue
-            if kept is None:
-                kept = max(parts.values(), key=len)
-            for part in parts.values():
-                if part is not kept:
-                    moves.append((next_id, part))
-                    next_id += 1
-        for s in dirty:
-            is_dirty[s] = 0
-        # under the partition this round splits
-        watched = (signature(watch[0]), signature(watch[1]))
-        moved = []
-        for nid, part in moves:
-            members[blocks[part[0]]].difference_update(part)
-            members[nid] = set(part)
-            for s in part:
-                blocks[s] = nid
-            moved.extend(part)
-        if blocks[watch[0]] != blocks[watch[1]]:
-            split = watched
-            break
-        dirty = {end[i] for edges, end in readers for s in moved for i in edges[s]}
-    ids: dict[int, int] = {}
-    return [ids.setdefault(b, len(ids)) for b in blocks], split
+    blocks = seed
+    while True:
+        signature = _signature_of(lts, blocks, variant)
+        ids: dict = {}
+        # the signatures are not kept in a list: holding every state's makes
+        # the cyclic garbage collector walk them all, which doubled a round
+        new = [ids.setdefault((b, signature(s)), len(ids)) for s, b in enumerate(blocks)]
+        if new[watch[0]] != new[watch[1]]:
+            return new, (signature(watch[0]), signature(watch[1]))
+        blocks = new
 
 
 def _describe_split(left: str, right: str, variant: Variant, split) -> Counterexample:
@@ -392,22 +323,21 @@ def _describe_split(left: str, right: str, variant: Variant, split) -> Counterex
     directions = (["forward"] if variant.forward else []) + (
         ["backward"] if variant.backward else []
     )
-    for k, direction in enumerate(directions):
-        part1, part2 = set(sig1[k]), set(sig2[k])
-        if part1 == part2:
-            continue
-        diff = part1 ^ part2
-        obs, _ = min(diff, key=repr)
-        obs_text = obs if isinstance(obs, str) else f"{obs[0]} / {{{','.join(obs[1])}}}"
-        only_left = (obs in {o for o, _ in part1}) != (obs in {o for o, _ in part2})
-        if only_left:
-            detail = f"a {direction} transition labeled {obs_text!r} exists on one side only"
-        else:
-            detail = (
-                f"{direction} transitions labeled {obs_text!r} reach inequivalent states"
-            )
-        return Counterexample(left, right, direction, obs_text, detail)
-    return Counterexample(left, right, directions[-1], "", "signatures differ")
+    # the pair shares a block of the round before, so its signatures
+    # differ in some direction
+    direction, part1, part2 = next(
+        (direction, a, b)
+        for direction, a, b in zip(directions, map(set, sig1), map(set, sig2)) if a != b)
+    obs, _ = min(part1 ^ part2, key=repr)
+    obs_text = obs if isinstance(obs, str) else f"{obs[0]} / {{{','.join(obs[1])}}}"
+    only_left = (obs in {o for o, _ in part1}) != (obs in {o for o, _ in part2})
+    if only_left:
+        detail = f"a {direction} transition labeled {obs_text!r} exists on one side only"
+    else:
+        detail = (
+            f"{direction} transitions labeled {obs_text!r} reach inequivalent states"
+        )
+    return Counterexample(left, right, direction, obs_text, detail)
 
 
 def _witness(lts: Lts, blocks: list[int]) -> tuple[tuple[str, ...], ...]:

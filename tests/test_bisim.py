@@ -374,9 +374,9 @@ def test_parallel_contexts_preserve_verdicts():
 
 
 def _round_loop(lts, variant):
-    """The round-based refinement ``refine`` runs as a worklist, kept as the
-    reference: every round recomputes every state's signature, with
-    observations read off the proofs.  Returns the partitions P0, P1, ...
+    """The round-based refinement, kept as the reference for ``refine``:
+    every round recomputes every state's signature, with observations read
+    off the proofs.  Returns the partitions P0, P1, ...
     up to the stable one, and every state's signatures under each.  A
     ready-set observation pairs the action with the sorted ready set that
     ``brs_forward_steps`` gives the step."""
@@ -477,34 +477,37 @@ def test_a_separated_pair_stops_at_its_separating_round():
     )
 
 
-def test_refine_recomputes_fewer_signatures_than_the_round_loop(monkeypatch):
-    # only a watched refinement that a sweep separates runs the rounds; the
-    # round loop computes every signature in each of the five rounds before
-    # the pair's separating one, the worklist about 3.5-4 per state
-    computed = []
-    signature_of = bisim._signature_of
-
-    def counted(*args):
-        signature = signature_of(*args)
-        return lambda s: computed.append(s) or signature(s)
-
-    monkeypatch.setattr(bisim, "_signature_of", counted)
+def test_refine_sweeps_unless_round_1_separates_the_pair(monkeypatch):
+    # a pair that a later round separates runs the variant's sweeps before
+    # the rounds; a pair whose signatures under the seed differ is
+    # separated by round 1 and runs no sweep
+    directions = _sweeps(monkeypatch)
     leaves = ["(a.b.0 + c.0)"] * 3
     # the roots differ in the action after four a's, the walked chains in
     # the one before them
     forward = [P(" |[]| ".join(leaves + [chain])) for chain in ("a.a.a.a.b.0", "a.a.a.a.c.0")]
     backward = [_walked_to(P(" |[]| ".join([chain] + leaves)), [0] * 5)
                 for chain in ("b.a.a.a.a.0", "c.a.a.a.a.0")]
+    # initial processes are reverse bisimilar, so RB's round-1 pair is walked
+    early = [P("c.0 + a.a.a.0"), P("d.0 + a.a.a.0")]
+    early_rb = [_walked_to(P(chain), [0]) for chain in ("b.a.0", "c.a.0")]
     for v in ALL:
         p, q = backward if v is Variant.RB else forward
         union, s_p, s_q = _check_union(p, q)
         rounds, _ = _round_loop(union, v)
         first = next(k for k, blocks in enumerate(rounds) if blocks[s_p] != blocks[s_q])
         assert first == 5, v
-        computed.clear()
-        _, split = refine(union, v, watch=(s_p, s_q))
-        assert split is not None
-        assert len(computed) < first * union.num_states, v
+        directions.clear()
+        assert refine(union, v, watch=(s_p, s_q))[1] is not None
+        assert set(directions) == {d for d, on in ((True, v.forward), (False, v.backward))
+                                   if on}, v
+        _assert_refine_matches(union, v, [(s_p, s_q)])
+        p, q = early_rb if v is Variant.RB else early
+        union, s_p, s_q = _check_union(p, q)
+        directions.clear()
+        assert refine(union, v, watch=(s_p, s_q))[1] is not None
+        assert directions == [], v
+        _assert_refine_matches(union, v, [(s_p, s_q)])
 
 
 def _sweeps(monkeypatch) -> list:
@@ -512,9 +515,9 @@ def _sweeps(monkeypatch) -> list:
     directions = []
     sweep = bisim._sweep
 
-    def counted(lts, blocks, order, forward, watch):
+    def counted(lts, blocks, order, forward):
         directions.append(forward)
-        return sweep(lts, blocks, order, forward, watch)
+        return sweep(lts, blocks, order, forward)
 
     monkeypatch.setattr(bisim, "_sweep", counted)
     return directions
