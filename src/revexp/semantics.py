@@ -181,21 +181,22 @@ def is_reachable(p: Process) -> bool:
     the two plain ``a!.0`` together leaves such a state.  So the search
     backtracks.  It takes the first undo step first, which on the usual
     reachable input is a straight walk back.  Each step clears an executed
-    flag, and a seen set and one ``_steps`` memo bound the search by the
-    states that can reach ``p``.  An ill-formed process is unreachable.
+    flag, and a seen set bounds the search by the states that can reach
+    ``p``.  An ill-formed process is unreachable.
 
     Under an interleaving ``|[]|`` the operands step independently, so a
     product is reachable exactly when each operand is.  An executed prefix
     fired before anything in its continuation, so it is reachable exactly
     when its continuation is, and a choice that has fired is reachable
     exactly when its non-initial side is.  The search descends through
-    these three and searches only the other parts, so an unreachable
-    operand is refused on its own cone, not on the product of every
-    operand's cone.
+    these three and searches only the other parts that are not initial,
+    each with :meth:`_Nodes.undoes_to_initial` over one set of nodes, so
+    an unreachable operand is refused on its own cone, not on the product
+    of every operand's cone.
     """
     if not p.wellformed:
         return False
-    memo: dict = {}
+    nodes = None
     parts = [p]
     while parts:
         q = parts.pop()
@@ -205,26 +206,12 @@ def is_reachable(p: Process) -> bool:
             parts.append(q.cont)
         elif type(q) is Choice and not q.initial:
             parts.append(q.right if q.left.initial else q.left)
-        elif not _undoes_to_initial(q, memo):
-            return False
+        elif not q.initial:
+            if nodes is None:
+                nodes = _Nodes({}, True)
+            if not nodes.undoes_to_initial(nodes.intern(q)):
+                return False
     return True
-
-
-def _undoes_to_initial(p: Process, memo: dict) -> bool:
-    """Whether a chain of undo steps from ``p`` ends in an initial term,
-    searched as :func:`is_reachable` searches, with ``memo`` passed to
-    :func:`_steps` read backward."""
-    seen = {id(p)}
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if q.initial:
-            return True
-        for _, _, r in reversed(_steps(q, True, memo)):
-            if id(r) not in seen:
-                seen.add(id(r))
-                stack.append(r)
-    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,16 +291,17 @@ class _Nodes:
     without building or hashing it.
 
     A node's steps have their targets as nodes: a leaf's come from
-    :func:`_steps`, memoized for this build only, a pair's combine its
-    operands' steps in the order of :func:`forward_steps` (left moves,
-    right moves, then synchronizations, left-major), so no successor term
-    is built.  An operand's steps are
-    kept, as every pair of its states asks for them; a state's are
-    computed once, when the build closes it, and not kept.  Each
-    wrapped proof is made once, keyed by the identity of the proofs it
-    wraps, which it keeps alive.  A pair's term is built on first read.
-    ``sid`` gives each node's state id, ``None`` for a node that is only
-    an operand.
+    :func:`_steps`, read backward when ``back`` is set and memoized for
+    this build only, a pair's combine its operands' steps in the order of
+    :func:`forward_steps` (left moves, right moves, then synchronizations,
+    left-major), which is the same both ways, so no successor term is
+    built.  An operand's steps are kept, as every pair of its states asks
+    for them, and so are those of a node that :meth:`undoes_to_initial`
+    searched; a state's other steps are computed once, when the build
+    closes it, and not kept.  Each wrapped proof is made once, keyed by
+    the identity of the proofs it wraps, which it keeps alive.  A pair's
+    term is built on first read.  ``sid`` gives each node's state id,
+    ``None`` for a node that is only an operand.
 
     ``classes`` quotients leaves: it maps each state of a quotiented leaf
     to its class, a pair of the class's representative and the class's
@@ -323,10 +311,11 @@ class _Nodes:
     :func:`~revexp.bisim.check` passes a map that is not empty.
     """
 
-    __slots__ = ("memo", "classes", "ids", "parts", "terms", "initial", "steps",
-                 "sid", "par_l", "par_r", "syn")
+    __slots__ = ("back", "memo", "classes", "ids", "parts", "terms", "initial",
+                 "steps", "sid", "par_l", "par_r", "syn")
 
-    def __init__(self, classes: dict):
+    def __init__(self, classes: dict, back: bool):
+        self.back = back  # whether nodes step backward
         self.memo: dict = {}  # the steps of each leaf term, and of its subterms
         self.classes = classes  # a quotiented leaf state -> (representative, steps)
         self.ids: dict = {}  # leaf key, pair parts or a kept term's id -> node
@@ -410,7 +399,7 @@ class _Nodes:
         ids, add = self.ids, self._add
         p = self.terms[x]
         cls = self.classes.get(p) if self.classes else None
-        moves = _steps(p, False, self.memo) if cls is None else cls[1]
+        moves = _steps(p, self.back, self.memo) if cls is None else cls[1]
         steps = []
         for theta, o, q in moves:
             key = id(q) if q.plain else q
@@ -423,6 +412,24 @@ class _Nodes:
         if steps is None:
             steps = self.steps[x] = self.steps_of(x)
         return steps
+
+    def undoes_to_initial(self, x: int) -> bool:
+        """Whether a chain of steps from the node ``x`` of backward nodes
+        ends in an initial node, searched depth first, first step first
+        (see :func:`is_reachable`).  The steps of each node searched are
+        kept, so a build that closes it does not step it again."""
+        initial, steps_of = self.initial, self._operand_steps
+        seen = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if initial[y]:
+                return True
+            for _, _, z in reversed(steps_of(y)):
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        return False
 
     def _pair_steps(self, sync: tuple[str, ...], l: int, r: int) -> list:
         kept = self.steps
@@ -580,8 +587,10 @@ class Lts:
         return sid
 
 
-def _build(groups: list[list], max_states: int, classes: dict) -> Lts:
-    """Close each group of roots under forward steps, one group after another.
+def _build(groups: list[list], max_states: int, classes: dict,
+           back: bool = False) -> Lts:
+    """Close each group of roots under forward steps, or under undo steps
+    when ``back`` is set, one group after another.
 
     A group's roots are numbered first, then its new states breadth first;
     the next group starts only once the last is closed, and a state already
@@ -599,9 +608,17 @@ def _build(groups: list[list], max_states: int, classes: dict) -> Lts:
     :class:`_Nodes`), and a build given a non-empty map is the product of
     the quotiented leaves: its states are the images of the states the
     roots reach.  Every public build passes an empty map.
+
+    A backward build (see :func:`_undo_cone`) skips each new state that
+    :meth:`_Nodes.undoes_to_initial` finds no run reaches, with its step,
+    before the budget is checked.  Its loop records each undo step from
+    the state it closes, so the source and target columns, and the
+    outgoing and incoming lists, are swapped once at the end to give the
+    forward transitions.
     """
-    nodes = _Nodes(classes)
+    nodes = _Nodes(classes, back)
     sid_of, steps_of = nodes.sid, nodes.steps_of
+    unreached: set[int] = set()
     node_of: list[int] = []  # state id -> node
     source: list[int] = []
     target_ids: list[int] = []
@@ -626,6 +643,9 @@ def _build(groups: list[list], max_states: int, classes: dict) -> Lts:
             for theta, o, y in steps_of(node_of[sid]):
                 tid = sid_of[y]
                 if tid is None:
+                    if back and (y in unreached or not nodes.undoes_to_initial(y)):
+                        unreached.add(y)
+                        continue
                     if len(node_of) - first >= max_states:
                         raise StateBudgetError(
                             f"state budget of {max_states} states exceeded"
@@ -642,6 +662,9 @@ def _build(groups: list[list], max_states: int, classes: dict) -> Lts:
                 out.append(tr_id)
                 incoming_ids[tid].append(tr_id)
             sid += 1
+    if back:
+        source, target_ids = target_ids, source
+        outgoing, incoming_ids = incoming_ids, outgoing
     initial = [nodes.initial[x] for x in node_of]
     nodes.close()
     kind = "proved" if all(root.plain for group in groups for root in group) else "brs"
@@ -662,56 +685,9 @@ def _undo_cone(groups: list[list], max_states: int) -> Lts:
     that can reach it, so the cone holds the source of each: it is all a
     backward signature reads, as in the closure of the initial versions.
     Outgoing transitions are those into the cone.  ``max_states`` bounds
-    the states each group adds.  The roots must be reachable; states are
-    plain terms and are their own index.
+    the states each group adds.  The roots must be reachable.
     """
-    memo: dict = {}
-    index: dict = {}
-    unreached: set = set()
-    terms: list = []
-    source: list[int] = []
-    target_ids: list[int] = []
-    proofs: list[ProofTerm] = []
-    observations: list = []
-    outgoing: list[list[int]] = []
-    incoming_ids: list[list[int]] = []
-
-    def add(p) -> int:
-        sid = index[p] = len(terms)
-        terms.append(p)
-        outgoing.append([])
-        incoming_ids.append([])
-        return sid
-
-    sid = 0
-    for group in groups:
-        first = len(terms)
-        for root in group:
-            if root not in index:
-                add(root)
-        while sid < len(terms):
-            inc = incoming_ids[sid]
-            for theta, o, p in _steps(terms[sid], True, memo):
-                pid = index.get(p)
-                if pid is None:
-                    if p in unreached or not _undoes_to_initial(p, memo):
-                        unreached.add(p)
-                        continue
-                    if len(terms) - first >= max_states:
-                        raise StateBudgetError(
-                            f"state budget of {max_states} states exceeded"
-                        )
-                    pid = add(p)
-                tr_id = len(source)
-                source.append(pid)
-                target_ids.append(sid)
-                proofs.append(theta)
-                observations.append(o)
-                outgoing[pid].append(tr_id)
-                inc.append(tr_id)
-            sid += 1
-    return Lts("proved", terms, [p.initial for p in terms], source, target_ids,
-               proofs, observations, outgoing, incoming_ids, index)
+    return _build(groups, max_states, {}, back=True)
 
 
 def build_lts(root: Process, max_states: int = DEFAULT_STATE_CAP) -> Lts:

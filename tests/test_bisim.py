@@ -5,9 +5,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revexp import (
     Variant,
@@ -19,6 +20,7 @@ from revexp import (
     parse,
     prove_eq,
     render,
+    render_proof,
 )
 from revexp import bisim, semantics
 from revexp.bisim import Verdict, refine, verify_partition
@@ -831,6 +833,36 @@ def test_each_check_decides_on_the_states_its_variant_reads(monkeypatch):
     sizes.clear()
     check(y1, y2, Variant.FB)
     assert sizes == [closure] == [16 + 32 - 8] and union.num_states == 64
+
+
+def _moves(lts, ids, end) -> Counter:
+    """The transitions ``ids`` of ``lts`` as (observation, proof, term at
+    ``end``), ``end`` being the column of their other endpoint."""
+    return Counter((lts.obs[i], render_proof(lts.proof[i]), lts.terms[end[i]])
+                   for i in ids)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(_roots, _roots), st.tuples(_deep_roots, _deep_roots))
+       .map(lambda specs: tuple(map(_root, specs))))
+@example((P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)"), P("a!.b!.a!.0")))
+def test_the_undo_cone_is_the_union_read_backward(pair):
+    # an unreachable root stands for its initial version; the example's
+    # first undo step pairs two prefixes no run fires together
+    p, q = (x if is_reachable(x) else to_initial(x) for x in pair)
+    union, s1, s2 = _check_union(p, q)
+    cone = semantics._undo_cone([[p], [q]], semantics.DEFAULT_STATE_CAP)
+    sids = [union.index[t] for t in cone.terms]
+    assert len(set(sids)) == len(sids)
+    # each cone state has the union's incoming transitions, so the cone is
+    # closed under them: it holds the states that can reach p or q, no more
+    for c, u in enumerate(sids):
+        assert (_moves(cone, cone.incoming_ids[c], cone.source)
+                == _moves(union, union.incoming_ids[u], union.source))
+        assert _moves(cone, cone.outgoing[c], cone.target) == Counter({
+            move: n for move, n in _moves(union, union.outgoing[u], union.target).items()
+            if move[2] in cone.index})
+    assert len(sids) == _closed(union, [s1, s2], union.incoming_ids, union.source)
 
 
 def test_an_unreachable_root_is_not_found_through_its_class():

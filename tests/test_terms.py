@@ -111,7 +111,7 @@ def test_an_unreachable_interleaving_under_a_prefix_or_a_choice_is_refused_alone
         assert p.wellformed
         calls.clear()
         assert not is_reachable(p)
-        assert len(calls) == 5, src
+        assert len(calls) == 4, src  # two leaves of two terms each
     assert is_reachable(P("z!.c!.(a!.0 |[a]| a!.0) + d.0"))
 
 
