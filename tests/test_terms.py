@@ -78,24 +78,27 @@ def test_reachability_by_replay():
 
 def test_reachability_walks_back_instead_of_searching_forward(monkeypatch):
     # two steps into a product of nine components, whose closure has 4 ** 9
-    # states: the undo search makes about 70 calls, a forward search from the
-    # initial version millions
+    # states: walking back makes a few dozen nodes and steps, a forward search
+    # from the initial version millions of nodes
     p = P(" |[]| ".join(["(a.b.0 + c.0)"] * 9))
     for _ in range(2):
         p = forward_steps(p)[0][1]
     assert render(p).startswith("a!.b!.0 + c.0 |[]| a.b.0 + c.0")
     _bound_steps(monkeypatch, 200)
+    _bound_nodes(monkeypatch, 200)
     assert is_reachable(p)
 
 
 def test_an_unreachable_interleaving_is_refused_without_its_whole_cone(monkeypatch):
     # the synchronized part of each component has nothing to undo, so no
     # run reaches it; the product's undo cone still has 3 ** 9 states, and
-    # a search over it makes tens of thousands of calls
+    # a search over it makes tens of thousands of nodes, though it steps
+    # only a dozen leaf terms
     part = "((a!.0 + b.0) |[a,b]| (a.0 + b!.0)) |[]| (a!.b!.0 + c.0)"
     p = P(" |[]| ".join([f"({part})"] * 9))
     assert p.wellformed
     _bound_steps(monkeypatch, 200)
+    _bound_nodes(monkeypatch, 200)
     assert not is_reachable(p)
 
 
@@ -129,6 +132,23 @@ def _bound_steps(monkeypatch, limit):
 
     monkeypatch.setattr(semantics, "_steps", bounded)
     return calls
+
+
+def _bound_nodes(monkeypatch, limit):
+    """Make ``semantics._Nodes`` fail once it has made more than ``limit``
+    nodes, one for each state its search meets; returns the list that
+    records them."""
+    made = []
+    add = semantics._Nodes._add
+
+    def bounded(self, *args):
+        made.append(None)
+        if len(made) > limit:
+            raise AssertionError(f"is_reachable made more than {limit} nodes")
+        return add(self, *args)
+
+    monkeypatch.setattr(semantics._Nodes, "_add", bounded)
+    return made
 
 
 def test_reachability_backtracks_past_an_undo_step_no_run_takes():
