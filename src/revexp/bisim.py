@@ -24,14 +24,15 @@ transitions must not split blocks.
 
 Every forward step executes a prefix, so the forward steps of a system
 form a DAG, and refinement finds the stable partition in a few sweeps over
-it: one sweep in topological order gives the coarsest refinement that is
-stable in one direction, and sweeps alternate between the variant's
-directions until neither splits a block (Dovier, Piazza & Policriti 2004).
-A pair that the stable partition separates is explained by the rounds of
-the signature loop (each round splits every block by its states'
-signatures under the last partition), run from the seed to the first
-round that separates the pair; the pair's two signatures under the round
-before explain the verdict.  A pair whose signatures under the seed
+it: one sweep in topological order (as
+:func:`~revexp.semantics._forward_order` gives it) gives the coarsest
+refinement that is stable in one direction, and sweeps alternate between
+the variant's directions until neither splits a block (Dovier, Piazza &
+Policriti 2004).  A pair that the stable partition separates is explained
+by the rounds of the signature loop (each round splits every block by its
+states' signatures under the last partition), run from the seed to the
+first round that separates the pair; the pair's two signatures under the
+round before explain the verdict.  A pair whose signatures under the seed
 differ is separated by round 1, and goes to the rounds without a sweep.
 """
 
@@ -46,8 +47,8 @@ from .errors import NotReachableError, StateBudgetError, WitnessCheckError
 from .semantics import (
     DEFAULT_STATE_CAP,
     Lts,
-    Renders,
     _build,
+    _forward_order,
     _undo_cone,
     build_lts,
     build_union,
@@ -180,30 +181,6 @@ def _signature_of(lts: Lts, blocks: list[int], variant: Variant):
     return signature
 
 
-def _forward_order(lts: Lts) -> list[int]:
-    """The states in a topological order of the forward steps, by Kahn's
-    algorithm over ``incoming_ids`` and ``outgoing``.
-
-    Every forward step executes a prefix, so the forward steps of a
-    system form a DAG; a state that the algorithm leaves unordered lies on
-    or behind a forward cycle, and raises ``ValueError``.
-    """
-    dst, outgoing = lts.target, lts.outgoing
-    pending = [len(edges) for edges in lts.incoming_ids]
-    order = [s for s, k in enumerate(pending) if not k]
-    for s in order:  # grows as it is read
-        for i in outgoing[s]:
-            t = dst[i]
-            pending[t] -= 1
-            if not pending[t]:
-                order.append(t)
-    if len(order) < len(pending):
-        raise ValueError(
-            f"refinement needs acyclic forward steps: {len(pending) - len(order)} "
-            f"states lie on or behind a forward cycle")
-    return order
-
-
 def _sweep(lts: Lts, blocks: list[int], order: list[int], forward: bool):
     """One sweep over ``order``: the coarsest refinement of ``blocks``
     that is stable in one direction, and its number of blocks.
@@ -229,14 +206,15 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     Returns ``(blocks, split)`` where ``blocks`` maps state id to block id.
     The seed is all states together, or split by initiality for FB:ps.
 
-    The forward steps form a DAG (see :func:`_forward_order`), so the
-    coarsest refinement of a partition that is stable in one direction
-    takes one sweep (:func:`_sweep`; Dovier, Piazza & Policriti 2004).
-    Sweeps alternate between the variant's directions from the seed.  A
-    sweep's result is stable in its direction, and coarser than or equal
-    to the stable partition; once a sweep after one in the other
-    direction splits nothing, the partition is stable both ways.  FB,
-    FB:ps and RB take one sweep.
+    The forward steps form a DAG (see
+    :func:`~revexp.semantics._forward_order`), so the coarsest refinement
+    of a partition that is stable in one direction takes one sweep
+    (:func:`_sweep`; Dovier, Piazza & Policriti 2004).  Sweeps alternate
+    between the variant's directions from the seed.  A sweep's result is
+    stable in its direction, and coarser than or equal to the stable
+    partition; once a sweep after one in the other direction splits
+    nothing, the partition is stable both ways.  FB, FB:ps and RB take one
+    sweep.
 
     With ``watch``, ``split`` is ``None`` when the pair shares a block of
     the stable partition.  Otherwise ``refine`` returns the partition of
@@ -446,9 +424,8 @@ def _decide(system: Lts, x1, x2, variant: Variant, witness) -> Verdict:
     blocks, split = refine(system, variant, watch=(s1, s2))
     if blocks[s1] == blocks[s2]:
         return Verdict._from_partition(variant, witness or (lambda: (system, blocks)))
-    left, right = Renders((x1, x2))  # as the union's own renders read them
-    return Verdict(False, variant,
-                   counterexample=_describe_split(left, right, variant, split))
+    return Verdict(False, variant, counterexample=_describe_split(
+        render(x1), render(x2), variant, split))
 
 
 def check(p1: Process, p2: Process, variant: Variant,

@@ -39,7 +39,14 @@ from .errors import (
     NotReachableError,
     OrderUndefinedError,
 )
-from .semantics import brs_forward_steps, forward_steps, is_reachable, undo_steps
+from .semantics import (
+    DEFAULT_STATE_CAP,
+    _forward_order,
+    _undo_cone,
+    brs_forward_steps,
+    forward_steps,
+    is_reachable,
+)
 from .syntax import render, render_proof
 from .terms import (
     NIL,
@@ -148,58 +155,39 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
     serializations share the minimal trace; deciders that depend on the full
     encoding structure canonicalize over this tie set.  The histories come
     ordered by their rendered proofs, newest first; at most ``cap`` are
-    returned.  A history is a run read backward, so it passes only through
-    states from which undo steps lead to an initial term: an undo step of a
-    reachable state may land on a state no run reaches (see
-    :func:`~revexp.semantics.is_reachable`), and such steps are skipped.
+    returned.  A history is a run read backward, so the histories are read
+    off the undo cone of ``p`` (:func:`~revexp.semantics._undo_cone`, built
+    under ``DEFAULT_STATE_CAP``), which holds only states that a run
+    reaches.  Its states are visited in forward order, so the least trace
+    and the histories of a state extend those of the states its tied undo
+    steps lead to.
     """
-    # state -> (its least observation trace, newest first; the undo edges
-    # that start that trace, sorted by rendered proof), or None for a state
-    # no run reaches
-    least: dict = {}
-
-    def search(q: Process):
-        if q in least:
-            return least[q]
-        got = None
-        if is_initial(q):
-            got = ((), [])
-        else:
-            obs = tuple(sorted(brs(q)))
-            edges, traces = [], []
-            for edge in undo_steps(q):
-                before = search(edge[1])
-                if before is not None:
-                    edges.append(edge)
-                    traces.append(((act(edge[0]), obs),) + before[0])
-            if traces:
-                trace = min(traces)
-                kept = [e for e, tr in zip(edges, traces) if tr == trace]
-                got = (trace, sorted(kept, key=lambda e: render_proof(e[0])))
-        least[q] = got
-        return got
-
-    if search(p) is None:
+    if not p.wellformed:
         raise NotReachableError(f"{render(p)} is not reachable")
-    histories: dict = {}
-
-    def unfold(q: Process):
-        got = histories.get(q)
-        if got is not None:
-            return got
-        edges = least[q][1]
-        got = [] if edges else [()]
-        for theta, pred in edges:
-            for hist in unfold(pred):
-                got.append(hist + (theta,))
-                if len(got) >= cap:
-                    break
+    cone = _undo_cone([[p]], DEFAULT_STATE_CAP)
+    # a run reaches the root when it is initial or undoes into the cone
+    if not (cone.initial[0] or cone.incoming_ids[0]):
+        raise NotReachableError(f"{render(p)} is not reachable")
+    terms, before, proof, action = cone.terms, cone.source, cone.proof, cone.obs
+    # state -> its least observation trace, newest first; its histories
+    least: list = [None] * cone.num_states
+    histories: list = [None] * cone.num_states
+    for s in _forward_order(cone):
+        if cone.initial[s]:
+            least[s], histories[s] = (), [()]
+            continue
+        undos = cone.incoming_ids[s]
+        obs = tuple(sorted(brs(terms[s])))
+        traces = [((action[i], obs),) + least[before[i]] for i in undos]
+        trace = least[s] = min(traces)
+        tied = sorted((i for i, tr in zip(undos, traces) if tr == trace),
+                      key=lambda i: render_proof(proof[i]))
+        got = histories[s] = []
+        for i in tied:
+            got += [hist + (proof[i],) for hist in histories[before[i]][:cap - len(got)]]
             if len(got) >= cap:
                 break
-        histories[q] = got
-        return got
-
-    return tuple(unfold(p))
+    return tuple(histories[0])
 
 
 def default_order() -> ExecutionOrder:

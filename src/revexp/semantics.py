@@ -587,6 +587,30 @@ class Lts:
         return sid
 
 
+def _forward_order(lts: Lts) -> list[int]:
+    """The states in a topological order of the forward steps, by Kahn's
+    algorithm over ``incoming_ids`` and ``outgoing``.
+
+    Every forward step executes a prefix, so the forward steps of a
+    system form a DAG; a state that the algorithm leaves unordered lies on
+    or behind a forward cycle, and raises ``ValueError``.
+    """
+    dst, outgoing = lts.target, lts.outgoing
+    pending = [len(edges) for edges in lts.incoming_ids]
+    order = [s for s, k in enumerate(pending) if not k]
+    for s in order:  # grows as it is read
+        for i in outgoing[s]:
+            t = dst[i]
+            pending[t] -= 1
+            if not pending[t]:
+                order.append(t)
+    if len(order) < len(pending):
+        raise ValueError(
+            f"refinement needs acyclic forward steps: {len(pending) - len(order)} "
+            f"states lie on or behind a forward cycle")
+    return order
+
+
 def _build(groups: list[list], max_states: int, classes: dict,
            back: bool = False) -> Lts:
     """Close each group of roots under forward steps, or under undo steps

@@ -266,9 +266,12 @@ def test_a_check_builds_no_transition_records(monkeypatch):
 
 
 def _count_renders(monkeypatch) -> list:
+    """The terms rendered from now on, by a system's renders or by a
+    counterexample."""
     rendered = []
-    monkeypatch.setattr(semantics, "render",
-                        lambda p: rendered.append(p) or render(p))
+    for module in (semantics, bisim):
+        monkeypatch.setattr(module, "render",
+                            lambda p: rendered.append(p) or render(p))
     return rendered
 
 
@@ -950,6 +953,23 @@ def _in_closure(x) -> bool:
 def test_the_undo_walk_decides_reachability(spec):
     x = _root(spec)
     assert is_reachable(x) == _in_closure(x), render(x)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(_roots, _deep_roots))
+def test_the_loop_property_on_random_terms(spec):
+    # the undo cone and the histories read undo steps for incoming
+    # transitions: a forward step read from its target is an undo step,
+    # and an undo step is a forward step from a well-formed state, for
+    # reachable and unreachable well-formed states alike
+    x = _root(spec)
+    if not x.wellformed:
+        return
+    for theta, y in semantics.forward_steps(x):
+        assert (theta, x) in semantics.undo_steps(y), (render(x), render_proof(theta))
+    for theta, z in semantics.undo_steps(x):
+        assert z.wellformed, (render(x), render(z))
+        assert (theta, x) in semantics.forward_steps(z), (render(x), render_proof(theta))
 
 
 def test_the_undo_walk_decides_reachability_on_the_size_3_family():

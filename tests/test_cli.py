@@ -185,6 +185,33 @@ def test_expand(capsys):
     assert code == 0 and out.strip() == "c.0"
 
 
+_UNREACHABLE = "a!.0 |[a]| b.0"  # a! fired without a partner
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--theory", "f", _UNREACHABLE],
+    ["normalize", "--theory", "r", _UNREACHABLE],
+    ["expand", _UNREACHABLE, "c.0"],
+    ["expand", "c.0", _UNREACHABLE],
+    ["encode", _UNREACHABLE],
+    ["prove", "--theory", "f", _UNREACHABLE, "a.0"],
+    ["check", "--variant", "fb", _UNREACHABLE, "a.0"],
+])
+def test_every_command_refuses_an_unreachable_term(capsys, argv):
+    assert run(capsys, *argv) == (2, "", f"error: {_UNREACHABLE} is not reachable\n")
+
+
+def test_normalize_f_and_expand_refuse_an_illformed_term(capsys):
+    for argv in (["normalize", "--theory", "f"], ["expand", "c.0"]):
+        assert run(capsys, *argv, "a.b!.0", "--allow-illformed") == (
+            2, "", "error: a.b!.0 is not reachable\n")
+
+
+def test_normalize_f_and_expand_take_a_reachable_executed_term(capsys):
+    assert run(capsys, "normalize", "--theory", "f", "a!.0 |[]| b.0") == (0, "a!.b.0\n", "")
+    assert run(capsys, "expand", "a!.0", "b.0") == (0, "a!.b.0\n", "")
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--max-size", "1", "--alphabet", "a")
     assert code == 0
