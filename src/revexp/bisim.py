@@ -1,6 +1,11 @@
 """Decision procedures for the four equivalences, with witnesses.
 
-Each is decided by partition refinement on the states its signatures read.
+Under a one-block seed a state's signature is its ready sets: the actions
+it can fire, and those it can undo to a reachable state.  So a pair whose
+signatures under the seed differ is answered by :func:`check` from the
+two processes alone, before anything is built, and the state budget
+bounds nothing for it.  Any other pair is decided by partition refinement
+on the states its variant's signatures read.
 A backward signature reads only incoming transitions, so :func:`check`
 decides RB on the undo cone of its two processes, the reachable states
 that can reach either; a forward one reads only outgoing transitions, so FB and
@@ -50,6 +55,7 @@ from .semantics import (
     _build,
     _forward_order,
     _undo_cone,
+    _undo_ready,
     build_lts,
     build_union,
     is_reachable,
@@ -61,7 +67,6 @@ from .terms import (
     Par,
     Prefix,
     Process,
-    brs,
     frs,
     is_wellformed,
     to_initial,
@@ -428,16 +433,47 @@ def _decide(system: Lts, x1, x2, variant: Variant, witness) -> Verdict:
         render(x1), render(x2), variant, split))
 
 
+def _seed_split(p1: Process, p2: Process, variant: Variant):
+    """The signatures of the reachable ``p1`` and ``p2`` under a one-block
+    seed, up to the first direction in which they differ, or ``None`` when
+    they agree.
+
+    Such a signature reads only a state's own steps, with every end in
+    block 0: the forward part is its ready set :func:`~revexp.terms.frs`,
+    the backward part the actions of its undo steps that land on a
+    reachable state (:func:`~revexp.semantics._undo_ready`), which are
+    those of its incoming transitions.  So these are the pair's signatures
+    under the seed of any system that holds both.  Under FB:ps they are
+    the signatures of a pair that agrees on initiality, as every forward
+    step fires a prefix and reaches a non-initial state, of block 0.
+    """
+    sig1, sig2 = (), ()
+    for ready in ([frs] if variant.forward else []) + ([_undo_ready] if variant.backward else []):
+        sig1 += (frozenset((a, 0) for a in ready(p1)),)
+        sig2 += (frozenset((a, 0) for a in ready(p2)),)
+        if sig1[-1] != sig2[-1]:
+            return sig1, sig2
+    return None
+
+
 def check(p1: Process, p2: Process, variant: Variant,
           max_states: int = DEFAULT_STATE_CAP) -> Verdict:
     """Decide whether two reachable processes are equivalent under ``variant``.
 
     Both processes must be reachable, which is checked before anything is
     built, so an unreachable process raises :class:`NotReachableError`
-    before a budget is exceeded.
-    RB is decided on the undo cone of ``p1`` and ``p2``: a backward
-    signature reads only incoming transitions, and in the union each
-    leaves from a reachable state that can reach its target.  FB and FB:ps are decided on the
+    before a budget is exceeded.  A pair whose signatures under the seed
+    differ is answered next, before anything is built: under FB:ps by the
+    two processes' initiality, then by their ready sets
+    (:func:`_seed_split`), which are those signatures in any system that
+    holds both, so the counterexample is the one :func:`refine` gives
+    there.  No system is decided on, so ``max_states`` (the CLI's
+    ``REVEXP_STATE_CAP``) bounds nothing for such a pair.
+
+    Any other pair is decided on a system.  RB is decided on the undo cone
+    of ``p1`` and ``p2``: a backward signature reads only incoming
+    transitions, and in the union each leaves from a reachable state that
+    can reach its target.  FB and FB:ps are decided on the
     forward closure of ``p1`` and ``p2``, as a forward signature reads
     only outgoing transitions and the FB:ps seed a state's own initiality.
     So the union's round partitions, restricted to the cone or closure,
@@ -463,6 +499,13 @@ def check(p1: Process, p2: Process, variant: Variant,
     for p in (p1, p2):
         if not is_reachable(p):
             raise NotReachableError(f"{render(p)} is not reachable")
+    if variant.past_sensitive and p1.initial != p2.initial:
+        split = ((), ())
+    else:
+        split = _seed_split(p1, p2, variant)
+    if split is not None:
+        return Verdict(False, variant, counterexample=_describe_split(
+            render(p1), render(p2), variant, split))
     witness = partial(_stable, p1, p2, variant, max_states)
     if variant is Variant.RB:
         system = _undo_cone([[p1], [p2]], max_states)
@@ -490,15 +533,13 @@ def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
 
 
 def necessary_check(p1: Process, p2: Process, variant: Variant) -> bool:
-    """Fast refutation filter: equality of the variant's ready sets."""
+    """Fast refutation filter: whether round 1 from a one-block seed keeps
+    the pair together, which is equality of the variant's ready sets (see
+    :func:`_seed_split`).  Under FB:ps it reads the forward ready sets and
+    not initiality.  Only reachable processes have a round 1 to agree with."""
     if not (is_wellformed(p1) and is_wellformed(p2)):
         raise NotReachableError("necessary_check requires well-formed processes")
-    ok = True
-    if variant.forward:
-        ok = ok and frs(p1) == frs(p2)
-    if variant.backward:
-        ok = ok and brs(p1) == brs(p2)
-    return ok
+    return _seed_split(p1, p2, variant) is None
 
 
 def verify_partition(lts: Lts, blocks: list[int], variant: Variant) -> str | None:

@@ -112,7 +112,7 @@ def _cmd_lts(args) -> int:
     if args.brs:
         lts = build_brs_lts(encode(p, default_order()), _state_cap())
     else:
-        lts = build_lts(to_initial(p), _state_cap())
+        lts = build_lts(to_initial(_reachable(p)), _state_cap())
     print(export(lts, args.format))
     return 0
 

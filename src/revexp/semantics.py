@@ -214,6 +214,48 @@ def is_reachable(p: Process) -> bool:
     return True
 
 
+def _undo_ready(p: Process) -> frozenset[str]:
+    """The actions of the undo steps of the reachable ``p`` that land on a
+    reachable state: those of its incoming transitions in any system that
+    holds it.
+
+    Each undo step's action is in ``brs(p)``, and each action there has an
+    undo step, but that step can pair synchronized prefixes that no run
+    fired together: ``(a!.c!.0 |[]| a!.0) |[a,c]| (c!.a!.d!.0 |[]| a!.0)``
+    has ``brs`` ``{a, d}``, and its one ``a`` step lands on a state where
+    the ``a`` of ``a!.c!.0`` can only have fired with that of
+    ``c!.a!.d!.0``, which follows the ``c`` that follows it.  A reachable
+    state that is not initial has an undo step to a reachable state, the
+    last step of a run read backward, so a ``brs`` of at most one action
+    is exact.  Otherwise the walk
+    descends as :func:`is_reachable` does, through executed prefixes,
+    choices that have fired and interleavings, whose undo steps land on a
+    reachable state exactly when their operand's do; a synchronized
+    product searches the target of one undo step per action until one is
+    reachable.
+    """
+    found: set[str] = set()
+    nodes = None
+    parts = [p]
+    while parts:
+        q = parts.pop()
+        if len(q.backward_ready) < 2:
+            found |= q.backward_ready
+        elif type(q) is Prefix:
+            parts.append(q.cont)
+        elif type(q) is Choice:
+            parts.append(q.right if q.left.initial else q.left)
+        elif not q.sync:
+            parts += (q.right, q.left)
+        else:
+            if nodes is None:
+                nodes = _Nodes({}, True)
+            for _, a, y in nodes.steps_of(nodes.intern(q)):
+                if a not in found and nodes.undoes_to_initial(y):
+                    found.add(a)
+    return frozenset(found)
+
+
 @dataclass(frozen=True, slots=True)
 class Transition:
     """A transition: its proof and observation (see :class:`Lts`)."""

@@ -30,7 +30,7 @@ from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
 from revexp.semantics import brs_forward_steps, build_brs_lts, build_union
 from revexp import is_reachable
-from revexp.terms import NIL, Choice, Par, Prefix, act, is_initial, to_initial
+from revexp.terms import NIL, Choice, Par, Prefix, act, brs, is_initial, to_initial
 
 from test_byte_identity import _products
 
@@ -238,7 +238,8 @@ def test_the_check_union_is_one_system_after_the_other():
 
 
 def test_the_state_budget_is_per_process():
-    small, p, q = P("a.0"), P("a.0 |[]| b.0"), P("a.b.0 + c.0")  # 2, 4, 4 states
+    # 3, 4, 4 states, each ready to fire a and b
+    small, p, q = P("a.0 + b.0"), P("a.0 |[]| b.0"), P("a.b.0 + b.0")
     union, _, _ = bisim._union(p, q, 4)
     assert union.num_states == 8
     for v in ALL:
@@ -247,6 +248,10 @@ def test_the_state_budget_is_per_process():
     for pair in ((p, q), (small, q), (q, small)):
         with pytest.raises(StateBudgetError, match="state budget of 3 states exceeded"):
             check(*pair, Variant.FB, max_states=3)
+    # ready to fire {a, b} against {a, c}, or {a}: round 1 answers, building nothing
+    c = P("a.b.0 + c.0")
+    for pair in ((p, c), (P("a.0"), c), (c, P("a.0"))):
+        assert not check(*pair, Variant.FB, max_states=3).equivalent
 
 
 def test_a_check_builds_no_transition_records(monkeypatch):
@@ -296,10 +301,12 @@ def test_a_counterexample_renders_only_its_two_states(monkeypatch):
 def test_reading_an_unstable_witness_raises(monkeypatch):
     monkeypatch.setattr(bisim, "refine",
                         lambda lts, variant, watch=None: ([0] * lts.num_states, None))
-    verdict = check(P("a.0"), P("b.0"), Variant.FB)
+    verdict = check(P("a.b.0"), P("a.c.0"), Variant.FB)
     assert verdict.equivalent
     with pytest.raises(WitnessCheckError, match="share a block but have different"):
         verdict.witness
+    # a pair that round 1 separates is answered before refine
+    assert not check(P("a.0"), P("b.0"), Variant.FB).equivalent
 
 
 def test_a_verdict_built_by_hand_keeps_its_fields():
@@ -818,24 +825,30 @@ def test_each_check_decides_on_the_states_its_variant_reads(monkeypatch):
     # two initial processes can be undone to nothing but themselves
     assert check(p, q, Variant.RB).equivalent and sizes == [2]
     # the leaves of x1 undo to 3, 2 and 2 states and those of x2 to 2, 2
-    # and 2, so the cones hold 12 + 8 of the union's 2,048 states
+    # and 3, so the cones hold 12 + 12 of the union's 2,048 states; both
+    # can undo b and c
     x1 = _walked_to(p, [0, 0, 1, 7])
-    x2 = _walked_to(q, [0, 0, 1])
+    x2 = _walked_to(q, [0, 0, 1, 5])
     union, s1, s2 = _check_union(x1, x2)
     cone = _closed(union, [s1, s2], union.incoming_ids, union.source)
     sizes.clear()
     check(x1, x2, Variant.RB)
-    assert sizes == [cone] == [12 + 8] and union.num_states == 2 * 4 ** 5
+    assert sizes == [cone] == [12 + 12] and union.num_states == 2 * 4 ** 5
     # chains keep every leaf state under FB, so nothing is quotiented; the
-    # closures of y1 and y2 hold 1 * 4 * 4 and 4 * 2 * 4 states, 8 of them
-    # shared, of the 64 their common initial version reaches
+    # closures of y1 and y2, both ready to fire a alone, hold 1 * 4 * 4 and
+    # 4 * 1 * 4 states, 4 of them shared, of the 64 their common initial
+    # version reaches
     r = P(" |[]| ".join(["a.b.c.0"] * 3))
-    y1, y2 = _walked_to(r, [0, 0, 0]), _walked_to(r, [4, 4])
+    y1, y2 = _walked_to(r, [0, 0, 0]), _walked_to(r, [1, 1, 1])
     union, s1, s2 = _check_union(y1, y2)
     closure = _closed(union, [s1, s2], union.outgoing, union.target)
     sizes.clear()
     check(y1, y2, Variant.FB)
-    assert sizes == [closure] == [16 + 32 - 8] and union.num_states == 64
+    assert sizes == [closure] == [16 + 16 - 4] and union.num_states == 64
+    # undoing {b, c} against {a, c}: round 1 answers, deciding on nothing
+    sizes.clear()
+    assert not check(x1, _walked_to(q, [0, 0, 1]), Variant.RB, max_states=1).equivalent
+    assert sizes == []
 
 
 def _moves(lts, ids, end) -> Counter:
@@ -937,9 +950,14 @@ def test_roots_and_leaves_with_a_product_inside_keep_their_states(monkeypatch):
     inner = " |[]| ".join(["(b.0 + b.0)"] * 5)
     blocked = P(f"a.({inner}) |[a]| 0")
     assert check(blocked, P("0 |[a]| 0"), Variant.FB).equivalent and sizes == []
-    r = P("(a.0 + a.0) |[]| (b.0 + b.0)")
-    assert check(r, q, Variant.FB).counterexample == _unquotiented(r, q, Variant.FB)[2]
-    assert sizes == [2 * 2 + 2]  # 3 states per choice leaf, 2 classes; 0 keeps its one
+    r, s = P("(a.0 + a.0) |[]| (b.0 + b.0)"), P("(a.0 + a.0) |[]| b.c.0")
+    assert check(r, s, Variant.FB).counterexample == _unquotiented(r, s, Variant.FB)[2]
+    assert sizes == [2 * 2 + 2 * 3]  # 3 states per choice leaf, 2 classes; b.c.0 keeps its 3
+    # ready to fire {a, b} against {a}: round 1 answers, building nothing
+    sizes.clear()
+    assert check(r, q, Variant.FB, max_states=1).counterexample == _unquotiented(
+        r, q, Variant.FB)[2]
+    assert sizes == []
 
 
 def _in_closure(x) -> bool:
@@ -999,3 +1017,108 @@ def test_rb_reads_no_undo_step_that_no_run_takes():
     walked = P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)")
     assert walked in lefts
     assert check(walked, P("a!.b!.a!.0"), Variant.RB).equivalent
+
+
+# --- round 1 from the two processes ---------------------------------------------
+#
+# ``check`` answers a pair whose signatures under a one-block seed differ
+# before it builds anything, from the two processes' ready sets.  Its answers
+# must be those of the built decision, and the backward ready set it reads
+# must be that of the incoming transitions, which ``brs`` is not always.
+
+_KEYLESS = P("(a!.c!.0 |[]| a!.0) |[a,c]| (c!.a!.d!.0 |[]| a!.0)")
+# the same, with c synchronized one level up: the left operand alone can
+# undo a, the product cannot, though a is not in its synchronization set
+_KEYLESS_ABOVE = P("((a!.c!.0 |[]| a!.0) |[a]| (e!.a!.d!.0 |[]| a!.0)) |[c,e]| c!.e!.0")
+
+
+def test_an_undo_step_no_run_takes_is_not_in_the_backward_ready_set():
+    # brs reads a from the two plain a!.0, but undoing them together needs
+    # the a of a!.c!.0 fired with the a after c (or e), which follows it;
+    # the one run to each state reads a, c, (e,) a, d
+    for x, chain in ((_KEYLESS, P("a!.c!.a!.d!.0")),
+                     (_KEYLESS_ABOVE, P("a!.c!.e!.a!.d!.0"))):
+        assert brs(x) == {"a", "d"} and semantics._undo_ready(x) == {"d"}
+        assert [(a, is_reachable(q)) for _, a, q in semantics._steps(x, True)] == [
+            ("d", True), ("a", False)]
+        for v in ALL:
+            assert _checked(x, chain, v) == _unquotiented(x, chain, v), v
+        assert check(x, chain, Variant.RB).equivalent
+        assert necessary_check(x, chain, Variant.RB)
+    assert semantics._undo_ready(_KEYLESS_ABOVE.left) == {"a", "c", "d"}
+
+
+def _synced_products():
+    """Products of two to four leaves, every parallel composition with
+    the same synchronization set."""
+    def nest(leaves, sync):
+        p = leaves[0]
+        for leaf in leaves[1:]:
+            p = Par(sync, p, leaf)
+        return p
+    return st.builds(nest, st.lists(_leaf_terms(), min_size=2, max_size=4),
+                     st.sampled_from([("a",), ("b",), ("a", "b")]))
+
+
+_synced_roots = st.tuples(_synced_products(), st.lists(st.integers(0, 10**6), min_size=1,
+                                                        max_size=8),
+                          st.just(0), st.just(0))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_roots, _deep_roots, _synced_roots))
+@example((_KEYLESS, [], 0, 0))
+@example((_KEYLESS_ABOVE, [], 0, 0))
+def test_the_backward_ready_set_is_that_of_the_reachable_undo_steps(spec):
+    x = _root(spec)
+    if is_reachable(x):
+        assert semantics._undo_ready(x) == {
+            a for _, a, q in semantics._steps(x, True) if is_reachable(q)}, render(x)
+
+
+def _round_1_agrees(union, s1, s2, variant) -> bool:
+    """Whether the union's round 1 from a one-block seed keeps the pair
+    together."""
+    signature = bisim._signature_of(union, [0] * union.num_states, variant)
+    return signature(s1) == signature(s2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(_roots, _roots), st.tuples(_deep_roots, _deep_roots),
+                 st.tuples(_synced_roots, _synced_roots))
+       .map(lambda specs: tuple(map(_root, specs))))
+@example((P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)"), P("a!.b!.a!.0")))
+@example((_KEYLESS, P("a!.c!.a!.d!.0")))
+@example((_KEYLESS, P("d!.0")))
+@example((_KEYLESS_ABOVE, P("a!.c!.e!.a!.d!.0")))
+def test_check_answers_round_1_as_the_built_decision(pair):
+    p, q = pair
+    for v in ALL:
+        assert _answer(_checked, p, q, v) == _answer(_unquotiented, p, q, v), v
+    if is_reachable(p) and is_reachable(q):
+        union, s1, s2 = _check_union(p, q)
+        for v in ALL:
+            assert necessary_check(p, q, v) == _round_1_agrees(union, s1, s2, v), v
+
+
+def test_a_pair_that_round_1_separates_builds_nothing(monkeypatch):
+    cases = [
+        (P("a.0"), P("b.0"), Variant.FB),
+        (P("a.0"), P("b!.a.0"), Variant.FBPS),  # one initial, both ready for a
+        (P("a.b.0"), P("a.c.0 |[]| b.0"), Variant.FBPS),
+        (P("a!.0 |[]| b.0"), P("b!.0"), Variant.RB),
+        (P("a!.c.0"), P("b!.c.0"), Variant.FRB),  # apart only backward
+        (P("a.0 |[]| b.0"), P("a.b.0 + c.0"), Variant.FRB),
+    ]
+    expected = [_unquotiented(p, q, v)[2] for p, q, v in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or refined a system")
+
+    for name in ("_build", "_undo_cone", "build_union", "refine"):
+        monkeypatch.setattr(bisim, name, refuse)
+    for (p, q, v), ce in zip(cases, expected):
+        verdict = check(p, q, v, max_states=1)
+        assert not verdict.equivalent and verdict.counterexample == ce, v
+    assert [ce.direction for ce in expected] == [
+        "forward", "initiality", "forward", "backward", "backward", "forward"]

@@ -35,9 +35,12 @@ def test_check_witness(capsys):
 def test_check_witness_that_fails_its_check_is_an_error(capsys, monkeypatch):
     monkeypatch.setattr(bisim, "refine",
                         lambda lts, variant, watch=None: ([0] * lts.num_states, None))
-    code, out, err = run(capsys, "check", "--variant", "fb", "--witness", "a.0", "b.0")
+    code, out, err = run(capsys, "check", "--variant", "fb", "--witness", "a.b.0", "a.c.0")
     assert code == 2 and out == ""
-    assert err.startswith("error: witness is not a bisimulation: states a.0 and a!.0")
+    assert err.startswith("error: witness is not a bisimulation: states a.b.0 and a!.b.0")
+    # a pair that round 1 separates is answered before refine
+    code, out, _ = run(capsys, "check", "--variant", "fb", "--witness", "a.0", "b.0")
+    assert code == 1 and out.startswith("not equivalent")
 
 
 def test_check_parse_error(capsys):
@@ -196,6 +199,7 @@ _UNREACHABLE = "a!.0 |[a]| b.0"  # a! fired without a partner
     ["encode", _UNREACHABLE],
     ["prove", "--theory", "f", _UNREACHABLE, "a.0"],
     ["check", "--variant", "fb", _UNREACHABLE, "a.0"],
+    ["lts", _UNREACHABLE],
 ])
 def test_every_command_refuses_an_unreachable_term(capsys, argv):
     assert run(capsys, *argv) == (2, "", f"error: {_UNREACHABLE} is not reachable\n")
@@ -303,14 +307,17 @@ def test_selftest_state_cap_env_bounds_the_family(capsys, monkeypatch):
 
 
 def test_check_state_cap_env_is_per_process(capsys, monkeypatch):
-    # four states on each side, eight in the union
+    # four states on each side, eight in the union, each ready to fire a and b
     monkeypatch.setenv("REVEXP_STATE_CAP", "4")
-    code, out, _ = run(capsys, "check", "--variant", "fb", "a.0 |[]| b.0", "a.b.0 + c.0")
+    code, out, _ = run(capsys, "check", "--variant", "fb", "a.0 |[]| b.0", "a.b.0 + b.0")
     assert code == 1 and out.startswith("not equivalent")
     monkeypatch.setenv("REVEXP_STATE_CAP", "3")
-    code, out, err = run(capsys, "check", "--variant", "fb", "a.0 |[]| b.0", "a.b.0 + c.0")
+    code, out, err = run(capsys, "check", "--variant", "fb", "a.0 |[]| b.0", "a.b.0 + b.0")
     assert code == 2 and out == ""
     assert err == "error: state budget of 3 states exceeded\n"
+    # ready to fire {a, b} against {a, c}: round 1 answers, building nothing
+    code, out, _ = run(capsys, "check", "--variant", "fb", "a.0 |[]| b.0", "a.b.0 + c.0")
+    assert code == 1 and out.startswith("not equivalent")
 
 
 def test_deep_terms_are_an_error_not_a_verdict(capsys):
