@@ -448,7 +448,8 @@ def _seed_split(p1: Process, p2: Process, variant: Variant):
     step fires a prefix and reaches a non-initial state, of block 0.
     """
     sig1, sig2 = (), ()
-    for ready in ([frs] if variant.forward else []) + ([_undo_ready] if variant.backward else []):
+    readers = ([frs] if variant.forward else []) + ([_undo_ready] if variant.backward else [])
+    for ready in readers:
         sig1 += (frozenset((a, 0) for a in ready(p1)),)
         sig2 += (frozenset((a, 0) for a in ready(p2)),)
         if sig1[-1] != sig2[-1]:
@@ -495,7 +496,6 @@ def check(p1: Process, p2: Process, variant: Variant,
     which its first read builds under the same budget unless the check
     decided on that union.
     """
-    roots = [to_initial(p1), to_initial(p2)]
     for p in (p1, p2):
         if not is_reachable(p):
             raise NotReachableError(f"{render(p)} is not reachable")
@@ -506,6 +506,7 @@ def check(p1: Process, p2: Process, variant: Variant,
     if split is not None:
         return Verdict(False, variant, counterexample=_describe_split(
             render(p1), render(p2), variant, split))
+    roots = [to_initial(p1), to_initial(p2)]
     witness = partial(_stable, p1, p2, variant, max_states)
     if variant is Variant.RB:
         system = _undo_cone([[p1], [p2]], max_states)

@@ -216,23 +216,19 @@ def is_reachable(p: Process) -> bool:
 
 def _undo_ready(p: Process) -> frozenset[str]:
     """The actions of the undo steps of the reachable ``p`` that land on a
-    reachable state: those of its incoming transitions in any system that
-    holds it.
+    reachable state: those of its incoming transitions in any system.
 
-    Each undo step's action is in ``brs(p)``, and each action there has an
-    undo step, but that step can pair synchronized prefixes that no run
-    fired together: ``(a!.c!.0 |[]| a!.0) |[a,c]| (c!.a!.d!.0 |[]| a!.0)``
-    has ``brs`` ``{a, d}``, and its one ``a`` step lands on a state where
-    the ``a`` of ``a!.c!.0`` can only have fired with that of
-    ``c!.a!.d!.0``, which follows the ``c`` that follows it.  A reachable
-    state that is not initial has an undo step to a reachable state, the
-    last step of a run read backward, so a ``brs`` of at most one action
-    is exact.  Otherwise the walk
-    descends as :func:`is_reachable` does, through executed prefixes,
-    choices that have fired and interleavings, whose undo steps land on a
-    reachable state exactly when their operand's do; a synchronized
-    product searches the target of one undo step per action until one is
-    reachable.
+    They are ``brs(p)`` less the actions whose every undo step pairs
+    synchronized prefixes that no run fired together (an example is in
+    ``notes/decisions.md``).  A reachable state that is not initial has
+    an undo step to a reachable state, the last step of a run read
+    backward, so a ``brs`` of at most one action is exact.  Otherwise the
+    walk descends as :func:`is_reachable` does, through executed
+    prefixes, fired choices and interleavings, whose undo steps land on a
+    reachable state exactly when their operand's do.  A synchronized
+    product searches, per action not yet found, its undo steps' targets
+    until one undoes to an initial state, even for an action outside its
+    synchronization set.
     """
     found: set[str] = set()
     nodes = None
