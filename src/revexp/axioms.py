@@ -29,7 +29,7 @@ from .encoding import (
     minimal_trace_histories,
 )
 from .errors import NotNormalizedError, NotReachableError
-from .semantics import is_reachable
+from .semantics import require_reachable
 from .syntax import _PREC_PAR, _render, render
 from .terms import (
     NIL,
@@ -421,8 +421,7 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     """
     if theory is not Theory.R:
         return _fr_encoding(p, False)[0]
-    if not is_reachable(p):
-        raise NotReachableError(f"{render(p)} is not reachable")
+    require_reachable(p)
     if _order_blind(p):
         return encode_reachable(p)
     return encode_reachable(p, canonical_order(p))
@@ -432,8 +431,7 @@ def _fr_encoding(p: Process, traced: bool):
     """The forward-reverse :func:`theory_encoding` of ``p``, its canonical
     normal form, and the derivation of that form (normalization, then
     canonicalization) when ``traced`` is set, else ``None``."""
-    if not is_reachable(p):
-        raise NotReachableError(f"{render(p)} is not reachable")
+    require_reachable(p)
     if _order_blind(p):
         orders = [None]
     else:
@@ -459,8 +457,7 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
     """
     if theory is Theory.F:
         for p in (p1, p2):
-            if not is_reachable(p):
-                raise NotReachableError(f"{render(p)} is not reachable")
+            require_reachable(p)
         n1 = canonical(normalize_f(p1, trace), Theory.F, trace)
         n2 = canonical(normalize_f(p2, trace), Theory.F, trace)
         return n1 == n2

@@ -1,7 +1,9 @@
 """Decision procedures for the four equivalences, with witnesses.
 
 Under a one-block seed a state's signature is its ready sets: the actions
-it can fire, and those it can undo to a reachable state.  So a pair whose
+it can fire, and those it can undo to a reachable state, which the walk
+that refuses an unreachable process gives
+(:func:`~revexp.semantics.require_reachable`).  So a pair whose
 signatures under the seed differ is answered by :func:`check` from the
 two processes alone, before anything is built, and the state budget
 bounds nothing for it.  Any other pair is decided by partition refinement
@@ -55,10 +57,9 @@ from .semantics import (
     _build,
     _forward_order,
     _undo_cone,
-    _undo_ready,
     build_lts,
     build_union,
-    is_reachable,
+    require_reachable,
 )
 from .syntax import render
 from .terms import (
@@ -433,25 +434,26 @@ def _decide(system: Lts, x1, x2, variant: Variant, witness) -> Verdict:
         render(x1), render(x2), variant, split))
 
 
-def _seed_split(p1: Process, p2: Process, variant: Variant):
+def _seed_split(p1: Process, p2: Process, variant: Variant, undone: list[frozenset[str]]):
     """The signatures of the reachable ``p1`` and ``p2`` under a one-block
     seed, up to the first direction in which they differ, or ``None`` when
-    they agree.
+    they agree.  ``undone`` holds their backward ready sets, as
+    :func:`~revexp.semantics.require_reachable` gives them.
 
     Such a signature reads only a state's own steps, with every end in
     block 0: the forward part is its ready set :func:`~revexp.terms.frs`,
     the backward part the actions of its undo steps that land on a
-    reachable state (:func:`~revexp.semantics._undo_ready`), which are
-    those of its incoming transitions.  So these are the pair's signatures
-    under the seed of any system that holds both.  Under FB:ps they are
-    the signatures of a pair that agrees on initiality, as every forward
-    step fires a prefix and reaches a non-initial state, of block 0.
+    reachable state, which are those of its incoming transitions.  So
+    these are the pair's signatures under the seed of any system that
+    holds both.  Under FB:ps they are the signatures of a pair that agrees
+    on initiality, as every forward step fires a prefix and reaches a
+    non-initial state, of block 0.
     """
     sig1, sig2 = (), ()
-    readers = ([frs] if variant.forward else []) + ([_undo_ready] if variant.backward else [])
-    for ready in readers:
-        sig1 += (frozenset((a, 0) for a in ready(p1)),)
-        sig2 += (frozenset((a, 0) for a in ready(p2)),)
+    sets = ([(frs(p1), frs(p2))] if variant.forward else []) + ([undone] if variant.backward else [])
+    for ready1, ready2 in sets:
+        sig1 += (frozenset((a, 0) for a in ready1),)
+        sig2 += (frozenset((a, 0) for a in ready2),)
         if sig1[-1] != sig2[-1]:
             return sig1, sig2
     return None
@@ -461,15 +463,17 @@ def check(p1: Process, p2: Process, variant: Variant,
           max_states: int = DEFAULT_STATE_CAP) -> Verdict:
     """Decide whether two reachable processes are equivalent under ``variant``.
 
-    Both processes must be reachable, which is checked before anything is
-    built, so an unreachable process raises :class:`NotReachableError`
-    before a budget is exceeded.  A pair whose signatures under the seed
-    differ is answered next, before anything is built: under FB:ps by the
-    two processes' initiality, then by their ready sets
-    (:func:`_seed_split`), which are those signatures in any system that
-    holds both, so the counterexample is the one :func:`refine` gives
-    there.  No system is decided on, so ``max_states`` (the CLI's
-    ``REVEXP_STATE_CAP``) bounds nothing for such a pair.
+    Both processes must be reachable.  One walk of each
+    (:func:`~revexp.semantics.require_reachable`) refuses an unreachable
+    process with :class:`NotReachableError`, before anything is built and
+    so before a budget is exceeded, and gives its backward ready set.  A
+    pair whose signatures under the seed differ is answered next, before
+    anything is built: under FB:ps by the two processes' initiality, then
+    by their ready sets (:func:`_seed_split`), which are those signatures
+    in any system that holds both, so the counterexample is the one
+    :func:`refine` gives there.  No system is decided on, so
+    ``max_states`` (the CLI's ``REVEXP_STATE_CAP``) bounds nothing for
+    such a pair.
 
     Any other pair is decided on a system.  RB is decided on the undo cone
     of ``p1`` and ``p2``: a backward signature reads only incoming
@@ -496,13 +500,11 @@ def check(p1: Process, p2: Process, variant: Variant,
     which its first read builds under the same budget unless the check
     decided on that union.
     """
-    for p in (p1, p2):
-        if not is_reachable(p):
-            raise NotReachableError(f"{render(p)} is not reachable")
+    undone = [require_reachable(p) for p in (p1, p2)]
     if variant.past_sensitive and p1.initial != p2.initial:
         split = ((), ())
     else:
-        split = _seed_split(p1, p2, variant)
+        split = _seed_split(p1, p2, variant, undone)
     if split is not None:
         return Verdict(False, variant, counterexample=_describe_split(
             render(p1), render(p2), variant, split))
@@ -537,10 +539,12 @@ def necessary_check(p1: Process, p2: Process, variant: Variant) -> bool:
     """Fast refutation filter: whether round 1 from a one-block seed keeps
     the pair together, which is equality of the variant's ready sets (see
     :func:`_seed_split`).  Under FB:ps it reads the forward ready sets and
-    not initiality.  Only reachable processes have a round 1 to agree with."""
+    not initiality.  Only reachable processes have a round 1 to agree with,
+    so an unreachable one is refused as :func:`check` refuses it."""
     if not (is_wellformed(p1) and is_wellformed(p2)):
         raise NotReachableError("necessary_check requires well-formed processes")
-    return _seed_split(p1, p2, variant) is None
+    undone = [require_reachable(p) for p in (p1, p2)]
+    return _seed_split(p1, p2, variant, undone) is None
 
 
 def verify_partition(lts: Lts, blocks: list[int], variant: Variant) -> str | None:

@@ -25,9 +25,9 @@ from .axioms import (
 )
 from .bisim import Variant, check
 from .encoding import HistoryOrder, default_order, encode
-from .errors import NotReachableError, RevexpError
+from .errors import RevexpError
 from .generate import enumerate_processes
-from .semantics import DEFAULT_STATE_CAP, build_brs_lts, build_lts, export, is_reachable
+from .semantics import DEFAULT_STATE_CAP, build_brs_lts, build_lts, export, require_reachable
 from .syntax import ACTION_RE, parse, parse_proof_term, render
 from .terms import TAU, to_initial
 
@@ -65,13 +65,6 @@ def _max_size(value: int) -> int:
     if value < 0:
         raise ValueError(f"--max-size must be a non-negative integer, not {value}")
     return value
-
-
-def _reachable(p):
-    """``p``, refused as the other commands refuse it unless a run reaches it."""
-    if not is_reachable(p):
-        raise NotReachableError(f"{render(p)} is not reachable")
-    return p
 
 
 def _order_from_spec(spec: str):
@@ -112,7 +105,8 @@ def _cmd_lts(args) -> int:
     if args.brs:
         lts = build_brs_lts(encode(p, default_order()), _state_cap())
     else:
-        lts = build_lts(to_initial(_reachable(p)), _state_cap())
+        require_reachable(p)
+        lts = build_lts(to_initial(p), _state_cap())
     print(export(lts, args.format))
     return 0
 
@@ -128,7 +122,8 @@ def _cmd_normalize(args) -> int:
     p = parse(args.process, allow_illformed=args.allow_illformed)
     theory = _THEORIES[args.theory]
     if theory is Theory.F:
-        result = normalize_f(_reachable(p))
+        require_reachable(p)
+        result = normalize_f(p)
     elif theory is Theory.R:
         result = normalize_r(encode(p, default_order()))
     else:
@@ -152,8 +147,9 @@ def _cmd_expand(args) -> int:
     p1 = parse(args.p1, allow_illformed=args.allow_illformed)
     p2 = parse(args.p2, allow_illformed=args.allow_illformed)
     sync = _actions(args.sync, "--sync")
-    expanded = expansion_law_f(normalize_f(_reachable(p1)), normalize_f(_reachable(p2)),
-                               sync)
+    for p in (p1, p2):
+        require_reachable(p)
+    expanded = expansion_law_f(normalize_f(p1), normalize_f(p2), sync)
     print(render(normalize_f(expanded), unicode=args.unicode))
     return 0
 

@@ -45,7 +45,7 @@ from .semantics import (
     _undo_cone,
     brs_forward_steps,
     forward_steps,
-    is_reachable,
+    require_reachable,
 )
 from .syntax import render, render_proof
 from .terms import (
@@ -213,8 +213,7 @@ def canonical_order(p: Process) -> ExecutionOrder:
 
 def encode(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
     """Sequential ready-set form of a reachable process."""
-    if not is_reachable(p):
-        raise NotReachableError(f"{render(p)} is not reachable")
+    require_reachable(p)
     return encode_reachable(p, order)
 
 

@@ -32,7 +32,7 @@ from .bisim import Variant, _sequential, check, check_brs, refine
 from .encoding import brs_preserved_shape, encode, verify_correspondence
 from .errors import NotReachableError
 from .generate import enumerate_processes, seed_terms
-from .semantics import DEFAULT_STATE_CAP, build_lts, build_union
+from .semantics import DEFAULT_STATE_CAP, build_lts, build_union, require_reachable
 from .syntax import render
 from .terms import Par, Process, ProcessLike, brs, frs, is_initial, to_initial
 
@@ -227,16 +227,18 @@ def congruence_suite(max_size: int, alphabet, samples: int = 200) -> SuiteReport
 
 def necessary_condition_suite(max_size: int, alphabet,
                               max_states: int = DEFAULT_STATE_CAP) -> SuiteReport:
-    """No equivalent pair may differ on the variant's ready sets."""
+    """No equivalent pair may differ on the variant's ready sets, ``frs``
+    forward and :func:`~revexp.semantics.require_reachable` backward."""
     report = SuiteReport("ready sets are necessary conditions")
     terms = list(enumerate_processes(max_size, alphabet, max_states))
+    ready = [(frs(term), require_reachable(term)) for term in terms]
     for variant in Variant:
         ids = class_ids(terms, variant, max_states)
         classes: dict[int, tuple] = {}
-        for term, cid in zip(terms, ids):
+        for term, (forward, backward), cid in zip(terms, ready, ids):
             sets = (
-                frs(term) if variant.forward else None,
-                brs(term) if variant.backward else None,
+                forward if variant.forward else None,
+                backward if variant.backward else None,
             )
             report.checked += 1
             prev = classes.get(cid)

@@ -167,78 +167,53 @@ def brs_forward_steps(
 
 
 def is_reachable(p: Process) -> bool:
-    """Whether a run from the initial version of ``p`` reaches ``p``, by a
-    depth-first search over undo steps.
+    """Whether a run from the initial version of ``p`` reaches ``p``."""
+    return p.wellformed and (p.initial or bool(_undo_ready(p)))
 
-    Each rule reads the same both ways (the loop property), so a chain of
-    undo steps from ``p`` that ends in an initial term is a run to ``p``
-    read backward, and a run to ``p`` read backward is such a chain: ``p``
-    is reachable exactly when some chain ends in its initial version.  Not
-    every chain does.  Synchronization carries no keys, so an undo step of
-    a reachable state may pair prefixes that no run fired together, and
-    land on a well-formed state that is unreachable and may have no undo
-    step: from ``(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)``, undoing
-    the two plain ``a!.0`` together leaves such a state.  So the search
-    backtracks.  It takes the first undo step first, which on the usual
-    reachable input is a straight walk back.  Each step clears an executed
-    flag, and a seen set bounds the search by the states that can reach
-    ``p``.  An ill-formed process is unreachable.
 
-    Under an interleaving ``|[]|`` the operands step independently, so a
-    product is reachable exactly when each operand is.  An executed prefix
-    fired before anything in its continuation, so it is reachable exactly
-    when its continuation is, and a choice that has fired is reachable
-    exactly when its non-initial side is.  The search descends through
-    these three and searches only the other parts that are not initial,
-    each with :meth:`_Nodes.undoes_to_initial` over one set of nodes, so
-    an unreachable operand is refused on its own cone, not on the product
-    of every operand's cone.
-    """
-    if not p.wellformed:
-        return False
-    nodes = None
-    parts = [p]
-    while parts:
-        q = parts.pop()
-        if type(q) is Par and not q.sync:
-            parts += (q.right, q.left)
-        elif type(q) is Prefix and q.executed:
-            parts.append(q.cont)
-        elif type(q) is Choice and not q.initial:
-            parts.append(q.right if q.left.initial else q.left)
-        elif not q.initial:
-            if nodes is None:
-                nodes = _Nodes({}, True)
-            if not nodes.undoes_to_initial(nodes.intern(q)):
-                return False
-    return True
+def require_reachable(p: Process) -> frozenset[str]:
+    """:func:`_undo_ready` of ``p``, or the refusal :class:`NotReachableError`
+    when no run reaches ``p``."""
+    if p.wellformed:
+        ready = _undo_ready(p)
+        if ready or p.initial:
+            return ready
+    raise NotReachableError(f"{render(p)} is not reachable")
 
 
 def _undo_ready(p: Process) -> frozenset[str]:
-    """The actions of the undo steps of the reachable ``p`` that land on a
-    reachable state: those of its incoming transitions in any system.
+    """The actions of the undo steps of the well-formed ``p`` that land on
+    a reachable state: empty exactly when ``p`` is initial or unreachable.
 
-    They are ``brs(p)`` less the actions whose every undo step pairs
-    synchronized prefixes that no run fired together (an example is in
-    ``notes/decisions.md``).  A reachable state that is not initial has
-    an undo step to a reachable state, the last step of a run read
-    backward, so a ``brs`` of at most one action is exact.  Otherwise the
-    walk descends as :func:`is_reachable` does, through executed
-    prefixes, fired choices and interleavings, whose undo steps land on a
-    reachable state exactly when their operand's do.  A synchronized
-    product searches, per action not yet found, its undo steps' targets
-    until one undoes to an initial state, even for an action outside its
-    synchronization set.
+    Each rule reads the same both ways (the loop property), so a state
+    that is not initial is reachable exactly when it has an undo step to a
+    reachable state, the last step of a run read backward.  On a reachable
+    ``p`` the set is that of its incoming transitions in any system:
+    ``brs(p)`` less the actions whose every undo step pairs synchronized
+    prefixes that no run fired together (see ``notes/decisions.md``).
+
+    An initial part adds nothing, and an executed prefix over an initial
+    continuation adds its action.  Any other executed prefix, a fired
+    choice and an interleaving ``|[]|`` are reachable exactly when their
+    non-initial parts are, and undo as those do, so the walk descends
+    into them.  Only a synchronized product searches, over one set of
+    backward nodes: it keeps the action of each undo step whose target
+    :meth:`_Nodes.undoes_to_initial`, even one outside its synchronization
+    set, and when it keeps none, no run reaches it or ``p``.  So an
+    unreachable operand is refused on its own cone.
     """
     found: set[str] = set()
     nodes = None
     parts = [p]
     while parts:
         q = parts.pop()
-        if len(q.backward_ready) < 2:
-            found |= q.backward_ready
-        elif type(q) is Prefix:
-            parts.append(q.cont)
+        if q.initial:
+            continue
+        if type(q) is Prefix:
+            if q.cont.initial:
+                found.add(q.action)
+            else:
+                parts.append(q.cont)
         elif type(q) is Choice:
             parts.append(q.right if q.left.initial else q.left)
         elif not q.sync:
@@ -246,9 +221,13 @@ def _undo_ready(p: Process) -> frozenset[str]:
         else:
             if nodes is None:
                 nodes = _Nodes({}, True)
+            kept: set[str] = set()
             for _, a, y in nodes.steps_of(nodes.intern(q)):
-                if a not in found and nodes.undoes_to_initial(y):
-                    found.add(a)
+                if a not in kept and nodes.undoes_to_initial(y):
+                    kept.add(a)
+            if not kept:
+                return frozenset()
+            found |= kept
     return frozenset(found)
 
 
@@ -350,7 +329,7 @@ class _Nodes:
     """
 
     __slots__ = ("back", "memo", "classes", "ids", "parts", "terms", "initial",
-                 "steps", "sid", "par_l", "par_r", "syn")
+                 "steps", "dead", "sid", "par_l", "par_r", "syn")
 
     def __init__(self, classes: dict, back: bool):
         self.back = back  # whether nodes step backward
@@ -361,6 +340,7 @@ class _Nodes:
         self.terms: list = []  # a leaf's term; a pair's once built
         self.initial: list[bool] = []
         self.steps: dict[int, list] = {}  # the kept steps of operands
+        self.dead: set[int] = set()  # nodes no chain of steps takes to an initial one
         self.sid: list[int | None] = []
         self.par_l: dict[int, ParL] = {}
         self.par_r: dict[int, ParR] = {}
@@ -453,10 +433,19 @@ class _Nodes:
 
     def undoes_to_initial(self, x: int) -> bool:
         """Whether a chain of steps from the node ``x`` of backward nodes
-        ends in an initial node, searched depth first, first step first
-        (see :func:`is_reachable`).  The steps of each node searched are
-        kept, so a build that closes it does not step it again."""
-        initial, steps_of = self.initial, self._operand_steps
+        ends in an initial node: a run to ``x`` read backward.
+
+        Synchronization carries no keys, so an undo step of a reachable
+        state may pair prefixes that no run fired together and land on an
+        unreachable state, as undoing the two plain ``a!.0`` of
+        ``(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)`` together does.
+        So the search backtracks, depth first, first step first.  The
+        steps of each node searched are kept, so a build that closes it
+        does not step it again, and so are the nodes a failed search met,
+        which no later search enters."""
+        initial, steps_of, dead = self.initial, self._operand_steps, self.dead
+        if x in dead:
+            return False
         seen = {x}
         stack = [x]
         while stack:
@@ -464,9 +453,10 @@ class _Nodes:
             if initial[y]:
                 return True
             for _, _, z in reversed(steps_of(y)):
-                if z not in seen:
+                if z not in seen and z not in dead:
                     seen.add(z)
                     stack.append(z)
+        dead |= seen
         return False
 
     def _pair_steps(self, sync: tuple[str, ...], l: int, r: int) -> list:
@@ -519,7 +509,7 @@ class _Nodes:
 
     def close(self) -> None:
         """Drop what only stepping needs, once the system is built."""
-        self.memo = self.initial = self.steps = None
+        self.memo = self.initial = self.steps = self.dead = None
         self.par_l = self.par_r = self.syn = None
 
 
@@ -680,7 +670,6 @@ def _build(groups: list[list], max_states: int, classes: dict,
     """
     nodes = _Nodes(classes, back)
     sid_of, steps_of = nodes.sid, nodes.steps_of
-    unreached: set[int] = set()
     node_of: list[int] = []  # state id -> node
     source: list[int] = []
     target_ids: list[int] = []
@@ -705,8 +694,7 @@ def _build(groups: list[list], max_states: int, classes: dict,
             for theta, o, y in steps_of(node_of[sid]):
                 tid = sid_of[y]
                 if tid is None:
-                    if back and (y in unreached or not nodes.undoes_to_initial(y)):
-                        unreached.add(y)
+                    if back and not nodes.undoes_to_initial(y):
                         continue
                     if len(node_of) - first >= max_states:
                         raise StateBudgetError(
@@ -742,7 +730,7 @@ def _undo_cone(groups: list[list], max_states: int) -> Lts:
     to, breadth first over :func:`_steps` read backward; a state already
     met in an earlier group is that group's state.  An undo step of a
     reachable state may land on a state that no run reaches (see
-    :func:`is_reachable`); such a state is skipped with its step.  Every
+    :meth:`_Nodes.undoes_to_initial`); such a state is skipped with its step.  Every
     incoming transition of a reachable state leaves from a reachable state
     that can reach it, so the cone holds the source of each: it is all a
     backward signature reads, as in the closure of the initial versions.

@@ -22,7 +22,7 @@ from revexp import (
     render,
     render_proof,
 )
-from revexp import bisim, semantics
+from revexp import bisim, selfcheck, semantics
 from revexp.bisim import Verdict, refine, verify_partition
 from revexp.axioms import Theory, theory_encoding
 from revexp.errors import NotReachableError, RevexpError, StateBudgetError, WitnessCheckError
@@ -1065,15 +1065,56 @@ _synced_roots = st.tuples(_synced_products(), st.lists(st.integers(0, 10**6), mi
                           st.just(0), st.just(0))
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(st.one_of(_roots, _deep_roots, _synced_roots))
+# synchronized products walked, then marked or desynchronized (see _root)
+_unsynced_roots = st.tuples(_synced_products(), st.lists(st.integers(0, 10**6), min_size=1,
+                                                          max_size=8),
+                            st.integers(4, 5), st.integers(0, 10**6))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(_roots, _deep_roots, _synced_roots, _unsynced_roots))
 @example((_KEYLESS, [], 0, 0))
 @example((_KEYLESS_ABOVE, [], 0, 0))
+@example((P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)"), [], 0, 0))
+@example((P("a!.b!.0 |[]| a.0 |[a,b]| (a.0 |[]| b!.a!.0)"), [], 0, 0))
+@example((P("c!.0 |[]| (a!.0 |[a]| b.0)"), [], 0, 0))
 def test_the_backward_ready_set_is_that_of_the_reachable_undo_steps(spec):
+    # one walk gives the set and the refusal; reachability is read off the
+    # closure, which does not walk back
     x = _root(spec)
-    if is_reachable(x):
-        assert semantics._undo_ready(x) == {
-            a for _, a, q in semantics._steps(x, True) if is_reachable(q)}, render(x)
+    if not x.wellformed:
+        return
+    undone = {a for _, a, q in semantics._steps(x, True) if is_reachable(q)}
+    if _in_closure(x):
+        assert semantics.require_reachable(x) == undone, render(x)
+    else:
+        # the target of an undo step of x is unreachable too, by the loop property
+        assert semantics._undo_ready(x) == set() and undone == set(), render(x)
+        assert not is_reachable(x), render(x)
+        with pytest.raises(NotReachableError, match="is not reachable"):
+            semantics.require_reachable(x)
+
+
+def test_the_necessary_condition_suite_reads_the_incoming_actions(monkeypatch):
+    # brs widens the backward ready sets of the two keyless states, which are
+    # RB-equivalent to their chains
+    terms = [_KEYLESS, P("a!.c!.a!.d!.0"), _KEYLESS_ABOVE, P("a!.c!.e!.a!.d!.0")]
+    monkeypatch.setattr(selfcheck, "enumerate_processes", lambda *args: terms)
+    report = selfcheck.necessary_condition_suite(0, ())
+    assert (report.checked, report.failures) == (4 * len(ALL), [])
+
+
+def test_necessary_check_refuses_an_unreachable_process_as_check_does():
+    dead = P("a!.b!.0 |[]| a.0 |[a,b]| (a.0 |[]| b!.a!.0)")
+    for x, y in ((dead, P("a!.0")), (P("a!.0"), dead)):
+        for v in ALL:
+            with pytest.raises(NotReachableError) as refused:
+                necessary_check(x, y, v)
+            with pytest.raises(NotReachableError) as expected:
+                check(x, y, v)
+            assert str(refused.value) == str(expected.value) == f"{render(dead)} is not reachable"
+    with pytest.raises(NotReachableError, match="requires well-formed processes"):
+        necessary_check(parse("a!.0 + b!.0", allow_illformed=True), dead, Variant.RB)
 
 
 def _round_1_agrees(union, s1, s2, variant) -> bool:
