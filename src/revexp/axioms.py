@@ -24,7 +24,6 @@ from .encoding import (
     _split,
     _sum,
     _summands,
-    canonical_order,
     encode_reachable,
     minimal_trace_histories,
 )
@@ -172,21 +171,20 @@ def expansion_law_f(p1: Process, p2: Process, sync) -> Process:
 
 
 def _expansion_f(p1: Process, p2: Process, sync) -> Process:
-    sync = frozenset(sync)
     head1, sums1 = _fnf_parts(p1)
     head2, sums2 = _fnf_parts(p2)
     body1 = _sum(sums1)
     body2 = _sum(sums2)
     g1 = [
-        Prefix(s.action, False, Par(tuple(sorted(sync)), s.cont, body2))
+        Prefix(s.action, False, Par(sync, s.cont, body2))
         for s in sums1 if s.action not in sync
     ]
     g2 = [
-        Prefix(s.action, False, Par(tuple(sorted(sync)), body1, s.cont))
+        Prefix(s.action, False, Par(sync, body1, s.cont))
         for s in sums2 if s.action not in sync
     ]
     g3 = [
-        Prefix(s1.action, False, Par(tuple(sorted(sync)), s1.cont, s2.cont))
+        Prefix(s1.action, False, Par(sync, s1.cont, s2.cont))
         for s1 in sums1 if s1.action in sync
         for s2 in sums2 if s2.action == s1.action
     ]
@@ -421,23 +419,28 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     """
     if theory is not Theory.R:
         return _fr_encoding(p, False)[0]
+    return encode_reachable(p, next(_orders(p, 1)))
+
+
+def _orders(p: Process, cap: int):
+    """The orders the theories may encode ``p`` under: the default one when
+    every order gives the same encoding, else one per least-trace history,
+    at most ``cap`` (:func:`~revexp.encoding.minimal_trace_histories`).  An
+    unreachable ``p`` is refused at the first order."""
     require_reachable(p)
     if _order_blind(p):
-        return encode_reachable(p)
-    return encode_reachable(p, canonical_order(p))
+        yield None
+    else:
+        for hist in minimal_trace_histories(p, cap):
+            yield HistoryOrder(hist)
 
 
 def _fr_encoding(p: Process, traced: bool):
     """The forward-reverse :func:`theory_encoding` of ``p``, its canonical
     normal form, and the derivation of that form (normalization, then
     canonicalization) when ``traced`` is set, else ``None``."""
-    require_reachable(p)
-    if _order_blind(p):
-        orders = [None]
-    else:
-        orders = (HistoryOrder(hist) for hist in minimal_trace_histories(p))
     best = None
-    for order in orders:
+    for order in _orders(p, 512):
         u = encode_reachable(p, order)
         steps = [] if traced else None
         form = canonical(normalize_fr(u, steps), Theory.FR, steps)

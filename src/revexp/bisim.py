@@ -39,8 +39,9 @@ Policriti 2004).  A pair that the stable partition separates is explained
 by the rounds of the signature loop (each round splits every block by its
 states' signatures under the last partition), run from the seed to the
 first round that separates the pair; the pair's two signatures under the
-round before explain the verdict.  A pair whose signatures under the seed
-differ is separated by round 1, and goes to the rounds without a sweep.
+round before explain the verdict.  Every watched pair is swept first:
+:func:`check` has already answered a pair that round 1 separates, before
+building anything.
 """
 
 from __future__ import annotations
@@ -223,15 +224,13 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
     sweep.
 
     With ``watch``, ``split`` is ``None`` when the pair shares a block of
-    the stable partition.  Otherwise ``refine`` returns the partition of
-    the first round that separates the pair (:func:`_rounds`) with
-    ``split = (sig_left, sig_right)``, the pair's signatures under the
-    round before, and ``split`` is ``((), ())`` when the seed separates
-    the pair.  A pair in one seed block whose signatures under the seed
-    differ is separated by round 1, which keys the blocks by seed block
-    and signature, so the rounds run without a sweep; any other pair runs
-    the sweeps first, and the rounds only when the stable partition
-    separates it.
+    the stable partition.  Otherwise ``refine`` returns what
+    :func:`_rounds` gives: the partition of the first round that separates
+    the pair with ``split = (sig_left, sig_right)``, the pair's signatures
+    under the round before, or the seed with ``split = ((), ())`` when the
+    seed separates the pair.  A watched pair is swept like any other:
+    :func:`check` answers a pair that round 1 separates before it builds
+    anything, so only :func:`check_brs` brings such a pair here.
 
     Blocks are numbered by their first state; when nothing splits, the
     seed comes back unchanged.
@@ -241,12 +240,6 @@ def refine(lts: Lts, variant: Variant, watch: tuple[int, int] | None = None):
         seed = [1 if lts.initial[s] else 0 for s in range(n)]
     else:
         seed = [0] * n
-    if watch is not None:
-        if seed[watch[0]] != seed[watch[1]]:
-            return seed, ((), ())  # separated by the initiality seed itself
-        signature = _signature_of(lts, seed, variant)
-        if signature(watch[0]) != signature(watch[1]):
-            return _rounds(lts, variant, seed, watch)
     order = _forward_order(lts)
     orders = {True: order[::-1], False: order}
     directions = [forward for forward, on in ((True, variant.forward),
@@ -276,8 +269,11 @@ def _rounds(lts: Lts, variant: Variant, seed: list[int], watch: tuple[int, int])
     the seed, and P(k+1) keys each state by its block of Pk and its
     signature under Pk, its blocks numbered by their first state.
     Returns that round's partition and ``(sig_left, sig_right)``, the
-    pair's two signatures under the round before.
+    pair's two signatures under the round before, or the seed and
+    ``((), ())`` when the seed separates the pair.
     """
+    if seed[watch[0]] != seed[watch[1]]:
+        return seed, ((), ())  # separated by the initiality seed itself
     blocks = seed
     while True:
         signature = _signature_of(lts, blocks, variant)

@@ -74,8 +74,8 @@ def _order_from_spec(spec: str):
         path = spec[len("file:"):]
         with open(path, encoding="utf-8") as handle:
             proofs = tuple(
-                parse_proof_term(line.strip())
-                for line in handle
+                parse_proof_term(line.rstrip(), number)
+                for number, line in enumerate(handle, 1)
                 if line.strip()
             )
         return HistoryOrder(proofs)
@@ -103,7 +103,7 @@ def _cmd_check(args) -> int:
 def _cmd_lts(args) -> int:
     p = parse(args.process, allow_illformed=args.allow_illformed)
     if args.brs:
-        lts = build_brs_lts(encode(p, default_order()), _state_cap())
+        lts = build_brs_lts(encode(p), _state_cap())
     else:
         require_reachable(p)
         lts = build_lts(to_initial(p), _state_cap())
@@ -125,9 +125,9 @@ def _cmd_normalize(args) -> int:
         require_reachable(p)
         result = normalize_f(p)
     elif theory is Theory.R:
-        result = normalize_r(encode(p, default_order()))
+        result = normalize_r(encode(p))
     else:
-        result = normalize_fr(encode(p, default_order()))
+        result = normalize_fr(encode(p))
     print(render(result, unicode=args.unicode))
     return 0
 

@@ -195,13 +195,6 @@ def default_order() -> ExecutionOrder:
     return LexOrder()
 
 
-def canonical_order(p: Process) -> ExecutionOrder:
-    """Order from the canonical history; used by the equational deciders."""
-    if is_initial(p):
-        return LexOrder()
-    return HistoryOrder(canonical_history(p))
-
-
 # --- the encoding ----------------------------------------------------------
 #
 # An expansion depends only on its operands and its environment: the branch

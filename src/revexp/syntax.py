@@ -24,12 +24,10 @@ from .terms import (
     BrsPrefix,
     Choice,
     Dot,
+    MARKERS,
     Nil,
     Par,
-    ParL,
-    ParR,
     PlusL,
-    PlusR,
     Prefix,
     Process,
     ProcessLike,
@@ -139,7 +137,7 @@ class _Parser:
         if self.peek().kind != "parr":
             raise self.error("expected ']|' closing the synchronization set")
         self.next()
-        return tuple(sorted(set(names)))
+        return tuple(names)  # Par sorts and deduplicates it
 
     def parse_choice(self) -> Process:
         left = self.parse_prefix()
@@ -283,70 +281,60 @@ def fired_ready(u: ProcessLike, theta: ProofTerm) -> tuple[str, ...]:
 def render_proof(t: ProofTerm) -> str:
     if isinstance(t, Act):
         return t.name
-    if isinstance(t, Dot):
-        return "." + render_proof(t.inner)
-    if isinstance(t, PlusL):
-        return "+l " + render_proof(t.inner)
-    if isinstance(t, PlusR):
-        return "+r " + render_proof(t.inner)
-    if isinstance(t, ParL):
-        return "|l " + render_proof(t.inner)
-    if isinstance(t, ParR):
-        return "|r " + render_proof(t.inner)
-    return f"<{render_proof(t.left)}, {render_proof(t.right)}>"
+    if isinstance(t, Syn):
+        return f"<{render_proof(t.left)}, {render_proof(t.right)}>"
+    mark = MARKERS[type(t)]
+    # a dot prefixes its inner proof; a two-letter marker is a word
+    return f"{mark}{'' if mark == '.' else ' '}{render_proof(t.inner)}"
 
 
-def _proof_tokens(src: str):
-    pattern = re.compile(rf"\s*(\+l|\+r|\|l|\|r|{ACTION_RE.pattern}|[.<>,])")
-    pos = 0
-    out = []
+_MARKER_OF = {text: marker for marker, text in MARKERS.items()}
+_PROOF_TOKEN_RE = re.compile(
+    "({})\\s*".format("|".join([*map(re.escape, MARKERS.values()), ACTION_RE.pattern, "[<>,]"])))
+
+
+def _proof_tokens(src: str, line: int) -> list[_Token]:
+    """The tokens of a proof term written on ``line``, each at its column in
+    ``src``, then an end token."""
+    tokens = []
+    pos = len(src) - len(src.lstrip())
     while pos < len(src):
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = pattern.match(src, pos)
+        m = _PROOF_TOKEN_RE.match(src, pos)
         if m is None:
-            raise ParseError(f"bad proof term near {src[pos:]!r}", 1, pos + 1)
-        out.append(m.group(1))
+            raise ParseError(f"bad proof term near {src[pos:]!r}", line, pos + 1)
+        tokens.append(_Token("proof", m.group(1), line, pos + 1))
         pos = m.end()
-    return out
+    return tokens + [_Token("eof", "", line, len(src) + 1)]
 
 
-def _parse_proof(tokens: list[str], pos: int) -> tuple[ProofTerm, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of proof term", 1, pos + 1)
-    tok = tokens[pos]
-    if tok == ".":
-        inner, pos = _parse_proof(tokens, pos + 1)
-        return Dot(inner), pos
-    if tok == "+l":
-        inner, pos = _parse_proof(tokens, pos + 1)
-        return PlusL(inner), pos
-    if tok == "+r":
-        inner, pos = _parse_proof(tokens, pos + 1)
-        return PlusR(inner), pos
-    if tok == "|l":
-        inner, pos = _parse_proof(tokens, pos + 1)
-        return ParL(inner), pos
-    if tok == "|r":
-        inner, pos = _parse_proof(tokens, pos + 1)
-        return ParR(inner), pos
-    if tok == "<":
-        left, pos = _parse_proof(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ",":
-            raise ParseError("expected ',' in synchronization proof", 1, pos + 1)
-        right, pos = _parse_proof(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ">":
-            raise ParseError("expected '>' closing synchronization proof", 1, pos + 1)
-        return Syn(left, right), pos + 1
-    if ACTION_RE.fullmatch(tok):
-        return Act(tok), pos + 1
-    raise ParseError(f"unexpected token {tok!r} in proof term", 1, pos + 1)
+def _parse_proof(parser: _Parser) -> ProofTerm:
+    tok = parser.next()
+    if tok.kind == "eof":
+        raise ParseError("unexpected end of proof term", tok.line, tok.col)
+    marker = _MARKER_OF.get(tok.text)
+    if marker is not None:
+        return marker(_parse_proof(parser))
+    if tok.text == "<":
+        left = _parse_proof(parser)
+        if parser.peek().text != ",":
+            raise parser.error("expected ',' in synchronization proof")
+        parser.next()
+        right = _parse_proof(parser)
+        if parser.peek().text != ">":
+            raise parser.error("expected '>' closing synchronization proof")
+        parser.next()
+        return Syn(left, right)
+    if ACTION_RE.fullmatch(tok.text):
+        return Act(tok.text)
+    raise ParseError(f"unexpected token {tok.text!r} in proof term", tok.line, tok.col)
 
 
-def parse_proof_term(src: str) -> ProofTerm:
-    tokens = _proof_tokens(src)
-    term, pos = _parse_proof(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input in proof term: {tokens[pos:]!r}", 1, pos + 1)
+def parse_proof_term(src: str, line: int = 1) -> ProofTerm:
+    """Parse a proof term; an error gives ``line`` and the column in ``src``."""
+    parser = _Parser(_proof_tokens(src, line))
+    term = _parse_proof(parser)
+    tok = parser.peek()
+    if tok.kind != "eof":
+        rest = [t.text for t in parser.tokens[parser.pos:-1]]
+        raise ParseError(f"trailing input in proof term: {rest!r}", tok.line, tok.col)
     return term

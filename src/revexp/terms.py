@@ -331,9 +331,11 @@ class Syn:
 
 ProofTerm = Union[Act, Dot, PlusL, PlusR, ParL, ParR, Syn]
 
-# Markers usable in operator paths (sequences of unary proof-term wrappers).
+# Markers usable in operator paths (sequences of unary proof-term wrappers),
+# each with the text that writes it in a proof and names it in a syntax path.
 Marker = type
 ProofPath = tuple[Marker, ...]
+MARKERS: dict[Marker, str] = {Dot: ".", PlusL: "+l", PlusR: "+r", ParL: "|l", ParR: "|r"}
 
 
 def compose(path: ProofPath, t: ProofTerm) -> ProofTerm:
@@ -351,7 +353,7 @@ def act(t: ProofTerm) -> str:
     """
     if isinstance(t, Act):
         return t.name
-    if isinstance(t, (Dot, PlusL, PlusR, ParL, ParR)):
+    if type(t) in MARKERS:
         return act(t.inner)
     a1 = act(t.left)
     a2 = act(t.right)
@@ -490,17 +492,6 @@ def addressed_occurrences(t: ProofTerm) -> frozenset[tuple[str, ...]]:
     """
     if isinstance(t, Act):
         return frozenset({()})
-    if isinstance(t, Dot):
-        return frozenset((".",) + p for p in addressed_occurrences(t.inner))
-    if isinstance(t, PlusL):
-        return frozenset(("+l",) + p for p in addressed_occurrences(t.inner))
-    if isinstance(t, PlusR):
-        return frozenset(("+r",) + p for p in addressed_occurrences(t.inner))
-    if isinstance(t, ParL):
-        return frozenset(("|l",) + p for p in addressed_occurrences(t.inner))
-    if isinstance(t, ParR):
-        return frozenset(("|r",) + p for p in addressed_occurrences(t.inner))
-    return frozenset(("|l",) + p for p in addressed_occurrences(t.left)) | frozenset(
-        ("|r",) + p for p in addressed_occurrences(t.right)
-    )
-
+    if isinstance(t, Syn):
+        return addressed_occurrences(ParL(t.left)) | addressed_occurrences(ParR(t.right))
+    return frozenset((MARKERS[type(t)],) + p for p in addressed_occurrences(t.inner))

@@ -33,6 +33,7 @@ from revexp import is_reachable
 from revexp.terms import NIL, Choice, Par, Prefix, act, brs, is_initial, to_initial
 
 from test_byte_identity import _products
+import test_walked_digests as walked
 
 
 P = parse
@@ -489,10 +490,11 @@ def test_a_separated_pair_stops_at_its_separating_round():
     )
 
 
-def test_refine_sweeps_unless_round_1_separates_the_pair(monkeypatch):
-    # a pair that a later round separates runs the variant's sweeps before
-    # the rounds; a pair whose signatures under the seed differ is
-    # separated by round 1 and runs no sweep
+def test_refine_sweeps_before_the_rounds(monkeypatch):
+    # every watched pair runs the variant's sweeps, and a pair that the
+    # stable partition separates then runs the rounds from the seed: one
+    # that round 5 separates, and one that round 1 separates (as under
+    # check_brs; check answers those before building)
     directions = _sweeps(monkeypatch)
     leaves = ["(a.b.0 + c.0)"] * 3
     # the roots differ in the action after four a's, the walked chains in
@@ -504,22 +506,53 @@ def test_refine_sweeps_unless_round_1_separates_the_pair(monkeypatch):
     early = [P("c.0 + a.a.a.0"), P("d.0 + a.a.a.0")]
     early_rb = [_walked_to(P(chain), [0]) for chain in ("b.a.0", "c.a.0")]
     for v in ALL:
-        p, q = backward if v is Variant.RB else forward
-        union, s_p, s_q = _check_union(p, q)
-        rounds, _ = _round_loop(union, v)
-        first = next(k for k, blocks in enumerate(rounds) if blocks[s_p] != blocks[s_q])
-        assert first == 5, v
-        directions.clear()
-        assert refine(union, v, watch=(s_p, s_q))[1] is not None
-        assert set(directions) == {d for d, on in ((True, v.forward), (False, v.backward))
-                                   if on}, v
-        _assert_refine_matches(union, v, [(s_p, s_q)])
-        p, q = early_rb if v is Variant.RB else early
-        union, s_p, s_q = _check_union(p, q)
-        directions.clear()
-        assert refine(union, v, watch=(s_p, s_q))[1] is not None
-        assert directions == [], v
-        _assert_refine_matches(union, v, [(s_p, s_q)])
+        swept = {d for d, on in ((True, v.forward), (False, v.backward)) if on}
+        for (p, q), separating in (((backward if v is Variant.RB else forward), 5),
+                                   ((early_rb if v is Variant.RB else early), 1)):
+            union, s_p, s_q = _check_union(p, q)
+            rounds, _ = _round_loop(union, v)
+            first = next(k for k, blocks in enumerate(rounds) if blocks[s_p] != blocks[s_q])
+            assert first == separating, v
+            directions.clear()
+            assert refine(union, v, watch=(s_p, s_q))[1] is not None
+            assert set(directions) == swept, v
+            _assert_refine_matches(union, v, [(s_p, s_q)])
+
+
+def test_check_watches_only_pairs_that_round_1_keeps_together(monkeypatch):
+    # check answers a pair that the seed or round 1 separates before it
+    # builds anything, so every pair it has refine watch shares a seed
+    # block and has equal signatures under the seed
+    watched = Counter()
+    original = bisim.refine
+
+    def refine_watched(lts, variant, watch=None):
+        if watch is not None:
+            seed = [int(variant.past_sensitive and lts.initial[s])
+                    for s in range(lts.num_states)]
+            signature = bisim._signature_of(lts, seed, variant)
+            left, right = watch
+            assert seed[left] == seed[right], variant
+            assert signature(left) == signature(right), variant
+            watched[variant] += 1
+        return original(lts, variant, watch)
+
+    monkeypatch.setattr(bisim, "refine", refine_watched)
+    rng = random.Random(25)
+    pairs = []
+    for k in (4, 5):
+        for synced in (False, True):
+            for _ in range(6):
+                p, permuted = walked._products(rng, k, synced)
+                x = walked._walked(rng, p, 2 * k)
+                pairs += [(p, permuted), (x, walked._walked(rng, p, 2 * k)),
+                          (x, walked._walked(rng, permuted, 2 * k))]
+    family = list(enumerate_processes(3, ("a", "b")))
+    pairs += [(rng.choice(family), rng.choice(family)) for _ in range(1000)]
+    for p, q in pairs:
+        for v in ALL:
+            check(p, q, v)
+    assert all(watched[v] > 0 for v in ALL), watched
 
 
 def _sweeps(monkeypatch) -> list:

@@ -142,6 +142,18 @@ def test_encode_with_order_file(capsys, tmp_path):
     assert out.strip() == "<b!,{b}>.<a!,{b,a}>.0 + <a,{a}>.<b,{a,b}>.0"
 
 
+def test_an_order_file_error_gives_the_line_and_column(capsys, tmp_path):
+    path = tmp_path / "order.txt"
+    path.write_text("|r b\n\n|r <a, b\n  |l a  x\n", encoding="utf-8")
+    code, out, err = run(capsys, "encode", "a!.0 |[]| b!.0", "--order", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == "error: 3:9: expected '>' closing synchronization proof\n"
+    path.write_text("|r b\n  |l a  x\n", encoding="utf-8")
+    code, out, err = run(capsys, "encode", "a!.0 |[]| b!.0", "--order", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == "error: 2:9: trailing input in proof term: ['x']\n"
+
+
 def test_encode_unicode(capsys):
     code, out, _ = run(capsys, "encode", "a!.b.0", "--unicode")
     assert code == 0 and "†" in out and "⟨" in out

@@ -26,7 +26,6 @@ from revexp.encoding import (
     _order_blind,
     brs_preserved_shape,
     canonical_history,
-    canonical_order,
     default_order,
     encode_reachable,
     last_executed,
@@ -224,7 +223,7 @@ def _assert_states_are_marked_environments(p, u) -> int:
 
 def test_operand_states_on_the_size_3_family():
     for p in enumerate_processes(3, ("a", "b")):
-        for order in (default_order(), canonical_order(p)):
+        for order in (default_order(), HistoryOrder(canonical_history(p))):
             _assert_states_are_marked_environments(p, encode(p, order))
 
 
@@ -255,7 +254,7 @@ def test_operand_states_on_random_nested_products(p, picks):
         if not steps:
             break
         p = steps[pick % len(steps)][1]
-    for order in (default_order(), canonical_order(p)):
+    for order in (default_order(), HistoryOrder(canonical_history(p))):
         _assert_states_are_marked_environments(p, encode(p, order))
 
 
@@ -277,7 +276,7 @@ class _Unreadable(ExecutionOrder):
 def _history_path(p):
     """R and FR theory encodings of ``p`` made the way the deciders make
     them for a process whose encoding reads the order."""
-    r = encode_reachable(p, canonical_order(p))
+    r = encode_reachable(p, HistoryOrder(canonical_history(p)))
     best = None
     for hist in minimal_trace_histories(p):
         u = encode_reachable(p, HistoryOrder(hist))

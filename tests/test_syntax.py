@@ -101,3 +101,21 @@ def proof_terms():
 @given(proof_terms())
 def test_proof_term_round_trip(t):
     assert parse_proof_term(render_proof(t)) == t
+
+
+@pytest.mark.parametrize("src, position, message", [
+    ("a b", "1:3", "trailing input in proof term: ['b']"),
+    ("|l  |r  x y", "1:11", "trailing input in proof term: ['y']"),
+    ("|r <a, b", "1:9", "expected '>' closing synchronization proof"),
+    ("<a b>", "1:4", "expected ',' in synchronization proof"),
+    ("  |l", "1:5", "unexpected end of proof term"),
+    ("<a, >", "1:5", "unexpected token '>' in proof term"),
+    (".a $", "1:4", "bad proof term near '$'"),
+])
+def test_proof_term_errors_give_the_character_column(src, position, message):
+    with pytest.raises(ParseError) as err:
+        parse_proof_term(src)
+    assert str(err.value) == f"{position}: {message}"
+    with pytest.raises(ParseError) as err:
+        parse_proof_term(src, 7)
+    assert (err.value.line, err.value.column) == (7, int(position.split(":")[1]))
