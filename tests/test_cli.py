@@ -300,6 +300,26 @@ def test_selftest(capsys):
     assert "PASS completeness F vs FB:ps" in out
 
 
+_SELFTEST_3 = """\
+PASS completeness F vs FB:ps: 5263470 checks, 0 failures
+FAIL completeness R vs RB: 5263470 checks, 6 failures; first: a!.0 |[]| b!.a!.0 vs b!.a!.a!.0: one side identifies them, the other does not
+PASS completeness FR vs FRB: 5263470 checks, 0 failures
+FAIL encoding preserves RB: 5263450 checks, 6 failures; first: a!.0 |[]| b!.a!.0 vs b!.a!.a!.0: one side identifies them, the other does not
+PASS encoding preserves FRB: 5263450 checks, 0 failures
+PASS transition correspondence: 2704 checks, 0 failures
+PASS ready sets are necessary conditions: 12980 checks, 0 failures
+PASS encoding preserves initiality and ready sets: 3245 checks, 0 failures
+PASS loop and tree properties: 3245 checks, 0 failures
+"""
+
+
+def test_selftest_output_at_size_3_is_pinned(capsys):
+    # the suite's counts and first failures, byte for byte; the two R vs RB
+    # lines fail by design (see notes/decisions.md)
+    assert run(capsys, "selftest", "--max-size", "3", "--alphabet", "a,b") == (
+        1, _SELFTEST_3, "")
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_selftest_state_cap_env_must_be_a_positive_integer(capsys, monkeypatch, value):
     monkeypatch.setenv("REVEXP_STATE_CAP", value)
