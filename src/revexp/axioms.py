@@ -31,6 +31,7 @@ from .errors import NotNormalizedError, NotReachableError
 from .semantics import require_reachable
 from .syntax import _PREC_PAR, _render, render
 from .terms import (
+    MARKERS,
     NIL,
     BrsPrefix,
     BrsProcess,
@@ -38,6 +39,10 @@ from .terms import (
     Nil,
     PAST,
     Par,
+    ParL,
+    ParR,
+    PlusL,
+    PlusR,
     Prefix,
     Process,
     is_wellformed,
@@ -211,14 +216,14 @@ def _normalize_f(rw: _Pass, p: Process, log: list | None) -> Process:
     if isinstance(p, Prefix):
         q = rw(p.cont, log, f"{p.action}.")
         if not p.executed:
-            return Prefix(p.action, False, q)
+            return p.moved(False, q)
         if q.initial:
-            return Prefix(p.action, True, q)
+            return p.moved(True, q)
         _log(log, "A_F,6")
         return q
     if isinstance(p, Choice):
-        q1 = rw(p.left, log, "+l")
-        q2 = rw(p.right, log, "+r")
+        q1 = rw(p.left, log, MARKERS[PlusL])
+        q2 = rw(p.right, log, MARKERS[PlusR])
         init1, init2 = q1.initial, q2.initial
         if init1 and init2:
             if isinstance(q1, Nil):
@@ -236,8 +241,8 @@ def _normalize_f(rw: _Pass, p: Process, log: list | None) -> Process:
         _log(log, "A_F,2")
         _log(log, "A_F,7")
         return q2
-    q1 = rw(p.left, log, "|l")
-    q2 = rw(p.right, log, "|r")
+    q1 = rw(p.left, log, MARKERS[ParL])
+    q2 = rw(p.right, log, MARKERS[ParR])
     _log(log, "A_F,8")
     # both operands are normal forms already
     return rw(_expansion_f(q1, q2, p.sync), log, None)
@@ -283,7 +288,7 @@ def _copy_prefix(s: BrsPrefix, cont: BrsProcess) -> BrsPrefix:
     """``s`` over ``cont``; ``s`` itself when ``cont`` is its continuation."""
     if cont is s.cont:
         return s
-    return BrsPrefix(s.action, s.executed, s.ready, cont, s.proof, s.state)
+    return s.moved(s.executed, cont)
 
 
 def normalize_r(u: BrsProcess, trace: Trace | None = None) -> BrsProcess:
@@ -349,7 +354,7 @@ def canonical(x, theory: Theory, trace: Trace | None = None):
 
 def _canon_f(rw: _Pass, p: Process, log: list | None) -> Process:
     head, sums = _fnf_parts(p)
-    canon = [Prefix(s.action, False, rw(s.cont, log, f"{s.action}.")) for s in sums]
+    canon = [s.moved(False, rw(s.cont, log, f"{s.action}.")) for s in sums]
     keyed = sorted({_render(s, _PREC_PAR, False, (), rw.texts): s for s in canon}.items())
     if len(keyed) < len(canon):
         _log(log, "A_F,4")

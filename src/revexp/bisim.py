@@ -9,12 +9,12 @@ two processes alone, before anything is built, and the state budget
 bounds nothing for it.  Any other pair is decided by partition refinement
 on the states its variant's signatures read.
 A backward signature reads only incoming transitions, so :func:`check`
-decides RB on the undo cone of its two processes, the reachable states
-that can reach either; a forward one reads only outgoing transitions, so FB and
-FB:ps are decided on the two processes' forward closure.  FRB reads both,
-and is decided, as :func:`check_brs` decides ready-set processes, on the
-union that closes the two initial versions root by root, in which a state
-both reach is one state.  Every incoming transition of a reachable state
+and :func:`check_brs` decide RB on the undo cone of their two processes,
+the reachable states that can reach either; a forward one reads only
+outgoing transitions, so FB and FB:ps are decided on the two processes'
+forward closure.  FRB reads both, and is decided on the union that closes
+the two initial versions root by root, in which a state both reach is one
+state.  Every incoming transition of a reachable state
 originates from a reachable state, so refining the union is sound, and
 its round partitions restricted to a cone or a closure are that system's
 own.  Under FB, FB:ps and FRB, :func:`check` also quotients each
@@ -112,7 +112,7 @@ class Verdict:
     keeps a function giving the union system and its stable blocks, and the
     first read of ``witness`` calls it, checks the blocks with
     :func:`verify_partition` and renders them; a partition that fails the
-    check raises :class:`WitnessCheckError`.  When :func:`check` decided
+    check raises :class:`WitnessCheckError`.  When a decider decided
     on an undo cone, a forward closure or a quotient, that first read
     builds the union, which can exceed the budget the check kept to and
     raise :class:`StateBudgetError`.
@@ -392,7 +392,7 @@ def _leaf_classes(roots: list, variant: Variant, max_states: int) -> dict:
 
 
 def _union(x1, x2, max_states: int) -> tuple[Lts, int, int]:
-    """The union that FRB, :func:`check_brs` and every witness read, and
+    """The union that FRB and every witness read, and
     the states of ``x1`` and ``x2`` in it.
 
     The union closes the initial version of ``x1``, then that of ``x2``,
@@ -413,21 +413,6 @@ def _stable(x1, x2, variant: Variant, max_states: int) -> tuple[Lts, list[int]]:
     """The union of ``x1`` and ``x2`` and its stable partition."""
     union, _, _ = _union(x1, x2, max_states)
     return union, refine(union, variant)[0]
-
-
-def _decide(system: Lts, x1, x2, variant: Variant, witness) -> Verdict:
-    """Refine ``system``, watching the states of ``x1`` and ``x2``.
-
-    An equivalent verdict's witness comes from ``witness``, a function
-    giving a union and its stable partition, or from ``system`` itself
-    when ``witness`` is ``None``.
-    """
-    s1, s2 = system.index[x1], system.index[x2]
-    blocks, split = refine(system, variant, watch=(s1, s2))
-    if blocks[s1] == blocks[s2]:
-        return Verdict._from_partition(variant, witness or (lambda: (system, blocks)))
-    return Verdict(False, variant, counterexample=_describe_split(
-        render(x1), render(x2), variant, split))
 
 
 def _seed_split(p1: Process, p2: Process, variant: Variant, undone: list[frozenset[str]]):
@@ -504,12 +489,34 @@ def check(p1: Process, p2: Process, variant: Variant,
     if split is not None:
         return Verdict(False, variant, counterexample=_describe_split(
             render(p1), render(p2), variant, split))
-    roots = [to_initial(p1), to_initial(p2)]
-    witness = partial(_stable, p1, p2, variant, max_states)
+    return _decide(p1, p2, variant, max_states)
+
+
+def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
+              max_states: int = DEFAULT_STATE_CAP) -> Verdict:
+    """Decide reverse or forward-reverse equivalence over ready-set processes.
+
+    As :func:`check` decides a pair that round 1 keeps together: an
+    unreachable process is refused before anything is built, RB is decided
+    on the undo cone and FRB on the union.  A pair that round 1 separates
+    is refined too, so its counterexample is the one :func:`_rounds` gives.
+    """
+    if not variant.backward:
+        raise ValueError("ready-set systems are compared under RB or FRB only")
+    for u in (u1, u2):
+        require_reachable(u)
+    return _decide(u1, u2, variant, max_states)
+
+
+def _decide(x1, x2, variant: Variant, max_states: int) -> Verdict:
+    """Decide the reachable ``x1`` and ``x2`` on the system that
+    ``variant`` reads, watching their states, as :func:`check` describes."""
+    roots = [to_initial(x1), to_initial(x2)]
+    witness = partial(_stable, x1, x2, variant, max_states)
     if variant is Variant.RB:
-        system = _undo_cone([[p1], [p2]], max_states)
+        system = _undo_cone([[x1], [x2]], max_states)
     else:
-        starts = roots if variant.backward else [p1, p2]
+        starts = roots if variant.backward else [x1, x2]
         groups = [[p] for p in starts]
         classes = _leaf_classes(roots, variant, max_states)
         if classes:
@@ -518,17 +525,12 @@ def check(p1: Process, p2: Process, variant: Variant,
             system = build_union(groups, max_states)
             if starts == roots:  # the union itself
                 witness = None
-    return _decide(system, p1, p2, variant, witness)
-
-
-def check_brs(u1: BrsProcess, u2: BrsProcess, variant: Variant,
-              max_states: int = DEFAULT_STATE_CAP) -> Verdict:
-    """Decide reverse or forward-reverse equivalence over ready-set processes,
-    on the union of their initial versions' closures."""
-    if not variant.backward:
-        raise ValueError("ready-set systems are compared under RB or FRB only")
-    union, _, _ = _union(u1, u2, max_states)
-    return _decide(union, u1, u2, variant, None)
+    s1, s2 = system.index[x1], system.index[x2]
+    blocks, split = refine(system, variant, watch=(s1, s2))
+    if blocks[s1] == blocks[s2]:
+        return Verdict._from_partition(variant, witness or (lambda: (system, blocks)))
+    return Verdict(False, variant, counterexample=_describe_split(
+        render(x1), render(x2), variant, split))
 
 
 def necessary_check(p1: Process, p2: Process, variant: Variant) -> bool:

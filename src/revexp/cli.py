@@ -83,8 +83,8 @@ def _order_from_spec(spec: str):
 
 
 def _cmd_check(args) -> int:
-    p1 = parse(args.p1, allow_illformed=args.allow_illformed)
-    p2 = parse(args.p2, allow_illformed=args.allow_illformed)
+    p1 = parse(args.p1)
+    p2 = parse(args.p2)
     verdict = check(p1, p2, _VARIANTS[args.variant], _state_cap())
     if verdict.equivalent:
         # read (and so check) the witness before printing the answer
@@ -101,7 +101,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lts(args) -> int:
-    p = parse(args.process, allow_illformed=args.allow_illformed)
+    p = parse(args.process)
     if args.brs:
         lts = build_brs_lts(encode(p), _state_cap())
     else:
@@ -112,14 +112,14 @@ def _cmd_lts(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    p = parse(args.process, allow_illformed=args.allow_illformed)
+    p = parse(args.process)
     order = _order_from_spec(args.order)
     print(render(encode(p, order), unicode=args.unicode))
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    p = parse(args.process, allow_illformed=args.allow_illformed)
+    p = parse(args.process)
     theory = _THEORIES[args.theory]
     if theory is Theory.F:
         require_reachable(p)
@@ -133,8 +133,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    p1 = parse(args.p1, allow_illformed=args.allow_illformed)
-    p2 = parse(args.p2, allow_illformed=args.allow_illformed)
+    p1 = parse(args.p1)
+    p2 = parse(args.p2)
     trace = [] if args.trace else None
     equal = prove_eq(p1, p2, _THEORIES[args.theory], trace)
     print("equal" if equal else "not equal")
@@ -144,8 +144,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    p1 = parse(args.p1, allow_illformed=args.allow_illformed)
-    p2 = parse(args.p2, allow_illformed=args.allow_illformed)
+    p1 = parse(args.p1)
+    p2 = parse(args.p2)
     sync = _actions(args.sync, "--sync")
     for p in (p1, p2):
         require_reachable(p)
@@ -178,11 +178,6 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _add_term_flags(sub) -> None:
-    sub.add_argument("--allow-illformed", action="store_true",
-                     help="skip the well-formedness check after parsing")
-
-
 def _add_unicode_flag(sub) -> None:
     """For the commands that print a term."""
     sub.add_argument("--unicode", action="store_true",
@@ -202,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("p2")
     sub.add_argument("--witness", action="store_true",
                      help="print the witness partition when equivalent")
-    _add_term_flags(sub)
     sub.set_defaults(fn=_cmd_check)
 
     sub = subs.add_parser("lts", help="build and export a transition system")
@@ -210,21 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--format", choices=("dot", "json"), default="dot")
     sub.add_argument("--brs", action="store_true",
                      help="build the system of the ready-set encoding instead")
-    _add_term_flags(sub)
     sub.set_defaults(fn=_cmd_lts)
 
     sub = subs.add_parser("encode", help="ready-set encoding of a process")
     sub.add_argument("process")
     sub.add_argument("--order", default="lex",
                      help="serialization order: 'lex' or 'file:<path>' with one proof term per line")
-    _add_term_flags(sub)
     _add_unicode_flag(sub)
     sub.set_defaults(fn=_cmd_encode)
 
     sub = subs.add_parser("normalize", help="normal form in one of the three theories")
     sub.add_argument("--theory", choices=sorted(_THEORIES), required=True)
     sub.add_argument("process")
-    _add_term_flags(sub)
     _add_unicode_flag(sub)
     sub.set_defaults(fn=_cmd_normalize)
 
@@ -234,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("p2")
     sub.add_argument("--trace", action="store_true",
                      help="print the axiom applications used")
-    _add_term_flags(sub)
     sub.set_defaults(fn=_cmd_prove)
 
     sub = subs.add_parser(
@@ -245,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("p2")
     sub.add_argument("--sync", default="",
                      help="comma-separated synchronization set")
-    _add_term_flags(sub)
     _add_unicode_flag(sub)
     sub.set_defaults(fn=_cmd_expand)
 

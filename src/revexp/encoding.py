@@ -354,7 +354,7 @@ def _put(env: Process, sigma: ProofPath, f) -> Process:
         return f(env)
     head, rest = sigma[0], sigma[1:]
     if head is Dot and isinstance(env, Prefix):
-        return Prefix(env.action, env.executed, _put(env.cont, rest, f))
+        return env.moved(env.executed, _put(env.cont, rest, f))
     if head is PlusL and isinstance(env, Choice):
         return Choice(_put(env.left, rest, f), env.right)
     if head is PlusR and isinstance(env, Choice):

@@ -85,7 +85,8 @@ def _steps(p: ProcessLike, back: bool,
     direction: a forward step fires an unexecuted prefix, a backward step
     undoes an executed one, in both cases over an initial continuation;
     otherwise an executed prefix propagates the moves of its continuation.
-    Ready-set processes are only stepped forward.
+    One rule serves both kinds of prefix (each rebuilt by its ``moved``),
+    so a ready-set process steps and undoes as a plain one does.
 
     ``memo``, when given, maps each node already visited in this direction
     to its steps, so a subterm shared by many states computes its moves
@@ -99,15 +100,16 @@ def _steps(p: ProcessLike, back: bool,
             return steps
     if isinstance(p, Nil):
         steps = []
-    elif isinstance(p, Prefix):
+    elif isinstance(p, (Prefix, BrsPrefix)):
         if p.executed == back and p.cont.initial:
-            steps = [(Act(p.action), p.action, Prefix(p.action, not back, p.cont))]
+            o = p.action if p.plain else (p.action, tuple(sorted(p.ready)))
+            steps = [(Act(p.action), o, p.moved(not back, p.cont))]
         elif not p.executed:
             steps = []
         else:
             steps = [
-                (Dot(theta), a, Prefix(p.action, True, cont))
-                for theta, a, cont in _steps(p.cont, back, memo)
+                (Dot(theta), o, p.moved(True, cont))
+                for theta, o, cont in _steps(p.cont, back, memo)
             ]
     elif isinstance(p, Choice):
         steps = []
@@ -121,17 +123,6 @@ def _steps(p: ProcessLike, back: bool,
                 (PlusR(theta), a, Choice(p.left, right))
                 for theta, a, right in _steps(p.right, back, memo)
             )
-    elif isinstance(p, BrsPrefix):
-        if p.executed:
-            steps = [
-                (Dot(theta), o, BrsPrefix(p.action, True, p.ready, cont, p.proof, p.state))
-                for theta, o, cont in _steps(p.cont, back, memo)
-            ]
-        elif p.cont.initial:
-            steps = [(Act(p.action), (p.action, tuple(sorted(p.ready))),
-                      BrsPrefix(p.action, True, p.ready, p.cont, p.proof, p.state))]
-        else:
-            steps = []
     else:
         sync = p.sync
         lsteps = _steps(p.left, back, memo)
@@ -166,12 +157,12 @@ def brs_forward_steps(
     return [((theta, fired_ready(u, theta)), q) for theta, _, q in _steps(u, False)]
 
 
-def is_reachable(p: Process) -> bool:
+def is_reachable(p: ProcessLike) -> bool:
     """Whether a run from the initial version of ``p`` reaches ``p``."""
     return p.wellformed and (p.initial or bool(_undo_ready(p)))
 
 
-def require_reachable(p: Process) -> frozenset[str]:
+def require_reachable(p: ProcessLike) -> frozenset[str]:
     """:func:`_undo_ready` of ``p``, or the refusal :class:`NotReachableError`
     when no run reaches ``p``."""
     if p.wellformed:
@@ -181,7 +172,7 @@ def require_reachable(p: Process) -> frozenset[str]:
     raise NotReachableError(f"{render(p)} is not reachable")
 
 
-def _undo_ready(p: Process) -> frozenset[str]:
+def _undo_ready(p: ProcessLike) -> frozenset[str]:
     """The actions of the undo steps of the well-formed ``p`` that land on
     a reachable state: empty exactly when ``p`` is initial or unreachable.
 
@@ -209,7 +200,7 @@ def _undo_ready(p: Process) -> frozenset[str]:
         q = parts.pop()
         if q.initial:
             continue
-        if type(q) is Prefix:
+        if type(q) is Prefix or type(q) is BrsPrefix:
             if q.cont.initial:
                 found.add(q.action)
             else:

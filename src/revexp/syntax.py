@@ -27,7 +27,10 @@ from .terms import (
     MARKERS,
     Nil,
     Par,
+    ParL,
+    ParR,
     PlusL,
+    PlusR,
     Prefix,
     Process,
     ProcessLike,
@@ -195,14 +198,14 @@ def _wf_diagnosis(p: ProcessLike, path: str = "") -> str:
         if not li and not ri:
             return f"executed action on both sides of +{where}"
         if not is_wellformed(p.left):
-            return _wf_diagnosis(p.left, path + "+l ")
+            return _wf_diagnosis(p.left, path + MARKERS[PlusL] + " ")
         if not is_wellformed(p.right):
-            return _wf_diagnosis(p.right, path + "+r ")
+            return _wf_diagnosis(p.right, path + MARKERS[PlusR] + " ")
     if isinstance(p, Par):
         if not is_wellformed(p.left):
-            return _wf_diagnosis(p.left, path + "|l ")
+            return _wf_diagnosis(p.left, path + MARKERS[ParL] + " ")
         if not is_wellformed(p.right):
-            return _wf_diagnosis(p.right, path + "|r ")
+            return _wf_diagnosis(p.right, path + MARKERS[ParR] + " ")
     return f"term is not well-formed{where}"
 
 

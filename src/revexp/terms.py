@@ -108,6 +108,10 @@ class Prefix(_Node):
         _interned[key] = KeyedRef(node, _forget, key)
         return node
 
+    def moved(self, executed: bool, cont: "Process") -> "Prefix":
+        """This prefix with the flag ``executed`` over ``cont``."""
+        return Prefix(self.action, executed, cont)
+
     def __repr__(self) -> str:
         return f"Prefix(action={self.action!r}, executed={self.executed!r}, cont={self.cont!r})"
 
@@ -256,6 +260,10 @@ class BrsPrefix(_Node):
 
     __hash__ = _Node.__hash__
 
+    def moved(self, executed: bool, cont: "BrsProcess") -> "BrsPrefix":
+        """This prefix flagged ``executed`` over ``cont``, ready set, proof and state kept."""
+        return BrsPrefix(self.action, executed, self.ready, cont, self.proof, self.state)
+
     def __repr__(self) -> str:
         return (f"BrsPrefix(action={self.action!r}, executed={self.executed!r}, "
                 f"ready={self.ready!r}, cont={self.cont!r})")
@@ -390,10 +398,8 @@ def to_initial(p: ProcessLike) -> ProcessLike:
     q = p._rollback
     if q is not None:
         return q
-    if isinstance(p, Prefix):
-        q = Prefix(p.action, False, to_initial(p.cont))
-    elif isinstance(p, BrsPrefix):
-        q = BrsPrefix(p.action, False, p.ready, to_initial(p.cont), p.proof, p.state)
+    if isinstance(p, (Prefix, BrsPrefix)):
+        q = p.moved(False, to_initial(p.cont))
     elif isinstance(p, Choice):
         q = Choice(to_initial(p.left), to_initial(p.right))
     else:
@@ -464,10 +470,10 @@ def upd(e: Process, t: ProofTerm) -> Process:
     if isinstance(e, Prefix):
         if not e.executed:
             if isinstance(t, Act) and t.name == e.action:
-                return Prefix(e.action, True, e.cont)
+                return e.moved(True, e.cont)
             return e
         if isinstance(t, Dot):
-            return Prefix(e.action, True, upd(e.cont, t.inner))
+            return e.moved(True, upd(e.cont, t.inner))
         return e
     if isinstance(e, Choice):
         if isinstance(t, PlusL):

@@ -30,7 +30,7 @@ from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
 from revexp.semantics import brs_forward_steps, build_brs_lts, build_union
 from revexp import is_reachable
-from revexp.terms import NIL, Choice, Par, Prefix, act, brs, is_initial, to_initial
+from revexp.terms import NIL, BrsPrefix, Choice, Par, Prefix, act, brs, is_initial, to_initial
 
 from test_byte_identity import _products
 import test_walked_digests as walked
@@ -92,6 +92,16 @@ def test_check_brs():
     assert check_brs(encode(P("a.0")), encode(P("b.0")), Variant.RB).equivalent
     with pytest.raises(ValueError):
         check_brs(u1, u2, Variant.FB)
+
+
+def test_check_brs_refuses_an_illformed_root_before_building():
+    # as check refuses: the walk that decides reachability runs first, so no
+    # budget is exceeded, however small
+    illformed = BrsPrefix("a", False, frozenset("a"), encode(P("b!.0")))
+    for variant in (Variant.RB, Variant.FRB):
+        for pair in ((illformed, encode(P("a.0"))), (encode(P("a.0")), illformed)):
+            with pytest.raises(NotReachableError, match="is not reachable"):
+                check_brs(*pair, variant, max_states=1)
 
 
 def test_necessary_check():

@@ -219,8 +219,8 @@ def test_every_command_refuses_an_unreachable_term(capsys, argv):
 
 def test_normalize_f_and_expand_refuse_an_illformed_term(capsys):
     for argv in (["normalize", "--theory", "f"], ["expand", "c.0"]):
-        assert run(capsys, *argv, "a.b!.0", "--allow-illformed") == (
-            2, "", "error: a.b!.0 is not reachable\n")
+        assert run(capsys, *argv, "a.b!.0") == (
+            2, "", "error: executed action follows an unexecuted one\n")
 
 
 def test_normalize_f_and_expand_take_a_reachable_executed_term(capsys):

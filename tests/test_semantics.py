@@ -33,7 +33,7 @@ from revexp import (
 from revexp import semantics
 from revexp.bisim import Variant, _union, check, check_brs, refine
 from revexp.errors import StateBudgetError, UnknownStateError
-from revexp.generate import seed_terms
+from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
 from revexp.semantics import build_union, undo_steps
 from revexp.syntax import render_proof
@@ -517,6 +517,22 @@ def test_undo_steps_are_the_incoming_transitions():
                 (render_proof(t.proof), lts.renders[t.source]) for t in incoming(lts, sid)
             )
             assert backward == into, lts.renders[sid]
+
+
+def test_undo_steps_of_ready_set_states_are_their_incoming_transitions():
+    # ready-set processes step by the plain rules, so the loop property holds
+    # for them too: an executed prefix is undone, an unexecuted one is not
+    assert undo_steps(encode(parse("a.0"))) == []
+    for seed in seed_terms(3, ("a", "b")):
+        lts = build_brs_lts(encode(seed))
+        for sid, state in enumerate(lts.terms):
+            into = Counter((t.proof, lts.terms[t.source]) for t in incoming(lts, sid))
+            assert Counter(undo_steps(state)) == into, lts.renders[sid]
+
+
+def test_the_encoding_of_every_size_3_term_is_reachable():
+    assert all(semantics.is_reachable(encode(p))
+               for p in enumerate_processes(3, ("a", "b")))
 
 
 def test_undo_steps_of_an_illformed_term_is_empty():
