@@ -522,7 +522,6 @@ def test_undo_steps_are_the_incoming_transitions():
 def test_undo_steps_of_ready_set_states_are_their_incoming_transitions():
     # ready-set processes step by the plain rules, so the loop property holds
     # for them too: an executed prefix is undone, an unexecuted one is not
-    assert undo_steps(encode(parse("a.0"))) == []
     for seed in seed_terms(3, ("a", "b")):
         lts = build_brs_lts(encode(seed))
         for sid, state in enumerate(lts.terms):
