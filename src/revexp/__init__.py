@@ -33,19 +33,16 @@ from .encoding import (
     LexOrder,
     default_order,
     encode,
-    expand_parallel,
     verify_correspondence,
 )
 from .errors import (
     ActUndefinedError,
-    EncodingInputError,
     NotNormalizedError,
     NotReachableError,
     OrderUndefinedError,
     ParseError,
     RevexpError,
     StateBudgetError,
-    UnknownStateError,
     WellFormednessError,
     WitnessCheckError,
 )
@@ -59,7 +56,6 @@ from .semantics import (
     build_union,
     export,
     forward_steps,
-    incoming,
     is_reachable,
 )
 from .syntax import parse, parse_proof_term, render, render_proof

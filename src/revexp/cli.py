@@ -29,7 +29,7 @@ from .errors import RevexpError
 from .generate import enumerate_processes
 from .semantics import DEFAULT_STATE_CAP, build_brs_lts, build_lts, export, require_reachable
 from .syntax import ACTION_RE, parse, parse_proof_term, render
-from .terms import TAU, to_initial
+from .terms import TAU, Par, to_initial
 
 _VARIANTS = {v.value: v for v in Variant}
 _THEORIES = {t.value: t for t in Theory}
@@ -149,6 +149,7 @@ def _cmd_expand(args) -> int:
     sync = _actions(args.sync, "--sync")
     for p in (p1, p2):
         require_reachable(p)
+    require_reachable(Par(sync, p1, p2))
     expanded = expansion_law_f(normalize_f(p1), normalize_f(p2), sync)
     print(render(normalize_f(expanded), unicode=args.unicode))
     return 0

@@ -14,7 +14,7 @@ ready set is displayed is not part of the output: renderers derive it from
 the prefixes above it (the actions marked along the branch), so branches
 that differ only in that order share one subterm.
 
-Parallel composition is eliminated by :func:`expand_parallel`.  When both
+Parallel composition is eliminated by :func:`_expand`.  When both
 operands have executed actions that did not synchronize, the expansion must
 serialize them into a single chain (executed actions cannot sit on both
 sides of a choice), and a total order over executed-action proofs decides
@@ -33,12 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    EncodingInputError,
-    NotNormalizedError,
-    NotReachableError,
-    OrderUndefinedError,
-)
+from .errors import NotNormalizedError, NotReachableError, OrderUndefinedError
 from .semantics import (
     DEFAULT_STATE_CAP,
     _forward_order,
@@ -300,11 +295,6 @@ def _decompose(u: BrsProcess, memo: dict) -> tuple[BrsPrefix | None, list[BrsPre
     if got is not None:
         return got[0], got[1]
     head, rest, _ = _split(u)
-    for s in rest if head is None else (head, *rest):
-        if s.proof is None or s.state is None:
-            raise EncodingInputError(
-                "expansion operands must carry proof and state annotations; use encode()"
-            )
     memo[id(u)] = (head, rest, u)
     return head, rest
 
@@ -319,51 +309,24 @@ def _sum(summands: list) -> ProcessLike:
     return out
 
 
-def expand_parallel(u1: BrsProcess, u2: BrsProcess, sync, env: Process,
-                    sigma: ProofPath = (), order: ExecutionOrder | None = None) -> BrsProcess:
-    """Expansion of ``u1 || u2`` into a choice of ready-set prefixes.
-
-    ``env`` is a process with a parallel composition at the operator path
-    ``sigma``; ``u1`` and ``u2`` must be the results of :func:`encode` on
-    its two operands (their prefixes carry proof and state annotations).
-    Well-formedness is inductive, so checking the operands here covers every
-    fragment the expansion splits.
-    """
-    if not (u1.wellformed and u2.wellformed):
-        raise EncodingInputError("expansion operands must be well-formed")
-    if order is None:
-        order = default_order()
-    sigma = tuple(sigma)
-    cleared = _put(env, sigma, to_initial)
-    if not isinstance(_at(cleared, sigma), Par):
-        raise EncodingInputError("operator path does not lead to a parallel composition")
-    return _expand(u1, u2, frozenset(sync), sigma, cleared, order, {})
-
-
 def _at(env: Process, sigma: ProofPath) -> Process:
     """The subterm of ``env`` at the operator path ``sigma`` (which matches)."""
     for m in sigma:
-        env = env.cont if m is Dot else env.left if m is PlusL or m is ParL else env.right
+        env = env.cont if m is Dot else env.left if m is PlusL else env.right
     return env
 
 
 def _put(env: Process, sigma: ProofPath, f) -> Process:
-    """``env`` with its subterm ``q`` at the operator path ``sigma`` replaced
-    by ``f(q)``."""
+    """``env`` with its subterm ``q`` at the operator path ``sigma`` (which
+    matches) replaced by ``f(q)``."""
     if not sigma:
         return f(env)
     head, rest = sigma[0], sigma[1:]
-    if head is Dot and isinstance(env, Prefix):
+    if head is Dot:
         return env.moved(env.executed, _put(env.cont, rest, f))
-    if head is PlusL and isinstance(env, Choice):
+    if head is PlusL:
         return Choice(_put(env.left, rest, f), env.right)
-    if head is PlusR and isinstance(env, Choice):
-        return Choice(env.left, _put(env.right, rest, f))
-    if head is ParL and isinstance(env, Par):
-        return Par(env.sync, _put(env.left, rest, f), env.right)
-    if head is ParR and isinstance(env, Par):
-        return Par(env.sync, env.left, _put(env.right, rest, f))
-    raise EncodingInputError("operator path does not match the environment")
+    return Choice(env.left, _put(env.right, rest, f))
 
 
 def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPath,

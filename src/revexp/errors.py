@@ -30,20 +30,12 @@ class StateBudgetError(RevexpError):
     """Transition-system construction exceeded the state budget."""
 
 
-class UnknownStateError(RevexpError):
-    """A state id is not part of the transition system."""
-
-
 class NotNormalizedError(RevexpError):
     """An operation required a normal form and the input is not in it."""
 
 
 class OrderUndefinedError(RevexpError):
     """The serialization order cannot compare two executed-action proofs."""
-
-
-class EncodingInputError(RevexpError):
-    """An operand passed to the parallel expansion did not come from encode()."""
 
 
 class WitnessCheckError(RevexpError):

@@ -22,7 +22,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .errors import NotReachableError, StateBudgetError, UnknownStateError
+from .errors import NotReachableError, StateBudgetError
 from .syntax import fired_ready, render, render_proof
 from .terms import (
     Act,
@@ -599,12 +599,6 @@ class Lts:
     def num_states(self) -> int:
         return len(self.terms)
 
-    def state_of(self, term) -> int:
-        sid = self.index.get(term)
-        if sid is None:
-            raise UnknownStateError(f"{render(term)} is not a state of this system")
-        return sid
-
 
 def _forward_order(lts: Lts) -> list[int]:
     """The states in a topological order of the forward steps, by Kahn's
@@ -754,13 +748,6 @@ def build_union(groups: list[list], max_states: int = DEFAULT_STATE_CAP) -> Lts:
     roots have in common is stepped once.
     """
     return _build(groups, max_states, {})
-
-
-def incoming(lts: Lts, sid: int):
-    """All transitions whose target is ``sid`` (the state's backward moves)."""
-    if not 0 <= sid < lts.num_states:
-        raise UnknownStateError(f"no state {sid} in a {lts.num_states}-state system")
-    return [lts.transitions[i] for i in lts.incoming_ids[sid]]
 
 
 def export(lts: Lts, fmt: str = "dot") -> str:

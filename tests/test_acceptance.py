@@ -17,10 +17,11 @@ analysis lives in the project notes:
 
 from __future__ import annotations
 
+import random
 import re
 import time
 
-from revexp import Variant, brs, check, encode, parse, render
+from revexp import Par, Variant, brs, check, encode, is_initial, parse, render
 from revexp.axioms import (
     Theory,
     canonical,
@@ -30,6 +31,7 @@ from revexp.axioms import (
     theory_encoding,
 )
 from revexp.encoding import brs_preserved_shape, verify_correspondence
+from revexp.errors import NotReachableError
 from revexp.generate import enumerate_processes, seed_terms
 from revexp import selfcheck
 from revexp.semantics import undo_steps
@@ -200,11 +202,116 @@ def test_the_encoding_with_backward_ready_traces_gives_the_classes():
         report = selfcheck._partitions_agree(theory.name, terms, term_ids, labels)
         assert report.failures == []
 
+
+def _congruence_suite(max_size: int, alphabet, samples: int = 200) -> selfcheck.SuiteReport:
+    """Parallel contexts preserve every variant's verdict on equivalent pairs."""
+    report = selfcheck.SuiteReport("congruence for parallel composition")
+    terms = list(enumerate_processes(max_size, alphabet))
+    contexts = [p for p in terms if is_initial(p)]
+    sync_choices = [()] + [(a,) for a in alphabet] + [tuple(sorted(alphabet))]
+    rng = random.Random(23)
+    variants = list(Variant)
+    pools: dict[Variant, list[list[int]]] = {}
+    for variant in variants:
+        ids = selfcheck.class_ids(terms, variant)
+        classes: dict[int, list[int]] = {}
+        for idx, cid in enumerate(ids):
+            classes.setdefault(cid, []).append(idx)
+        pools[variant] = [members for members in classes.values() if len(members) > 1]
+    made = 0
+    attempts = 0
+    while made < samples and attempts < samples * 50:
+        attempts += 1
+        variant = variants[attempts % len(variants)]
+        if not pools[variant]:
+            continue
+        members = rng.choice(pools[variant])
+        i, j = rng.sample(members, 2)
+        q = rng.choice(contexts)
+        sync = rng.choice(sync_choices)
+        if rng.random() < 0.5:
+            c1, c2 = Par(sync, terms[i], q), Par(sync, terms[j], q)
+        else:
+            c1, c2 = Par(sync, q, terms[i]), Par(sync, q, terms[j])
+        try:
+            verdict = check(c1, c2, variant)
+        except NotReachableError:
+            continue  # composite not reachable under this synchronization set
+        made += 1
+        report.checked += 1
+        if not verdict.equivalent:
+            report.failures.append(
+                f"{variant.name}: {render(terms[i])} ~ {render(terms[j])} but "
+                f"{render(c1)} !~ {render(c2)}"
+            )
+    return report
+
+
 def test_criterion_6_congruence():
-    report = selfcheck.congruence_suite(3, ("a", "b"), samples=200)
+    report = _congruence_suite(3, ("a", "b"), samples=200)
     _verdict(6, report.ok, report.line())
     assert report.checked == 200
     assert report.ok, report.failures[:5]
+
+
+# Criterion 6 replaces one operand in an initial context.  The two tests
+# below replace both, by class mates, in reachable composites: if P1 ~ P2
+# and Q1 ~ Q2 then P1 |[L]| Q1 ~ P2 |[L]| Q2.
+
+_SYNC_SETS = ((), ("a",), ("b",), ("a", "b"))
+
+
+def _mates(terms: list, variant: Variant) -> list[list]:
+    """Each term's class under ``variant``, itself included."""
+    ids = selfcheck.class_ids(terms, variant)
+    classes: dict[int, list] = {}
+    for term, cid in zip(terms, ids):
+        classes.setdefault(cid, []).append(term)
+    return [classes[cid] for cid in ids]
+
+
+def _both_replaced(variant: Variant, sync, p1, p2, q1, q2, failures: list) -> bool:
+    """Check ``p1 |[sync]| q1`` against ``p2 |[sync]| q2`` and record a
+    failure; False when either composite is not reachable."""
+    c1, c2 = Par(sync, p1, q1), Par(sync, p2, q2)
+    try:
+        verdict = check(c1, c2, variant)
+    except NotReachableError:
+        return False
+    if not verdict.equivalent:
+        failures.append(f"{variant.name}: {render(c1)} !~ {render(c2)}")
+    return True
+
+
+def test_congruence_with_both_operands_replaced_at_size_1():
+    # every variant, sync set and ordered pair of class mates on each side
+    terms = list(enumerate_processes(1, ("a", "b")))
+    checked, failures = 0, []
+    for variant in Variant:
+        pairs = [(p1, p2) for p1, mates in zip(terms, _mates(terms, variant))
+                 for p2 in mates]
+        for sync in _SYNC_SETS:
+            for p1, p2 in pairs:
+                for q1, q2 in pairs:
+                    checked += _both_replaced(variant, sync, p1, p2, q1, q2, failures)
+    assert failures == []
+    assert checked == 22_884
+
+
+def test_congruence_with_both_operands_replaced_at_size_2_sampled():
+    # 3,000 seeded draws per variant: each operand and a class mate of it
+    terms = list(enumerate_processes(2, ("a", "b")))
+    rng = random.Random(29)
+    checked, failures = 0, []
+    for variant in Variant:
+        mates = _mates(terms, variant)
+        for _ in range(3_000):
+            i, j = rng.randrange(len(terms)), rng.randrange(len(terms))
+            checked += _both_replaced(variant, rng.choice(_SYNC_SETS),
+                                      terms[i], rng.choice(mates[i]),
+                                      terms[j], rng.choice(mates[j]), failures)
+    assert failures == []
+    assert checked == 6_567
 
 
 def test_criterion_7_necessary_conditions():

@@ -179,7 +179,7 @@ def test_discrete_lts_partitions():
     union = build_union([[P("0")], [P("a!.0")]])
     blocks, _ = refine(union, Variant.FBPS)
     # the initiality flag splits even transition-free states
-    assert blocks[0] != blocks[union.state_of(P("a!.0"))]
+    assert blocks[0] != blocks[union.index[P("a!.0")]]
     assert len(set(blocks)) == 2
 
 
@@ -470,7 +470,7 @@ def test_refine_matches_the_round_loop():
     assert len(products) == 54
     for p, q in zip(products, products[1:] + products[:1]):
         union, s_p, s_q = _check_union(p, q)
-        pairs = [(s_p, s_q), (0, union.state_of(to_initial(q)))]
+        pairs = [(s_p, s_q), (0, union.index[to_initial(q)])]
         for v in ALL:
             _assert_refine_matches(union, v, pairs)
     for v, theory in ((Variant.RB, Theory.R), (Variant.FRB, Theory.FR)):
@@ -934,6 +934,17 @@ def test_an_unreachable_root_is_not_found_through_its_class():
         with pytest.raises(NotReachableError) as raised:
             check(x, P("a.0"), v)
         assert str(raised.value) == message
+
+
+def test_class_ids_refuses_an_unreachable_term_as_check_does():
+    for text in ("a!.0 |[a]| b.0", "a!.0 |[a]| b!.0"):
+        x = P(text)
+        for v in ALL:
+            with pytest.raises(NotReachableError) as refused:
+                class_ids([P("a.0"), x], v)
+            with pytest.raises(NotReachableError) as expected:
+                check(x, P("a.0"), v)
+            assert str(refused.value) == str(expected.value) == f"{text} is not reachable"
 
 
 def _built_states(monkeypatch) -> list:

@@ -208,6 +208,7 @@ _UNREACHABLE = "a!.0 |[a]| b.0"  # a! fired without a partner
     ["normalize", "--theory", "r", _UNREACHABLE],
     ["expand", _UNREACHABLE, "c.0"],
     ["expand", "c.0", _UNREACHABLE],
+    ["expand", "--sync", "a", "a!.0", "b.0"],  # reachable operands, not their composite
     ["encode", _UNREACHABLE],
     ["prove", "--theory", "f", _UNREACHABLE, "a.0"],
     ["check", "--variant", "fb", _UNREACHABLE, "a.0"],

@@ -15,7 +15,6 @@ from revexp import (
     check,
     check_brs,
     encode,
-    expand_parallel,
     parse,
     render,
     verify_correspondence,
@@ -31,10 +30,10 @@ from revexp.encoding import (
     last_executed,
     minimal_trace_histories,
 )
-from revexp.errors import EncodingInputError, NotReachableError, OrderUndefinedError
+from revexp.errors import NotReachableError, OrderUndefinedError
 from revexp.generate import enumerate_processes
 from revexp.semantics import forward_steps
-from revexp.terms import BrsPrefix, Choice, Dot, NIL, Par, Prefix, brs, is_initial, to_initial, upd
+from revexp.terms import BrsPrefix, Choice, NIL, Par, Prefix, brs, is_initial, to_initial, upd
 from test_byte_identity import _products
 from test_semantics import _initial_processes, _names
 
@@ -138,59 +137,26 @@ def test_last_executed():
     assert last_executed(encode(P("a.0"))) is None
 
 
-# --- expand_parallel ---------------------------------------------------------
+# --- the expansion of a parallel composition ---------------------------------
 
 def test_expand_parallel_nil():
-    env = P("0 |[]| 0")
-    assert expand_parallel(NIL, NIL, (), env) == NIL
+    assert encode(P("0 |[]| 0")) == NIL
 
 
 def test_expand_parallel_example():
-    env = P("a!.0 |[]| b.0")
-    u = expand_parallel(encode(P("a!.0")), encode(P("b.0")), (), env)
+    u = encode(P("a!.0 |[]| b.0"))
     assert render(u) == "<a!,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
 
 
 def test_expand_parallel_ladder():
-    env = P("(a.0 + c.0) |[]| (b.0 + d.0)")
-    u = expand_parallel(encode(P("a.0 + c.0")), encode(P("b.0 + d.0")), (), env)
-    assert render(u) == render(encode(env))
-
-
-def test_expand_parallel_requires_annotations():
-    bare = BrsPrefix("a", False, frozenset("a"), NIL)
-    with pytest.raises(EncodingInputError):
-        expand_parallel(bare, NIL, (), P("a.0 |[]| 0"))
-
-
-def test_expand_parallel_requires_operand_states():
-    stateless = BrsPrefix("a", False, frozenset("a"), NIL, proof=Act("a"))
-    with pytest.raises(EncodingInputError):
-        expand_parallel(stateless, NIL, (), P("a.0 |[]| 0"))
-
-
-def test_expand_parallel_requires_well_formed_operands():
-    # both summands carry their annotations; only the second executed one is wrong
-    two = Choice(encode(P("a!.0")), encode(P("b!.0")))
-    env = P("(a!.0 + b!.0) |[]| c.0", allow_illformed=True)
-    with pytest.raises(EncodingInputError):
-        expand_parallel(two, encode(P("c.0")), (), env)
-    env = P("c.0 |[]| (a!.0 + b!.0)", allow_illformed=True)
-    with pytest.raises(EncodingInputError):
-        expand_parallel(encode(P("c.0")), two, (), env)
-
-
-def test_expand_parallel_requires_a_parallel_composition_at_the_path():
-    with pytest.raises(EncodingInputError):
-        expand_parallel(NIL, NIL, (), P("a.0"))
-    with pytest.raises(EncodingInputError):
-        expand_parallel(NIL, NIL, (), P("a.0 |[]| 0"), (Dot,))
+    u = encode(P("(a.0 + c.0) |[]| (b.0 + d.0)"))
+    assert render(u) == (
+        "<a,{a}>.(<b,{a,b}>.0 + <d,{a,d}>.0) + <c,{c}>.(<b,{c,b}>.0 + <d,{c,d}>.0)"
+        " + <b,{b}>.(<a,{b,a}>.0 + <c,{b,c}>.0) + <d,{d}>.(<a,{d,a}>.0 + <c,{d,c}>.0)")
 
 
 def test_expand_parallel_under_a_prefix():
-    env = P("c!.(a.0 |[]| b.0)")
-    u = expand_parallel(encode(P("a.0")), encode(P("b.0")), (), env, (Dot,))
-    assert u == encode(env).cont
+    u = encode(P("c!.(a.0 |[]| b.0)")).cont
     assert render(u) == "<a,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
 
 

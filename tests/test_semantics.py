@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 
 import pytest
@@ -26,13 +25,12 @@ from revexp import (
     encode,
     export,
     forward_steps,
-    incoming,
     parse,
     render,
 )
 from revexp import semantics
 from revexp.bisim import Variant, _union, check, check_brs, refine
-from revexp.errors import StateBudgetError, UnknownStateError
+from revexp.errors import StateBudgetError
 from revexp.generate import enumerate_processes, seed_terms
 from revexp.selfcheck import class_ids
 from revexp.semantics import build_union, undo_steps
@@ -153,14 +151,7 @@ def test_state_of_finds_a_state_from_its_text():
     for seed in seed_terms(3, ("a", "b")):
         lts = build_lts(seed)
         for sid, term in enumerate(lts.terms):
-            assert lts.state_of(parse(render(term))) == sid
-
-
-def test_state_of_an_unknown_state_names_it():
-    lts = build_lts(parse("a.0 |[]| b.0"))
-    with pytest.raises(UnknownStateError,
-                       match=re.escape("c!.0 is not a state of this system")):
-        lts.state_of(parse("c!.0"))
+            assert lts.index[parse(render(term))] == sid
 
 
 def test_states_are_rendered_when_first_read(monkeypatch):
@@ -235,15 +226,15 @@ def _raised(build):
 
 def _assert_builds_the_reference(groups, kind="proved"):
     """The system of ``build_union(groups)``, of kind ``kind``, against the
-    reference: terms, columns, adjacency, initiality, ``state_of`` of every
+    reference: terms, columns, adjacency, initiality, the ``index`` of every
     state, and which budgets raise :class:`StateBudgetError`."""
     steps = forward_steps if kind == "proved" else brs_forward_steps
     states, edges = _reference_system(groups, steps=steps)
     lts = build_union(groups)
     assert lts.kind == kind
     assert lts.num_states == len(lts.terms) == len(states)
-    # ``state_of`` before any term is read
-    assert [lts.state_of(s) for s in states] == list(range(len(states)))
+    # ``index`` before any term is read
+    assert [lts.index[s] for s in states] == list(range(len(states)))
     assert list(lts.terms) == states
     if kind == "proved":  # hash-consed: the very same objects
         assert all(t is s for t, s in zip(lts.terms, states))
@@ -263,7 +254,7 @@ def _assert_builds_the_reference(groups, kind="proved"):
     assert lts.outgoing == outgoing and lts.incoming_ids == incoming_ids
     assert lts.initial == [s.initial for s in states]
     # and again once they have been read
-    assert [lts.state_of(s) for s in states] == list(range(len(states)))
+    assert [lts.index[s] for s in states] == list(range(len(states)))
     for cap in range(1, len(states) + 2):
         assert _raised(lambda: build_union(groups, max_states=cap)) == _raised(
             lambda: _reference_system(groups, cap, steps))
@@ -416,7 +407,7 @@ def test_union_shares_structurally_equal_ready_set_states():
         assert u == v and u is not v and render(u) == render(v)
         union = build_union([[to_initial(u)], [to_initial(v)]])
         assert union.num_states == build_brs_lts(to_initial(u)).num_states
-        assert union.state_of(v) == union.state_of(u)
+        assert union.index[v] == union.index[u]
         for variant in (Variant.RB, Variant.FRB):
             first, second = class_ids([u, v], variant)
             assert first == second
@@ -431,7 +422,7 @@ def test_a_union_is_ready_set_exactly_when_a_root_is():
         lts = build_union(groups)
         assert lts.kind == kind
         # each term is keyed by its own family, plain ones by identity
-        assert [lts.state_of(t) for t in lts.terms] == list(range(lts.num_states))
+        assert [lts.index[t] for t in lts.terms] == list(range(lts.num_states))
 
 
 # the encodings of 0 and 0 + 0 have no prefix, so they are plain terms; their
@@ -462,15 +453,13 @@ def test_prefix_free_encodings_keep_their_verdicts():
 
 def test_incoming():
     diamond = build_lts(parse("a.0 |[]| b.0"))
-    assert incoming(diamond, 0) == []
-    bottom = diamond.state_of(parse("a!.0 |[]| b!.0"))
-    labels = {act(t.proof) for t in incoming(diamond, bottom)}
+    assert diamond.incoming_ids[0] == []
+    bottom = diamond.index[parse("a!.0 |[]| b!.0")]
+    labels = {act(diamond.proof[i]) for i in diamond.incoming_ids[bottom]}
     assert labels == {"a", "b"}
     tree = build_lts(parse("a.b.0 + b.a.0"))
-    left_bottom = tree.state_of(parse("a!.b!.0 + b.a.0"))
-    assert [act(t.proof) for t in incoming(tree, left_bottom)] == ["b"]
-    with pytest.raises(UnknownStateError):
-        incoming(diamond, 99)
+    left_bottom = tree.index[parse("a!.b!.0 + b.a.0")]
+    assert [act(tree.proof[i]) for i in tree.incoming_ids[left_bottom]] == ["b"]
 
 
 def test_loop_property_everywhere():
@@ -503,8 +492,8 @@ def test_undo_steps_are_the_incoming_transitions():
     edges = undo_steps(p)
     assert {act(t) for t, _ in edges} == {"a", "b"}
     lts = build_lts(parse("a.0 |[]| b.0"))
-    sid = lts.state_of(p)
-    assert len(edges) == len(incoming(lts, sid))
+    sid = lts.index[p]
+    assert len(edges) == len(lts.incoming_ids[sid])
     # every state of every size-3 seed, and a two-action synchronization set
     roots = seed_terms(3, ("a", "b")) + [parse("(a.b.0 + c.0) |[a,b]| (a.b.0 |[]| c.0)")]
     for root in roots:
@@ -514,7 +503,8 @@ def test_undo_steps_are_the_incoming_transitions():
                 (render_proof(t), render(q)) for t, q in undo_steps(state)
             )
             into = Counter(
-                (render_proof(t.proof), lts.renders[t.source]) for t in incoming(lts, sid)
+                (render_proof(lts.proof[i]), lts.renders[lts.source[i]])
+                for i in lts.incoming_ids[sid]
             )
             assert backward == into, lts.renders[sid]
 
@@ -525,7 +515,8 @@ def test_undo_steps_of_ready_set_states_are_their_incoming_transitions():
     for seed in seed_terms(3, ("a", "b")):
         lts = build_brs_lts(encode(seed))
         for sid, state in enumerate(lts.terms):
-            into = Counter((t.proof, lts.terms[t.source]) for t in incoming(lts, sid))
+            into = Counter((lts.proof[i], lts.terms[lts.source[i]])
+                           for i in lts.incoming_ids[sid])
             assert Counter(undo_steps(state)) == into, lts.renders[sid]
 
 
