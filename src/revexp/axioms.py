@@ -10,7 +10,11 @@ executed branch next to a sum of unexecuted branches.
 
 Equality is decided by normalizing and then canonicalizing (sorting,
 deduplicating, absorbing) rather than by proof search; the normalizers
-record the axiom instances they apply as a derivation trace.
+record the axiom instances they apply as a derivation trace.  The reverse
+normal form of a theory encoding is its executed spine, which is the
+process's least observation trace (see ``notes/decisions.md``), so the
+reverse theory is decided by comparing those traces, and no encoding is
+built unless a derivation is asked for.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .encoding import (
     _sum,
     _summands,
     encode_reachable,
+    least_trace,
     minimal_trace_histories,
 )
 from .errors import NotNormalizedError, NotReachableError
@@ -448,7 +453,7 @@ def _fr_encoding(p: Process, traced: bool):
     for order in _orders(p, 512):
         u = encode_reachable(p, order)
         steps = [] if traced else None
-        form = canonical(normalize_fr(u, steps), Theory.FR, steps)
+        form = _Pass(_canon_fr, steps).run(normalize_fr(u, steps), steps)
         key = structural_key(form)
         if best is None or key < best[0]:
             best = (key, u, form, steps)
@@ -459,15 +464,20 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
              trace: Trace | None = None) -> bool:
     """Equality in the chosen axiom system, decided via normal forms.
 
-    The forward theory works on the processes themselves; the reverse and
-    forward-reverse theories encode both sides under canonical histories
-    (see :func:`theory_encoding`) and compare the encodings' normal forms.
+    The forward theory works on the processes themselves, the
+    forward-reverse theory on the two sides' theory encodings (see
+    :func:`theory_encoding`).  The reverse normal form of a theory encoding
+    is the side's least observation trace
+    (:func:`~revexp.encoding.least_trace`), so the reverse theory compares
+    those and builds no encoding, except to log each side's
+    :func:`normalize_r` derivation into ``trace``.
     """
     if theory is Theory.F:
         for p in (p1, p2):
             require_reachable(p)
-        n1 = canonical(normalize_f(p1, trace), Theory.F, trace)
-        n2 = canonical(normalize_f(p2, trace), Theory.F, trace)
+        # the normalizer's output is in normal form, so it is not checked again
+        n1 = _Pass(_canon_f, trace).run(normalize_f(p1, trace), trace)
+        n2 = _Pass(_canon_f, trace).run(normalize_f(p2, trace), trace)
         return n1 == n2
     if theory is Theory.FR:
         # choosing the encodings already normalized them
@@ -476,5 +486,8 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
         if trace is not None:
             trace += steps1 + steps2
         return n1 == n2
-    u1, u2 = theory_encoding(p1, theory), theory_encoding(p2, theory)
-    return normalize_r(u1, trace) == normalize_r(u2, trace)
+    t1, t2 = least_trace(p1), least_trace(p2)
+    if trace is not None:
+        for p in (p1, p2):
+            normalize_r(theory_encoding(p, theory), trace)
+    return t1 == t2

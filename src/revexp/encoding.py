@@ -150,13 +150,35 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
     serializations share the minimal trace; deciders that depend on the full
     encoding structure canonicalize over this tie set.  The histories come
     ordered by their rendered proofs, newest first; at most ``cap`` are
-    returned.  A history is a run read backward, so the histories are read
-    off the undo cone of ``p`` (:func:`~revexp.semantics._undo_cone`, built
-    under ``DEFAULT_STATE_CAP``), which holds only states that a run
-    reaches.  Its states are visited in forward order, so the least trace
-    and the histories of a state extend those of the states its tied undo
-    steps lead to.
+    returned.  They are read off the walk of :func:`least_trace`.
     """
+    return tuple(_least_walk(p, cap)[1])
+
+
+def least_trace(p: Process) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The least observation trace of ``p``, newest step first.
+
+    A history of ``p`` read backward is a chain of undo steps to its
+    initial version; its observation trace lists, for each step, the
+    action undone and the sorted backward ready set of the state the step
+    leaves.  This is the least such trace.  Read oldest first, it is the
+    executed spine of the reverse normal form of ``p``'s theory encoding
+    (see ``notes/decisions.md``), so the reverse theory compares these.
+
+    The histories are the runs that reach ``p``, read backward, so the
+    trace is read off the undo cone of ``p``
+    (:func:`~revexp.semantics._undo_cone`, built under
+    ``DEFAULT_STATE_CAP``), which holds only states that a run reaches.
+    An unreachable ``p`` raises :class:`NotReachableError`.
+    """
+    return _least_walk(p, None)[0]
+
+
+def _least_walk(p: Process, cap: int | None):
+    """:func:`least_trace` of ``p`` and, unless ``cap`` is ``None``, up to
+    ``cap`` of its :func:`minimal_trace_histories`.  The cone's states are
+    visited in forward order, so the least trace and the histories of a
+    state extend those of the states its tied undo steps lead to."""
     if not p.wellformed:
         raise NotReachableError(f"{render(p)} is not reachable")
     cone = _undo_cone([[p]], DEFAULT_STATE_CAP)
@@ -175,6 +197,8 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
         obs = tuple(sorted(brs(terms[s])))
         traces = [((action[i], obs),) + least[before[i]] for i in undos]
         trace = least[s] = min(traces)
+        if cap is None:
+            continue
         tied = sorted((i for i, tr in zip(undos, traces) if tr == trace),
                       key=lambda i: render_proof(proof[i]))
         got = histories[s] = []
@@ -182,7 +206,7 @@ def minimal_trace_histories(p: Process, cap: int = 512) -> tuple[tuple[ProofTerm
             got += [hist + (proof[i],) for hist in histories[before[i]][:cap - len(got)]]
             if len(got) >= cap:
                 break
-    return tuple(histories[0])
+    return least[0], histories[0]
 
 
 def default_order() -> ExecutionOrder:

@@ -648,13 +648,18 @@ def _build(groups: list[list], max_states: int, classes: dict,
 
     A backward build (see :func:`_undo_cone`) skips each new state that
     :meth:`_Nodes.undoes_to_initial` finds no run reaches, with its step,
-    before the budget is checked.  Its loop records each undo step from
-    the state it closes, so the source and target columns, and the
-    outgoing and incoming lists, are swapped once at the end to give the
-    forward transitions.
+    before the budget is checked.  A ready-set process has no parallel
+    composition, so every state a reachable one is undone to is reachable,
+    and an initial root has no undo step: a build with no other roots
+    searches none.  Its loop records each undo step from the state it
+    closes, so the source and target columns, and the outgoing and
+    incoming lists, are swapped once at the end to give the forward
+    transitions.
     """
     nodes = _Nodes(classes, back)
     sid_of, steps_of = nodes.sid, nodes.steps_of
+    search = back and any(root.plain and not root.initial
+                          for group in groups for root in group)
     node_of: list[int] = []  # state id -> node
     source: list[int] = []
     target_ids: list[int] = []
@@ -679,7 +684,7 @@ def _build(groups: list[list], max_states: int, classes: dict,
             for theta, o, y in steps_of(node_of[sid]):
                 tid = sid_of[y]
                 if tid is None:
-                    if back and not nodes.undoes_to_initial(y):
+                    if search and not nodes.undoes_to_initial(y):
                         continue
                     if len(node_of) - first >= max_states:
                         raise StateBudgetError(

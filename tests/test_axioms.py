@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from revexp import (
     Theory,
@@ -22,9 +23,15 @@ from revexp import (
     prove_eq,
     render,
 )
-from revexp.errors import NotNormalizedError
+from revexp import encoding
+from revexp.axioms import theory_encoding
+from revexp.encoding import least_trace
+from revexp.errors import NotNormalizedError, NotReachableError
 from revexp.generate import enumerate_processes
-from revexp.terms import PAST, Choice, NIL, Prefix, is_initial
+from revexp.terms import PAST, BrsPrefix, Choice, NIL, Par, Prefix, is_initial
+
+from test_bisim import _walked_to
+from test_walked_digests import SHAPES
 
 P = parse
 
@@ -233,3 +240,60 @@ def test_a_history_takes_no_undo_step_that_no_run_takes():
         assert prove_eq(p, p, theory)
     assert prove_eq(p, P("a!.b!.a!.0"), Theory.R)
     assert check(p, P("a!.b!.a!.0"), Variant.RB).equivalent
+
+
+# --- the reverse theory decides by least observation traces ------------------
+
+def _spine(u) -> tuple:
+    """The executed prefixes of a reverse normal form, last first, each as
+    its action and sorted ready set: the form a least trace takes."""
+    steps = ()
+    while isinstance(u, BrsPrefix):
+        steps = ((u.action, tuple(sorted(u.ready))),) + steps
+        u = u.cont
+    return steps
+
+
+def test_the_reverse_normal_form_is_the_least_trace_at_size_4():
+    for p in enumerate_processes(4, ("a", "b")):
+        assert _spine(normalize_r(theory_encoding(p, Theory.R))) == least_trace(p), render(p)
+
+
+def _walked_products():
+    """Left-nested products of two or three four-state components over
+    {a, b, c}, each parallel composition under {} or one action, walked up
+    to six steps."""
+    def build(components, syncs, picks):
+        p = components[0]
+        for q, sync in zip(components[1:], syncs):
+            p = Par(tuple(sync), p, q)
+        return _walked_to(p, picks)
+    component = st.builds(lambda shape, letters: P(shape[0].format(*letters)),
+                          st.sampled_from(SHAPES),
+                          st.lists(st.sampled_from("abc"), min_size=3, max_size=3))
+    return st.builds(build, st.lists(component, min_size=2, max_size=3),
+                     st.lists(st.sampled_from(["", "a", "b", "c"]), min_size=2, max_size=2),
+                     st.lists(st.integers(0, 10**6), max_size=6))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_walked_products())
+# executed actions in both operands of a |[]|, with tied histories
+@example(P("(a!.b.0 + c.0) |[]| a!.(b.0 + c.0)"))
+@example(P("(a!.b!.0 + c.0) |[]| (c!.0 + a.b.0) |[]| a!.(b.0 + c.0)"))
+@example(P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)"))
+def test_the_reverse_normal_form_is_the_least_trace_on_walked_products(p):
+    assert _spine(normalize_r(theory_encoding(p, Theory.R))) == least_trace(p)
+
+
+def test_untraced_reverse_proofs_encode_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the reverse theory encoded a process")
+    monkeypatch.setattr(encoding, "_encode", refuse)
+    assert prove_eq(P("a!.0 |[]| b!.0"), P("b!.0 |[]| a!.0"), Theory.R)
+    assert not prove_eq(P("a!.0"), P("b!.0"), Theory.R)
+    assert prove_eq(P("a.b.0 |[]| c.0"), P("c.0 + d.0"), Theory.R)
+    p = P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)")
+    assert prove_eq(p, P("a!.b!.a!.0"), Theory.R)
+    with pytest.raises(NotReachableError, match=r"^a!\.0 \|\[a\]\| 0 is not reachable$"):
+        prove_eq(P("a.0"), P("a!.0 |[a]| 0"), Theory.R)

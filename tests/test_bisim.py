@@ -94,6 +94,29 @@ def test_check_brs():
         check_brs(u1, u2, Variant.FB)
 
 
+def test_check_brs_searches_no_undo_target_under_rb(monkeypatch):
+    # a ready-set process has no parallel composition, so every state a
+    # reachable one is undone to is reachable, and its undo cone searches none
+    family = list(enumerate_processes(3, ("a", "b")))
+    rng = random.Random(31)
+    pairs = [[theory_encoding(rng.choice(family), Theory.R) for _ in range(2)]
+             for _ in range(200)]
+    searches = []
+    search = semantics._Nodes.undoes_to_initial
+
+    def counted(nodes, x):
+        searches.append(x)
+        return search(nodes, x)
+
+    monkeypatch.setattr(semantics._Nodes, "undoes_to_initial", counted)
+    for u, v in pairs:
+        check_brs(u, v, Variant.RB)
+    assert searches == []
+    # a plain synchronized product still searches the states it is undone to
+    p = P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)")
+    assert check(p, p, Variant.RB).equivalent and searches
+
+
 def test_check_brs_refuses_an_illformed_root_before_building():
     # as check refuses: the walk that decides reachability runs first, so no
     # budget is exceeded, however small

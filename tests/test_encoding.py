@@ -143,18 +143,6 @@ def test_expand_parallel_nil():
     assert encode(P("0 |[]| 0")) == NIL
 
 
-def test_expand_parallel_example():
-    u = encode(P("a!.0 |[]| b.0"))
-    assert render(u) == "<a!,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
-
-
-def test_expand_parallel_ladder():
-    u = encode(P("(a.0 + c.0) |[]| (b.0 + d.0)"))
-    assert render(u) == (
-        "<a,{a}>.(<b,{a,b}>.0 + <d,{a,d}>.0) + <c,{c}>.(<b,{c,b}>.0 + <d,{c,d}>.0)"
-        " + <b,{b}>.(<a,{b,a}>.0 + <c,{b,c}>.0) + <d,{d}>.(<a,{d,a}>.0 + <c,{d,c}>.0)")
-
-
 def test_expand_parallel_under_a_prefix():
     u = encode(P("c!.(a.0 |[]| b.0)")).cont
     assert render(u) == "<a,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
