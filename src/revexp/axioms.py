@@ -14,7 +14,11 @@ record the axiom instances they apply as a derivation trace.  The reverse
 normal form of a theory encoding is its executed spine, which is the
 process's least observation trace (see ``notes/decisions.md``), so the
 reverse theory is decided by comparing those traces, and no encoding is
-built unless a derivation is asked for.
+built unless a derivation is asked for.  The forward-reverse theory is
+decided by the structural keys of the two canonical forms, which one
+memoized pass reads off the encodings (:func:`_fr_key`), hash-consed so
+that equal keys are the same object; neither the normal form nor the
+canonical form is built unless a derivation is asked for.
 """
 
 from __future__ import annotations
@@ -415,6 +419,90 @@ def _canon_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     return _sum(parts)
 
 
+# --- forward-reverse canonical keys -----------------------------------------
+#
+# The forward-reverse theory compares canonical forms by their structural
+# keys, and the key of an encoding's canonical form can be read off the
+# encoding node by node, without building the normal form or the canonical
+# form (``notes/decisions.md``).  Keys are hash-consed in a ``table`` that
+# lives for one decision: ``(1, action, executed, ready, id(child))`` and
+# ``(2, id(left), id(right))`` map to the one key tuple with those parts,
+# and ``(0, id(key))`` to the key of its rollback.  So equal keys are the
+# same object, and comparing two keys never walks a shared part twice.
+
+def _fr_key(u: BrsProcess, memo: dict, table: dict):
+    """``structural_key(canonical(normalize_fr(u), Theory.FR))``, as a key
+    of ``table``; ``memo`` keeps each node's key by id (the value keeps the
+    node)."""
+    got = memo.get(id(u))
+    if got is not None:
+        return got[0]
+    head, rest, _ = _split(u)
+    parts = [_summand_key(s, memo, table) for s in rest]
+    first = None
+    if head is not None:
+        first = _summand_key(head, memo, table)
+        rollback = _rollback_key(first, table)
+        parts = [k for k in parts if k is not rollback]
+    key = _sum_key(first, parts, table)
+    memo[id(u)] = (key, u)
+    return key
+
+
+def _summand_key(s: BrsPrefix, memo: dict, table: dict):
+    return _prefix_key(s.action, s.executed, tuple(sorted(s.ready)),
+                       _fr_key(s.cont, memo, table), table)
+
+
+def _prefix_key(action: str, executed: bool, ready: tuple, cont, table: dict):
+    entry = (1, action, executed, ready, id(cont))
+    key = table.get(entry)
+    if key is None:
+        key = table[entry] = (1, action, executed, ready, cont)
+    return key
+
+
+def _sum_key(first, parts: list, table: dict):
+    """Key of the left-nested choice of ``first`` (unless ``None``), then of
+    ``parts`` sorted, each once; the key of 0 when there is no summand."""
+    key = first
+    last = None
+    for part in sorted(parts):
+        if part is last:
+            continue
+        last = part
+        if key is None:
+            key = part
+            continue
+        entry = (2, id(key), id(part))
+        got = table.get(entry)
+        if got is None:
+            got = table[entry] = (2, key, part)
+        key = got
+    return NIL._key if key is None else key
+
+
+def _rollback_key(key, table: dict):
+    """Key of the canonical form of ``to_initial`` of the canonical form
+    keyed ``key``: every prefix unexecuted, and every sum sorted and
+    deduplicated again."""
+    if key[0] == 0:
+        return key
+    entry = (0, id(key))
+    got = table.get(entry)
+    if got is None:
+        parts = []
+        todo = [key]
+        while todo:
+            k = todo.pop()
+            if k[0] == 2:
+                todo += k[1:]
+            else:
+                parts.append(_prefix_key(k[1], False, k[3], _rollback_key(k[4], table), table))
+        got = table[entry] = _sum_key(None, parts, table)
+    return got
+
+
 # --- the deciders ----------------------------------------------------------
 
 def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
@@ -425,11 +513,15 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     observation trace (independent executed actions with identical
     observations), the one whose canonical normal form is least is chosen,
     so that symmetric arrangements of the same behavior pick compatible
-    serializations.
+    serializations.  That choice reads the forms' keys (:func:`_fr_encoding`);
+    a process with a single order is encoded under it and not keyed.
     """
-    if theory is not Theory.R:
-        return _fr_encoding(p, False)[0]
-    return encode_reachable(p, next(_orders(p, 1)))
+    if theory is Theory.R:
+        return encode_reachable(p, next(_orders(p, 1)))
+    orders = list(_orders(p, 512))
+    if len(orders) == 1:
+        return encode_reachable(p, orders[0])
+    return _fr_encoding(p, {}, orders)[1]
 
 
 def _orders(p: Process, cap: int):
@@ -445,19 +537,18 @@ def _orders(p: Process, cap: int):
             yield HistoryOrder(hist)
 
 
-def _fr_encoding(p: Process, traced: bool):
-    """The forward-reverse :func:`theory_encoding` of ``p``, its canonical
-    normal form, and the derivation of that form (normalization, then
-    canonicalization) when ``traced`` is set, else ``None``."""
+def _fr_encoding(p: Process, table: dict, orders=None):
+    """``(key, u)``: the encoding ``u`` of ``p`` under the first of its
+    :func:`_orders` (or of ``orders``, when given) whose canonical normal
+    form is least, and that form's key in ``table`` (:func:`_fr_key`);
+    neither form is built."""
     best = None
-    for order in _orders(p, 512):
+    for order in _orders(p, 512) if orders is None else orders:
         u = encode_reachable(p, order)
-        steps = [] if traced else None
-        form = _Pass(_canon_fr, steps).run(normalize_fr(u, steps), steps)
-        key = structural_key(form)
+        key = _fr_key(u, {}, table)
         if best is None or key < best[0]:
-            best = (key, u, form, steps)
-    return best[1:]
+            best = (key, u)
+    return best
 
 
 def prove_eq(p1: Process, p2: Process, theory: Theory,
@@ -466,11 +557,13 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
 
     The forward theory works on the processes themselves, the
     forward-reverse theory on the two sides' theory encodings (see
-    :func:`theory_encoding`).  The reverse normal form of a theory encoding
-    is the side's least observation trace
-    (:func:`~revexp.encoding.least_trace`), so the reverse theory compares
-    those and builds no encoding, except to log each side's
-    :func:`normalize_r` derivation into ``trace``.
+    :func:`theory_encoding`).  The forward-reverse theory compares the keys
+    of the two canonical normal forms, read off the encodings by
+    :func:`_fr_key` in one table, so equal forms have the same key object;
+    the reverse normal form of a theory encoding is the side's least
+    observation trace (:func:`~revexp.encoding.least_trace`), so the reverse
+    theory compares those and builds no encoding.  Neither builds a normal
+    form, except to log each side's derivation into ``trace``.
     """
     if theory is Theory.F:
         for p in (p1, p2):
@@ -480,12 +573,13 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
         n2 = _Pass(_canon_f, trace).run(normalize_f(p2, trace), trace)
         return n1 == n2
     if theory is Theory.FR:
-        # choosing the encodings already normalized them
-        _, n1, steps1 = _fr_encoding(p1, trace is not None)
-        _, n2, steps2 = _fr_encoding(p2, trace is not None)
+        table: dict = {}
+        (k1, u1), (k2, u2) = (_fr_encoding(p, table) for p in (p1, p2))
         if trace is not None:
-            trace += steps1 + steps2
-        return n1 == n2
+            for u in (u1, u2):
+                # the normalizer's output is in normal form, so it is not checked again
+                _Pass(_canon_fr, trace).run(normalize_fr(u, trace), trace)
+        return k1 is k2
     t1, t2 = least_trace(p1), least_trace(p2)
     if trace is not None:
         for p in (p1, p2):

@@ -23,8 +23,8 @@ from revexp import (
     prove_eq,
     render,
 )
-from revexp import encoding
-from revexp.axioms import theory_encoding
+from revexp import axioms, encoding
+from revexp.axioms import structural_key, theory_encoding
 from revexp.encoding import least_trace
 from revexp.errors import NotNormalizedError, NotReachableError
 from revexp.generate import enumerate_processes
@@ -297,3 +297,68 @@ def test_untraced_reverse_proofs_encode_nothing(monkeypatch):
     assert prove_eq(p, P("a!.b!.a!.0"), Theory.R)
     with pytest.raises(NotReachableError, match=r"^a!\.0 \|\[a\]\| 0 is not reachable$"):
         prove_eq(P("a.0"), P("a!.0 |[a]| 0"), Theory.R)
+
+
+# --- the forward-reverse theory decides by canonical keys --------------------
+
+def _fr_keys(p, table):
+    """For each order ``p`` may be encoded under, the key of the encoding
+    and the structural key of its canonical normal form, built."""
+    out = []
+    for order in axioms._orders(p, 512):
+        u = encoding.encode_reachable(p, order)
+        out.append((axioms._fr_key(u, {}, table),
+                    structural_key(canonical(normalize_fr(u), Theory.FR))))
+    return out
+
+
+def _assert_keys_agree(pairs):
+    """The keys equal the structural keys, are one object exactly when
+    those are equal, and sort as those do."""
+    for key, built in pairs:
+        assert key == built
+    for (k1, s1), (k2, s2) in zip(pairs, pairs[1:]):
+        assert (k1 is k2) == (s1 == s2)
+        assert (k1 < k2) == (s1 < s2) and (k2 < k1) == (s2 < s1)
+
+
+def test_the_canonical_key_is_the_canonical_forms_key_at_size_4():
+    table: dict = {}
+    pairs = [pair for p in enumerate_processes(4, ("a", "b")) for pair in _fr_keys(p, table)]
+    _assert_keys_agree(pairs)
+    n = len(pairs)
+    assert (sorted(range(n), key=lambda i: pairs[i][0])
+            == sorted(range(n), key=lambda i: pairs[i][1]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_walked_products())
+# executed actions in both operands of a |[]|, with tied histories
+@example(P("(a!.b.0 + c.0) |[]| a!.(b.0 + c.0)"))
+@example(P("(a!.b!.0 + c.0) |[]| (c!.0 + a.b.0) |[]| a!.(b.0 + c.0)"))
+@example(P("(a!.b!.0 |[]| a!.0) |[a,b]| (a!.0 |[]| b!.a!.0)"))
+@example(P("a!.0 |[]| b!.a!.a.0"))
+def test_the_canonical_key_is_the_canonical_forms_key_on_walked_products(p):
+    pairs = _fr_keys(p, {})
+    _assert_keys_agree(pairs)
+    # the tie choice keeps the first least form
+    least = min(range(len(pairs)), key=lambda i: pairs[i][1])
+    order = list(axioms._orders(p, 512))[least]
+    assert render(theory_encoding(p, Theory.FR)) == render(encoding.encode_reachable(p, order))
+
+
+def test_untraced_fr_proofs_canonicalize_nothing(monkeypatch):
+    terms = list(enumerate_processes(3, ("a", "b")))[::7]
+    pairs = list(zip(terms, terms[1:])) + [(p, p) for p in terms[::5]]
+    expected = [prove_eq(p, q, Theory.FR) for p, q in pairs]
+    five = " |[]| ".join(["(a.b.0 + c.0)"] * 5)
+
+    def refuse(*args):
+        raise AssertionError("an untraced forward-reverse proof built a normal form")
+    monkeypatch.setattr(axioms, "_canon_fr", refuse)
+    monkeypatch.setattr(axioms, "normalize_fr", refuse)
+    monkeypatch.setattr(BrsPrefix, "__eq__", refuse)
+    monkeypatch.setattr(Choice, "__eq__", refuse)
+    assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
+    assert prove_eq(P(five), P(five.replace("a.b.0 + c.0", "c.0 + a.b.0")), Theory.FR)
+    assert not prove_eq(P(five), P(five.replace("c.0", "b.0")), Theory.FR)
