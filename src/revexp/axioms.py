@@ -8,17 +8,21 @@ forward-reverse theories are equations between ready-set encodings; their
 normal forms are, respectively, a chain of executed prefixes and an optional
 executed branch next to a sum of unexecuted branches.
 
-Equality is decided by normalizing and then canonicalizing (sorting,
-deduplicating, absorbing) rather than by proof search; the normalizers
-record the axiom instances they apply as a derivation trace.  The reverse
-normal form of a theory encoding is its executed spine, which is the
-process's least observation trace (see ``notes/decisions.md``), so the
-reverse theory is decided by comparing those traces, and no encoding is
-built unless a derivation is asked for.  The forward-reverse theory is
-decided by the structural keys of the two canonical forms, which one
-memoized pass reads off the encodings (:func:`_fr_key`), hash-consed so
-that equal keys are the same object; neither the normal form nor the
-canonical form is built unless a derivation is asked for.
+Equality is decided by normal forms and their canonical representatives
+(sorted, deduplicated, absorbed) rather than by proof search; the
+normalizers record the axiom instances they apply as a derivation trace.
+The forward theory is decided by keys of the two canonical forms, which
+one memoized pass reads off the processes (:func:`_f_key`), keying a
+parallel composition by its operands' summands instead of building its
+expansion.  The reverse normal form of a theory encoding is its executed
+spine, which is the process's least observation trace (see
+``notes/decisions.md``), so the reverse theory is decided by comparing
+those traces, and no encoding is built unless a derivation is asked for.
+The forward-reverse theory is decided by the structural keys of the two
+canonical forms, which one memoized pass reads off the encodings
+(:func:`_fr_key`).  Keys are hash-consed so that equal keys are the same
+object, and no normal or canonical form is built unless a derivation is
+asked for.
 """
 
 from __future__ import annotations
@@ -419,6 +423,83 @@ def _canon_fr(rw: _Pass, u: BrsProcess, log: list | None) -> BrsProcess:
     return _sum(parts)
 
 
+# --- forward canonical keys --------------------------------------------------
+#
+# The canonical forward form of a process's normal form is fixed by whether
+# it has an executed head (whose action it forgets) and by the set of its
+# summands, each an action over the canonical form of an initial
+# continuation.  Both can be read off the process node by node, and those
+# of a parallel composition off its operands' summand sets, without
+# building the expansion (``notes/decisions.md``).  A key is ``(head,
+# summands)``, a summand ``(action, summands of the continuation)``.  Keys
+# are hash-consed in a ``table`` that lives for one decision: a summand set
+# maps to the one equal frozenset, ``(head, id(summands))`` to the one key
+# with those parts, and ``(sync, id(summands1), id(summands2))`` to the
+# summand set of the product.  So equal keys are the same object, and
+# comparing two summand sets compares their continuations by identity.
+
+def _f_key(p: Process, memo: dict, table: dict):
+    """``canonical(normalize_f(p), Theory.F)``, as a key of ``table``;
+    ``memo`` keeps each node's key by id (the value keeps the node)."""
+    got = memo.get(id(p))
+    if got is not None:
+        return got[0]
+    if isinstance(p, Prefix):
+        cont = _f_key(p.cont, memo, table)
+        if not p.executed:
+            key = _f_form(False, {(p.action, cont[1])}, table)
+        elif p.cont.initial:
+            key = _f_form(True, cont[1], table)
+        else:
+            key = cont  # A_F,6
+    elif isinstance(p, Choice):
+        if not p.left.initial:
+            key = _f_key(p.left, memo, table)  # A_F,7
+        elif not p.right.initial:
+            key = _f_key(p.right, memo, table)  # A_F,7
+        else:
+            key = _f_form(False, _f_key(p.left, memo, table)[1]
+                          | _f_key(p.right, memo, table)[1], table)
+    elif isinstance(p, Par):
+        head1, s1 = _f_key(p.left, memo, table)
+        head2, s2 = _f_key(p.right, memo, table)
+        key = _f_form(head1 or head2, _f_par(p.sync, s1, s2, table), table)
+    else:
+        key = _f_form(False, (), table)
+    memo[id(p)] = (key, p)
+    return key
+
+
+def _f_form(head: bool, summands, table: dict):
+    summands = _f_set(summands, table)
+    entry = (head, id(summands))
+    got = table.get(entry)
+    if got is None:
+        got = table[entry] = (head, summands)
+    return got
+
+
+def _f_set(summands, table: dict) -> frozenset:
+    summands = frozenset(summands)
+    return table.setdefault(summands, summands)
+
+
+def _f_par(sync: tuple, s1: frozenset, s2: frozenset, table: dict) -> frozenset:
+    """Summand set of the canonical form of ``x |[sync]| y``, for ``x`` and
+    ``y`` with the summand sets ``s1`` and ``s2``: the three groups of
+    :func:`expansion_law_f`, each summand over the product of its operands'
+    continuations."""
+    entry = (sync, id(s1), id(s2))
+    got = table.get(entry)
+    if got is None:
+        out = [(a, _f_par(sync, c1, s2, table)) for a, c1 in s1 if a not in sync]
+        out += [(a, _f_par(sync, s1, c2, table)) for a, c2 in s2 if a not in sync]
+        out += [(a, _f_par(sync, c1, c2, table))
+                for a, c1 in s1 if a in sync for b, c2 in s2 if b == a]
+        got = table[entry] = _f_set(out, table)
+    return got
+
+
 # --- forward-reverse canonical keys -----------------------------------------
 #
 # The forward-reverse theory compares canonical forms by their structural
@@ -557,21 +638,25 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
 
     The forward theory works on the processes themselves, the
     forward-reverse theory on the two sides' theory encodings (see
-    :func:`theory_encoding`).  The forward-reverse theory compares the keys
-    of the two canonical normal forms, read off the encodings by
-    :func:`_fr_key` in one table, so equal forms have the same key object;
-    the reverse normal form of a theory encoding is the side's least
-    observation trace (:func:`~revexp.encoding.least_trace`), so the reverse
-    theory compares those and builds no encoding.  Neither builds a normal
-    form, except to log each side's derivation into ``trace``.
+    :func:`theory_encoding`).  Each compares the keys of the two canonical
+    normal forms, read off the processes by :func:`_f_key` or off the
+    encodings by :func:`_fr_key` in one table, so equal forms have the same
+    key object; the reverse normal form of a theory encoding is the side's
+    least observation trace (:func:`~revexp.encoding.least_trace`), so the
+    reverse theory compares those and builds no encoding.  None builds a
+    normal form, except to log each side's derivation into ``trace``.
     """
     if theory is Theory.F:
         for p in (p1, p2):
             require_reachable(p)
-        # the normalizer's output is in normal form, so it is not checked again
-        n1 = _Pass(_canon_f, trace).run(normalize_f(p1, trace), trace)
-        n2 = _Pass(_canon_f, trace).run(normalize_f(p2, trace), trace)
-        return n1 == n2
+        memo: dict = {}
+        table: dict = {}
+        k1, k2 = _f_key(p1, memo, table), _f_key(p2, memo, table)
+        if trace is not None:
+            for p in (p1, p2):
+                # the normalizer's output is in normal form, so it is not checked again
+                _Pass(_canon_f, trace).run(normalize_f(p, trace), trace)
+        return k1 is k2
     if theory is Theory.FR:
         table: dict = {}
         (k1, u1), (k2, u2) = (_fr_encoding(p, table) for p in (p1, p2))

@@ -8,12 +8,11 @@ with forward-reverse bisimilarity; and the ready-set encoding must preserve
 the two reverse-sensitive equivalences.  Comparing all pairs is done by
 comparing partitions: bisimilarity classes come from one refinement over
 the union system of every enumerated term, decider classes from the keys
-the theories decide by (canonical normal forms for the forward theory,
-their structural keys for the forward-reverse theory, and least
-observation traces for the reverse theory), and the two partitions
-coincide exactly when the verdicts agree on every pair.  A pairwise spot
-check against the public two-process entry points guards the partition
-shortcut itself.
+the theories decide by (the keys of the canonical normal forms for the
+forward and forward-reverse theories, and least observation traces for
+the reverse theory), and the two partitions coincide exactly when the
+verdicts agree on every pair.  A pairwise spot check against the public
+two-process entry points guards the partition shortcut itself.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from dataclasses import dataclass, field
 
 from .axioms import (
     Theory,
+    _f_key,
     _fr_encoding,
-    canonical,
-    normalize_f,
     prove_eq,
     theory_encoding,
 )
@@ -113,12 +111,14 @@ def completeness_suite(max_size: int, alphabet,
     """Axiom-system verdicts against bisimilarity verdicts, all pairs, with
     60 pairs spot-checked by ``prove_eq`` and 20 by ``check``."""
     terms = list(enumerate_processes(max_size, alphabet, max_states))
+    f_memo: dict = {}
+    f_table: dict = {}
     table: dict = {}
     reports = []
 
     pairs = [
         ("completeness F vs FB:ps", Theory.F, Variant.FBPS,
-         [canonical(normalize_f(p), Theory.F) for p in terms]),
+         [_f_key(p, f_memo, f_table) for p in terms]),
         ("completeness R vs RB", Theory.R, Variant.RB,
          [least_trace(p) for p in terms]),
         ("completeness FR vs FRB", Theory.FR, Variant.FRB,

@@ -28,9 +28,11 @@ from revexp.axioms import structural_key, theory_encoding
 from revexp.encoding import least_trace
 from revexp.errors import NotNormalizedError, NotReachableError
 from revexp.generate import enumerate_processes
-from revexp.terms import PAST, BrsPrefix, Choice, NIL, Par, Prefix, is_initial
+from revexp.semantics import forward_steps
+from revexp.terms import PAST, BrsPrefix, Choice, NIL, Par, Prefix, is_initial, to_initial
 
 from test_bisim import _walked_to
+from test_byte_identity import _derivation, _products
 from test_walked_digests import SHAPES
 
 P = parse
@@ -240,6 +242,83 @@ def test_a_history_takes_no_undo_step_that_no_run_takes():
         assert prove_eq(p, p, theory)
     assert prove_eq(p, P("a!.b!.a!.0"), Theory.R)
     assert check(p, P("a!.b!.a!.0"), Variant.RB).equivalent
+
+
+# --- the forward theory decides by keys over the product ---------------------
+
+def _assert_f_partitions_agree(terms):
+    """Two of ``terms`` have one key exactly when their canonical forward
+    normal forms are equal."""
+    memo: dict = {}
+    table: dict = {}
+    keys = [axioms._f_key(p, memo, table) for p in terms]
+    by_key: dict = {}
+    by_form: dict = {}
+    for p, key in zip(terms, keys):
+        form = canonical(normalize_f(p), Theory.F)
+        assert by_key.setdefault(id(key), form) is form, render(p)
+        assert by_form.setdefault(form, key) is key, render(p)
+
+
+def test_the_forward_key_partitions_as_the_canonical_forms_at_size_4():
+    _assert_f_partitions_agree(list(enumerate_processes(4, ("a", "b"))))
+
+
+def _mirrored(p):
+    """``p`` with the operands of every parallel composition swapped."""
+    if isinstance(p, Par):
+        return Par(p.sync, _mirrored(p.right), _mirrored(p.left))
+    return p
+
+
+def _nested_products():
+    """Products of two or three four-state components over {a, b, c}, in
+    either nesting, each parallel composition under {}, one action or two,
+    walked up to six steps."""
+    component = st.builds(lambda text, letters: P(text.format(*letters)),
+                          st.sampled_from([text for shape in SHAPES for text in shape]),
+                          st.lists(st.sampled_from("abc"), min_size=3, max_size=3))
+    sync = st.sampled_from(["", "a", "b", "c", "ab", "ac", "bc"])
+    par = lambda s, l, r: Par(tuple(s), l, r)
+    two = st.builds(par, sync, component, component)
+    tree = st.one_of(two, st.builds(par, sync, two, component),
+                     st.builds(par, sync, component, two))
+    return st.builds(_walked_to, tree, st.lists(st.integers(0, 10**6), max_size=6))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_nested_products())
+def test_the_forward_key_partitions_as_the_canonical_forms_on_walked_products(p):
+    # the mirror is forward equal to p; the successors mostly are not
+    terms = [p, _mirrored(p), to_initial(p)]
+    terms += [q for _, q in forward_steps(p)]
+    _assert_f_partitions_agree(terms)
+
+
+def test_untraced_f_proofs_build_nothing(monkeypatch):
+    terms = list(enumerate_processes(3, ("a", "b")))[::7]
+    pairs = list(zip(terms, terms[1:])) + [(p, p) for p in terms[::5]]
+    expected = [prove_eq(p, q, Theory.F) for p, q in pairs]
+    five = " |[]| ".join(["(a.b.0 + c.0)"] * 5)
+
+    def refuse(*args):
+        raise AssertionError("an untraced forward proof built a normal form")
+    monkeypatch.setattr(axioms, "_expansion_f", refuse)
+    monkeypatch.setattr(axioms, "normalize_f", refuse)
+    monkeypatch.setattr(axioms, "_canon_f", refuse)
+    assert [prove_eq(p, q, Theory.F) for p, q in pairs] == expected
+    assert prove_eq(P(five), P(five.replace("a.b.0 + c.0", "c.0 + a.b.0")), Theory.F)
+    assert not prove_eq(P(five), P(five.replace("c.0", "b.0")), Theory.F)
+
+
+def test_prove_eq_f_trace_is_the_derivation_of_each_side():
+    products = _products()
+    for p, q in zip(products, products[1:]):
+        trace = []
+        prove_eq(p, q, Theory.F, trace)
+        assert trace == [
+            step for x in (p, q) for step in _derivation(normalize_f, Theory.F, x)
+        ]
 
 
 # --- the reverse theory decides by least observation traces ------------------
