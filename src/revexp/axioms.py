@@ -11,18 +11,17 @@ executed branch next to a sum of unexecuted branches.
 Equality is decided by normal forms and their canonical representatives
 (sorted, deduplicated, absorbed) rather than by proof search; the
 normalizers record the axiom instances they apply as a derivation trace.
-The forward theory is decided by keys of the two canonical forms, which
-one memoized pass reads off the processes (:func:`_f_key`), keying a
-parallel composition by its operands' summands instead of building its
-expansion.  The reverse normal form of a theory encoding is its executed
-spine, which is the process's least observation trace (see
-``notes/decisions.md``), so the reverse theory is decided by comparing
-those traces, and no encoding is built unless a derivation is asked for.
-The forward-reverse theory is decided by the structural keys of the two
-canonical forms, which one memoized pass reads off the encodings
-(:func:`_fr_key`).  Keys are hash-consed so that equal keys are the same
-object, and no normal or canonical form is built unless a derivation is
-asked for.
+Each theory decides by one key per process, :func:`theory_key`, which
+reads the canonical form's key off the process without building it.  The
+forward key comes from one memoized pass over the process (:func:`_f_key`),
+which keys a parallel composition by its operands' summands instead of
+building its expansion.  The reverse normal form of a theory encoding is
+its executed spine, which is the process's least observation trace (see
+``notes/decisions.md``), so the reverse key is that trace, and no encoding
+is built.  The forward-reverse key is the structural key of the canonical
+form, which one memoized pass reads off the encoding (:func:`_fr_key`).
+Keys are hash-consed so that equal keys are the same object, and no normal
+or canonical form is built unless a derivation is asked for.
 """
 
 from __future__ import annotations
@@ -589,13 +588,16 @@ def _rollback_key(key, table: dict):
 def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     """The encoding the reverse-sensitive deciders compare.
 
-    The serialization order is the canonical history of the process; for the
-    forward-reverse theory, when several histories share the minimal
+    The serialization order is the first of the process's least-trace
+    histories (:func:`~revexp.encoding.minimal_trace_histories`), or the
+    default order when every order gives the same encoding; for the
+    forward-reverse theory, when several histories share the least
     observation trace (independent executed actions with identical
-    observations), the one whose canonical normal form is least is chosen,
-    so that symmetric arrangements of the same behavior pick compatible
-    serializations.  That choice reads the forms' keys (:func:`_fr_encoding`);
-    a process with a single order is encoded under it and not keyed.
+    observations), the first one whose canonical normal form is least is
+    chosen, so that symmetric arrangements of the same behavior pick
+    compatible serializations.  That choice reads the forms' keys
+    (:func:`_fr_encoding`); a process with a single order is encoded under
+    it and not keyed.
     """
     if theory is Theory.R:
         return encode_reachable(p, next(_orders(p, 1)))
@@ -632,41 +634,52 @@ def _fr_encoding(p: Process, table: dict, orders=None):
     return best
 
 
+def theory_key(p: Process, theory: Theory, tables: dict):
+    """``p``'s key in ``theory``: two processes are equal in the theory
+    exactly when their keys, made with one ``tables``, are one object.
+
+    The forward key is read off the process (:func:`_f_key`) once it is
+    known to be reachable, the reverse key is the least observation trace
+    (:func:`~revexp.encoding.least_trace`), and the forward-reverse key is
+    that of the theory encoding's canonical normal form
+    (:func:`_fr_encoding`).  ``tables`` lives for one decision and holds one
+    table per theory, so that each theory looks up only its own entries,
+    whose shapes overlap: a forward ``(False, id(summands))`` equals a
+    forward-reverse ``(0, id(key))`` wherever the ids agree.
+    """
+    if theory is Theory.F:
+        require_reachable(p)
+        memo, table = tables.setdefault(theory, ({}, {}))
+        return _f_key(p, memo, table)
+    table = tables.setdefault(theory, {})
+    if theory is Theory.R:
+        trace = least_trace(p)
+        return table.setdefault(trace, trace)
+    return _fr_encoding(p, table)[0]
+
+
 def prove_eq(p1: Process, p2: Process, theory: Theory,
              trace: Trace | None = None) -> bool:
     """Equality in the chosen axiom system, decided via normal forms.
 
-    The forward theory works on the processes themselves, the
-    forward-reverse theory on the two sides' theory encodings (see
-    :func:`theory_encoding`).  Each compares the keys of the two canonical
-    normal forms, read off the processes by :func:`_f_key` or off the
-    encodings by :func:`_fr_key` in one table, so equal forms have the same
-    key object; the reverse normal form of a theory encoding is the side's
-    least observation trace (:func:`~revexp.encoding.least_trace`), so the
-    reverse theory compares those and builds no encoding.  None builds a
-    normal form, except to log each side's derivation into ``trace``.
+    Both sides are keyed by :func:`theory_key` in one set of tables, so
+    their keys are one object exactly when their canonical normal forms are
+    equal (for the reverse theory, when their least observation traces are,
+    which are the executed spines of the normal forms).  No normal form is
+    built, except to log each side's derivation into ``trace``: the forward
+    theory normalizes the process itself, the others its theory encoding
+    (see :func:`theory_encoding`).
     """
-    if theory is Theory.F:
-        for p in (p1, p2):
-            require_reachable(p)
-        memo: dict = {}
-        table: dict = {}
-        k1, k2 = _f_key(p1, memo, table), _f_key(p2, memo, table)
-        if trace is not None:
-            for p in (p1, p2):
-                # the normalizer's output is in normal form, so it is not checked again
-                _Pass(_canon_f, trace).run(normalize_f(p, trace), trace)
-        return k1 is k2
-    if theory is Theory.FR:
-        table: dict = {}
-        (k1, u1), (k2, u2) = (_fr_encoding(p, table) for p in (p1, p2))
-        if trace is not None:
-            for u in (u1, u2):
-                # the normalizer's output is in normal form, so it is not checked again
-                _Pass(_canon_fr, trace).run(normalize_fr(u, trace), trace)
-        return k1 is k2
-    t1, t2 = least_trace(p1), least_trace(p2)
+    tables: dict = {}
+    k1, k2 = theory_key(p1, theory, tables), theory_key(p2, theory, tables)
     if trace is not None:
         for p in (p1, p2):
-            normalize_r(theory_encoding(p, theory), trace)
-    return t1 == t2
+            # the normalizer's output is in normal form, so it is not checked again
+            if theory is Theory.F:
+                _Pass(_canon_f, trace).run(normalize_f(p, trace), trace)
+            elif theory is Theory.R:
+                normalize_r(theory_encoding(p, theory), trace)
+            else:
+                u = normalize_fr(theory_encoding(p, theory), trace)
+                _Pass(_canon_fr, trace).run(u, trace)
+    return k1 is k2

@@ -511,12 +511,22 @@ def verify_correspondence(p0: Process) -> CorrespondenceReport:
     genuine execution history as the serialization order.  At every visited
     state the proved transitions and the transitions of the encoding must
     match bijectively on (action, ready set of the target) and the encoded
-    targets must be the encodings under the extended history.  The walk
-    stops at the tenth violation.
+    targets must be the encodings under the extended history.  Targets are
+    compared as the forward-reverse theory compares encodings, by the keys
+    of their canonical normal forms (:func:`~revexp.axioms._fr_key`): up to
+    summand order, duplicates, and the absorption of an initial branch
+    equal to the rollback of the executed one.  The walk stops at the tenth
+    violation.
     """
+    # a local import: axioms imports this module
+    from .axioms import _fr_key
+
     if not is_initial(p0):
         raise NotReachableError("correspondence walks start from an initial process")
     report = CorrespondenceReport()
+    # one key table for the walk, so equal keys are one object
+    memo: dict = {}
+    table: dict = {}
     seen: set[tuple[Process, tuple[ProofTerm, ...]]] = set()
     stack: list[tuple[Process, tuple[ProofTerm, ...]]] = [(p0, ())]
     while stack:
@@ -529,11 +539,11 @@ def verify_correspondence(p0: Process) -> CorrespondenceReport:
         steps = forward_steps(p)
         expected = [
             (act(theta), brs(target),
-             comparison_key(encode_reachable(target, HistoryOrder(hist + (theta,)))))
+             _fr_key(encode_reachable(target, HistoryOrder(hist + (theta,))), memo, table))
             for theta, target in steps
         ]
         actual = [
-            (act(theta), frozenset(ready), comparison_key(target))
+            (act(theta), frozenset(ready), _fr_key(target, memo, table))
             for (theta, ready), target in brs_forward_steps(encoded)
         ]
         report.edges_checked += len(steps)
@@ -561,30 +571,6 @@ def _multiset_diff(xs, ys):
         else:
             out.append(x)
     return out
-
-
-def comparison_key(u: BrsProcess):
-    """Identity of an encoded state up to summand order, duplicates, and the
-    absorption of an initial branch equal to the rollback of the executed
-    one.
-
-    Firing a prefix in place keeps rollback alternatives that a fresh
-    expansion may omit when their synchronization partner is the executed
-    branch itself; the two forms are equal in the forward-reverse theory, so
-    state comparison works at that granularity.
-    """
-    if isinstance(u, Nil):
-        return ("0",)
-    head, rest, _ = _split(u)
-    keys = {_summand_key(s) for s in rest}
-    if head is None:
-        return ("+",) + tuple(sorted(keys))
-    keys.discard(_summand_key(to_initial(head)))
-    return ("+", _summand_key(head)) + tuple(sorted(keys))
-
-
-def _summand_key(s: BrsPrefix):
-    return (s.action, s.executed, tuple(sorted(s.ready)), comparison_key(s.cont))
 
 
 # --- preservation helpers --------------------------------------------------

@@ -8,11 +8,12 @@ with forward-reverse bisimilarity; and the ready-set encoding must preserve
 the two reverse-sensitive equivalences.  Comparing all pairs is done by
 comparing partitions: bisimilarity classes come from one refinement over
 the union system of every enumerated term, decider classes from the keys
-the theories decide by (the keys of the canonical normal forms for the
-forward and forward-reverse theories, and least observation traces for
-the reverse theory), and the two partitions coincide exactly when the
-verdicts agree on every pair.  A pairwise spot check against the public
-two-process entry points guards the partition shortcut itself.
+the theories decide by (:func:`~revexp.axioms.theory_key`: the keys of the
+canonical normal forms for the forward and forward-reverse theories, and
+least observation traces for the reverse theory), and the two partitions
+coincide exactly when the verdicts agree on every pair.  A pairwise spot
+check against the public two-process entry points guards the partition
+shortcut itself.
 """
 
 from __future__ import annotations
@@ -20,15 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .axioms import (
-    Theory,
-    _f_key,
-    _fr_encoding,
-    prove_eq,
-    theory_encoding,
-)
+from .axioms import Theory, prove_eq, theory_encoding, theory_key
 from .bisim import Variant, _sequential, check, check_brs, refine
-from .encoding import brs_preserved_shape, encode, least_trace, verify_correspondence
+from .encoding import brs_preserved_shape, encode, verify_correspondence
 from .errors import NotReachableError
 from .generate import enumerate_processes, seed_terms
 from .semantics import DEFAULT_STATE_CAP, build_lts, build_union, require_reachable
@@ -111,20 +106,16 @@ def completeness_suite(max_size: int, alphabet,
     """Axiom-system verdicts against bisimilarity verdicts, all pairs, with
     60 pairs spot-checked by ``prove_eq`` and 20 by ``check``."""
     terms = list(enumerate_processes(max_size, alphabet, max_states))
-    f_memo: dict = {}
-    f_table: dict = {}
-    table: dict = {}
+    tables: dict = {}
     reports = []
 
     pairs = [
-        ("completeness F vs FB:ps", Theory.F, Variant.FBPS,
-         [_f_key(p, f_memo, f_table) for p in terms]),
-        ("completeness R vs RB", Theory.R, Variant.RB,
-         [least_trace(p) for p in terms]),
-        ("completeness FR vs FRB", Theory.FR, Variant.FRB,
-         [_fr_encoding(p, table)[0] for p in terms]),
+        ("completeness F vs FB:ps", Theory.F, Variant.FBPS),
+        ("completeness R vs RB", Theory.R, Variant.RB),
+        ("completeness FR vs FRB", Theory.FR, Variant.FRB),
     ]
-    for name, theory, variant, keys in pairs:
+    for name, theory, variant in pairs:
+        keys = [theory_key(p, theory, tables) for p in terms]
         ids = class_ids(terms, variant, max_states)
         report = _partitions_agree(name, terms, ids, keys)
         _spot_check(

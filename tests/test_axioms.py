@@ -441,3 +441,26 @@ def test_untraced_fr_proofs_canonicalize_nothing(monkeypatch):
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
     assert prove_eq(P(five), P(five.replace("a.b.0 + c.0", "c.0 + a.b.0")), Theory.FR)
     assert not prove_eq(P(five), P(five.replace("c.0", "b.0")), Theory.FR)
+
+
+# --- one key per theory ------------------------------------------------------
+
+def _classes(keys) -> list[int]:
+    """Each key's class: the index of the first key that is the same object."""
+    first: dict = {}
+    return [first.setdefault(id(key), i) for i, key in enumerate(keys)]
+
+
+def test_one_set_of_tables_serves_all_three_theories():
+    terms = list(enumerate_processes(3, ("a", "b")))
+    shared: dict = {}
+    keys = {theory: [] for theory in Theory}
+    for p in terms:
+        for theory in Theory:
+            keys[theory].append(axioms.theory_key(p, theory, shared))
+    for theory in Theory:
+        fresh: dict = {}
+        alone = [axioms.theory_key(p, theory, fresh) for p in terms]
+        assert _classes(keys[theory]) == _classes(alone), theory
+        # equal keys are one object
+        assert len(set(keys[theory])) == len({id(key) for key in keys[theory]}), theory

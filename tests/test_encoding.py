@@ -19,6 +19,7 @@ from revexp import (
     render,
     verify_correspondence,
 )
+from revexp import axioms, encoding
 from revexp.axioms import Theory, canonical, normalize_fr, structural_key, theory_encoding
 from revexp.encoding import (
     ExecutionOrder,
@@ -33,7 +34,9 @@ from revexp.encoding import (
 from revexp.errors import NotReachableError, OrderUndefinedError
 from revexp.generate import enumerate_processes
 from revexp.semantics import forward_steps
-from revexp.terms import BrsPrefix, Choice, NIL, Par, Prefix, brs, is_initial, to_initial, upd
+from revexp.terms import (
+    BrsPrefix, Choice, NIL, Par, Prefix, act, brs, is_initial, to_initial, upd,
+)
 from test_byte_identity import _products
 from test_semantics import _initial_processes, _names
 
@@ -367,6 +370,37 @@ def test_verify_correspondence_mixed_cases():
     for src in ("a.0 |[a]| (a.0 |[]| b.0)", "(a.0 + c.0) |[c]| (b.0 + c.0)",
                 "a.(b.0 |[b]| b.c.0)", "a.0 |[]| b.a.a.0"):
         assert verify_correspondence(P(src)).ok
+
+
+def test_verify_correspondence_sees_a_target_swapped_under_its_label(monkeypatch):
+    # a.a.0 is the first seed of the size-3 {a,b} family whose walk fires one
+    # label, a / {a}, from two states; hand the second firing the first one's
+    # target, so only the targets' keys differ
+    steps = encoding.brs_forward_steps
+    firsts: dict = {}
+    swaps = []
+
+    def swapped(u):
+        out = []
+        for (theta, ready), target in steps(u):
+            first = firsts.setdefault((act(theta), frozenset(ready)), target)
+            if first is not target:
+                swaps.append(target)
+            out.append(((theta, ready), first))
+        return out
+
+    p = P("a.a.0")
+    assert verify_correspondence(p).ok
+    monkeypatch.setattr(encoding, "brs_forward_steps", swapped)
+    assert [v.detail for v in verify_correspondence(p).violations] == [
+        "unmatched proved transition: a / {a}",
+        "unmatched encoded transition: a / {a}",
+    ]
+    assert len(swaps) == 1
+    # a key that identifies every target would miss the swap
+    monkeypatch.setattr(axioms, "_fr_key", lambda u, memo, table: ())
+    firsts.clear()
+    assert verify_correspondence(p).ok
 
 
 def test_verify_correspondence_requires_initial():
