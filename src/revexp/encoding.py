@@ -20,9 +20,11 @@ serialize them into a single chain (executed actions cannot sit on both
 sides of a choice), and a total order over executed-action proofs decides
 which comes first.  The order is an explicit parameter: verification walks
 supply the genuine execution history, static entry points default to a
-fixed lexicographic order, and the equational deciders derive a canonical
-history from the term's own undo structure so that equivalent operand
-arrangements serialize compatibly.  The order is read at that point only:
+fixed lexicographic order, and the equational deciders encode under the
+histories of the least observation trace (:func:`minimal_trace_histories`),
+so that equivalent operand arrangements serialize compatibly: the reverse
+theory takes the first of them, the forward-reverse theory the one whose
+canonical key is least.  The order is read at that point only:
 a process in which no parallel composition has executed actions in both
 operands encodes the same under every order, so the deciders skip the
 history search for it, and an initial parallel composition keeps its
@@ -275,7 +277,7 @@ def _encode(p: Process, sigma: ProofPath, env: Process,
         )
     u1 = encode_reachable(p.left, order.project(sigma + (ParL,)))
     u2 = encode_reachable(p.right, order.project(sigma + (ParR,)))
-    return _expand(u1, u2, frozenset(p.sync), sigma, env, order, {})
+    return _expand(u1, u2, sigma, env, order, {})
 
 
 def _summands(u: ProcessLike) -> list:
@@ -340,23 +342,31 @@ def _at(env: Process, sigma: ProofPath) -> Process:
     return env
 
 
-def _put(env: Process, sigma: ProofPath, f) -> Process:
-    """``env`` with its subterm ``q`` at the operator path ``sigma`` (which
-    matches) replaced by ``f(q)``."""
+def _put(env: Process, sigma: ProofPath, q: Process) -> Process:
+    """``env`` with its subterm at the operator path ``sigma`` (which
+    matches) replaced by ``q``."""
     if not sigma:
-        return f(env)
+        return q
     head, rest = sigma[0], sigma[1:]
     if head is Dot:
-        return env.moved(env.executed, _put(env.cont, rest, f))
+        return env.moved(env.executed, _put(env.cont, rest, q))
     if head is PlusL:
-        return Choice(_put(env.left, rest, f), env.right)
-    return Choice(env.left, _put(env.right, rest, f))
+        return Choice(_put(env.left, rest, q), env.right)
+    return Choice(env.left, _put(env.right, rest, q))
 
 
-def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPath,
-            env: Process, order: ExecutionOrder, memo: dict) -> BrsProcess:
+def _expand(u1: BrsProcess, u2: BrsProcess, sigma: ProofPath, env: Process,
+            order: ExecutionOrder, memo: dict) -> BrsProcess:
     """Expansion of ``u1 || u2`` under ``env``, whose parallel composition
     at ``sigma`` holds the operand states ``u1`` and ``u2`` start from.
+
+    The summands come in the order of one case analysis on the operands'
+    executed heads (``notes/decisions.md``, "The parallel expansion, case
+    by case"): the refusals of an unreachable pair; the summand that stays
+    executed; when both operands have a head, the redo after rollback of
+    each head that did not stay alone; the moves of the initial
+    alternatives, left before right unless only the right operand has an
+    executed head; the synchronizations.
 
     Each emitted prefix steps the operand states: a moving summand's
     ``state`` replaces its operand, and the new composition is put back at
@@ -373,6 +383,7 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
     head1, alts1 = _decompose(u1, memo)
     head2, alts2 = _decompose(u2, memo)
     par = _at(env, sigma)
+    sync = par.sync
     out: list[BrsProcess] = []
 
     def moved(side, s: BrsPrefix):
@@ -387,98 +398,72 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sync: frozenset[str], sigma: ProofPa
              left: BrsProcess, right: BrsProcess) -> None:
         # fire the left summand s1, the right summand s2, or both in sync
         if s2 is None:
-            proof, step = moved(ParL, s1), Par(par.sync, s1.state, par.right)
+            proof, step = moved(ParL, s1), Par(sync, s1.state, par.right)
         elif s1 is None:
-            proof, step = moved(ParR, s2), Par(par.sync, par.left, s2.state)
+            proof, step = moved(ParR, s2), Par(sync, par.left, s2.state)
         else:
             proof = compose(sigma, Syn(s1.proof, s2.proof))
-            step = Par(par.sync, s1.state, s2.state)
-        env2 = _put(env, sigma, lambda _: step) if sigma else step
-        cont = _expand(left, right, sync, sigma, env2, order, memo)
+            step = Par(sync, s1.state, s2.state)
+        env2 = _put(env, sigma, step)
+        cont = _expand(left, right, sigma, env2, order, memo)
         out.append(BrsPrefix((s2 if s1 is None else s1).action, executed,
                              env2.backward_ready, cont, proof, env2))
 
-    def left_moves(frag2: BrsProcess) -> None:
-        for s in alts1:
+    # 1. the refusals
+    in1 = head1 is not None and head1.action in sync
+    in2 = head2 is not None and head2.action in sync
+    if (in1 and head2 is None) or (in2 and head1 is None):
+        raise NotReachableError(
+            "executed synchronizing action without a synchronized partner"
+        )
+    if in1 and in2 and head1.action != head2.action:
+        raise NotReachableError(
+            "both operands executed different synchronizing actions"
+        )
+    # 2. the summand that stays executed
+    redo1 = redo2 = head1 is not None and head2 is not None
+    if in1 and in2:
+        emit(head1, head2, True, head1.cont, head2.cont)
+    elif head1 is not None and not in1 and (
+            head2 is None or in2 or order.leq(moved(ParL, head1), moved(ParR, head2))):
+        emit(head1, None, True, head1.cont, u2)
+        redo1 = False
+    elif head2 is not None:
+        emit(None, head2, True, u1, head2.cont)
+        redo2 = False
+    # 3. the redo after rollback of each head that did not stay alone; a
+    # synchronizing head is re-offered against the same-action
+    # alternatives of the other operand
+    init1, init2 = to_initial(u1), to_initial(u2)
+    if redo1:
+        if not in1:
+            emit(head1, None, False, to_initial(head1.cont), init2)
+        else:
+            for s in alts2:
+                if s.action == head1.action:
+                    emit(head1, s, False, to_initial(head1.cont), s.cont)
+    if redo2:
+        if not in2:
+            emit(None, head2, False, init1, to_initial(head2.cont))
+        else:
+            for s in alts1:
+                if s.action == head2.action:
+                    emit(s, head2, False, s.cont, to_initial(head2.cont))
+    # 4. the moves of the initial alternatives
+    right_first = head1 is None and head2 is not None
+    for left in ((False, True) if right_first else (True, False)):
+        for s in alts1 if left else alts2:
             if s.action not in sync:
-                emit(s, None, False, s.cont, frag2)
-
-    def right_moves(frag1: BrsProcess) -> None:
-        for s in alts2:
-            if s.action not in sync:
-                emit(None, s, False, frag1, s.cont)
-
-    def sync_moves() -> None:
-        for s1 in alts1:
-            if s1.action not in sync:
-                continue
+                if left:
+                    emit(s, None, False, s.cont, init2)
+                else:
+                    emit(None, s, False, init1, s.cont)
+    # 5. the synchronizations
+    for s1 in alts1:
+        if s1.action in sync:
             for s2 in alts2:
                 if s2.action == s1.action:
                     emit(s1, s2, False, s1.cont, s2.cont)
-
-    if head1 is None and head2 is None:
-        left_moves(u2)
-        right_moves(u1)
-        sync_moves()
-    elif head2 is None:
-        if head1.action in sync:
-            raise NotReachableError(
-                "executed synchronizing action without a synchronized partner"
-            )
-        emit(head1, None, True, head1.cont, u2)
-        left_moves(u2)
-        right_moves(to_initial(u1))
-        sync_moves()
-    elif head1 is None:
-        if head2.action in sync:
-            raise NotReachableError(
-                "executed synchronizing action without a synchronized partner"
-            )
-        emit(None, head2, True, u1, head2.cont)
-        right_moves(u1)
-        left_moves(to_initial(u2))
-        sync_moves()
-    else:
-        in1 = head1.action in sync
-        in2 = head2.action in sync
-
-        def replay_head2() -> None:
-            # redo of the right head after rollback; a synchronizing head is
-            # re-offered against same-action alternatives of the left side
-            if not in2:
-                emit(None, head2, False, to_initial(u1), to_initial(head2.cont))
-            else:
-                for s in alts1:
-                    if s.action == head2.action:
-                        emit(s, head2, False, s.cont, to_initial(head2.cont))
-
-        def replay_head1() -> None:
-            if not in1:
-                emit(head1, None, False, to_initial(head1.cont), to_initial(u2))
-            else:
-                for s in alts2:
-                    if s.action == head1.action:
-                        emit(head1, s, False, to_initial(head1.cont), s.cont)
-
-        if in1 and in2:
-            if head1.action != head2.action:
-                raise NotReachableError(
-                    "both operands executed different synchronizing actions"
-                )
-            emit(head1, head2, True, head1.cont, head2.cont)
-            replay_head1()
-            replay_head2()
-        elif not in1 and (in2 or order.leq(moved(ParL, head1), moved(ParR, head2))):
-            emit(head1, None, True, head1.cont, u2)
-            replay_head2()
-        elif not in2:
-            emit(None, head2, True, u1, head2.cont)
-            replay_head1()
-        else:  # pragma: no cover - guarded by the totality of orders
-            raise OrderUndefinedError("cannot order the two executed actions")
-        left_moves(to_initial(u2))
-        right_moves(to_initial(u1))
-        sync_moves()
     result = _sum(out)
     memo[key] = (result, u1, u2, env)
     return result

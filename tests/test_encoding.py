@@ -17,6 +17,7 @@ from revexp import (
     encode,
     parse,
     render,
+    render_proof,
     verify_correspondence,
 )
 from revexp import axioms, encoding
@@ -149,6 +150,28 @@ def test_expand_parallel_nil():
 def test_expand_parallel_under_a_prefix():
     u = encode(P("c!.(a.0 |[]| b.0)")).cont
     assert render(u) == "<a,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
+
+
+@pytest.mark.parametrize("src,message", [
+    ("a!.0 |[a]| a.0", "executed synchronizing action without a synchronized partner"),
+    ("a.0 |[a]| a!.0", "executed synchronizing action without a synchronized partner"),
+    ("a!.0 |[a,b]| b!.0", "both operands executed different synchronizing actions"),
+])
+def test_expand_refuses_an_unreachable_pair_of_heads(src, message):
+    # encode_reachable skips the reachability check, so the expansion
+    # itself meets the unreachable heads
+    with pytest.raises(NotReachableError) as refused:
+        encode_reachable(P(src))
+    assert str(refused.value) == message
+
+
+def test_expand_keeps_the_sides_of_one_shared_operand_encoding():
+    # an initial product keeps its encoding on the node, so both operands
+    # are one encoding; the moves of each side still carry that side's proof
+    p = P("(a.0 |[]| b.0) |[]| (a.0 |[]| b.0)")
+    assert encode_reachable(p.left) is encode_reachable(p.right)
+    proofs = [render_proof(s.proof) for s in encoding._summands(encode(p))]
+    assert proofs == ["|l |l a", "|l |r b", "|r |l a", "|r |r b"]
 
 
 # --- operand states ------------------------------------------------------------
