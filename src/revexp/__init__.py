@@ -27,14 +27,7 @@ from .bisim import (
     check_brs,
     necessary_check,
 )
-from .encoding import (
-    ExecutionOrder,
-    HistoryOrder,
-    LexOrder,
-    default_order,
-    encode,
-    verify_correspondence,
-)
+from .encoding import HistoryOrder, encode, verify_correspondence
 from .errors import (
     ActUndefinedError,
     NotNormalizedError,

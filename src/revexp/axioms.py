@@ -589,8 +589,8 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     """The encoding the reverse-sensitive deciders compare.
 
     The serialization order is the first of the process's least-trace
-    histories (:func:`~revexp.encoding.minimal_trace_histories`), or the
-    default order when every order gives the same encoding; for the
+    histories (:func:`~revexp.encoding.minimal_trace_histories`), or none
+    when every order gives the same encoding; for the
     forward-reverse theory, when several histories share the least
     observation trace (independent executed actions with identical
     observations), the first one whose canonical normal form is least is
@@ -608,8 +608,8 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
 
 
 def _orders(p: Process, cap: int):
-    """The orders the theories may encode ``p`` under: the default one when
-    every order gives the same encoding, else one per least-trace history,
+    """The orders the theories may encode ``p`` under: ``None`` (no history)
+    when every order gives the same encoding, else one per least-trace history,
     at most ``cap`` (:func:`~revexp.encoding.minimal_trace_histories`).  An
     unreachable ``p`` is refused at the first order."""
     require_reachable(p)

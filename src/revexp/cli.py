@@ -24,12 +24,19 @@ from .axioms import (
     prove_eq,
 )
 from .bisim import Variant, check
-from .encoding import HistoryOrder, default_order, encode
+from .encoding import HistoryOrder, encode
 from .errors import RevexpError
 from .generate import enumerate_processes
-from .semantics import DEFAULT_STATE_CAP, build_brs_lts, build_lts, export, require_reachable
-from .syntax import ACTION_RE, parse, parse_proof_term, render
-from .terms import TAU, Par, to_initial
+from .semantics import (
+    DEFAULT_STATE_CAP,
+    build_brs_lts,
+    build_lts,
+    export,
+    forward_steps,
+    require_reachable,
+)
+from .syntax import ACTION_RE, parse, parse_proof_term, render, render_proof
+from .terms import TAU, Par, Process, to_initial
 
 _VARIANTS = {v.value: v for v in Variant}
 _THEORIES = {t.value: t for t in Theory}
@@ -67,18 +74,32 @@ def _max_size(value: int) -> int:
     return value
 
 
-def _order_from_spec(spec: str):
+def _order_from_spec(spec: str, p: Process) -> HistoryOrder | None:
+    """The order ``--order`` names for encoding ``p``: none (the left head
+    first) for ``lex``; for ``file:<path>``, the history the file lists,
+    one proof term a line, which must replay from the initial version of
+    ``p`` to ``p``."""
     if spec == "lex":
-        return default_order()
+        return None
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         with open(path, encoding="utf-8") as handle:
-            proofs = tuple(
-                parse_proof_term(line.rstrip(), number)
+            entries = [
+                (number, parse_proof_term(line.rstrip(), number))
                 for number, line in enumerate(handle, 1)
                 if line.strip()
-            )
-        return HistoryOrder(proofs)
+            ]
+        require_reachable(p)
+        state = to_initial(p)
+        for number, theta in entries:
+            target = dict(forward_steps(state)).get(theta)
+            if target is None:
+                raise ValueError(f"{number}: {render_proof(theta)} is not a step of "
+                                 f"{render(state)}")
+            state = target
+        if state != p:
+            raise ValueError(f"the order file ends at {render(state)}, not at {render(p)}")
+        return HistoryOrder(tuple(theta for _, theta in entries))
     raise ValueError(f"unknown order {spec!r}; use 'lex' or 'file:<path>'")
 
 
@@ -113,7 +134,7 @@ def _cmd_lts(args) -> int:
 
 def _cmd_encode(args) -> int:
     p = parse(args.process)
-    order = _order_from_spec(args.order)
+    order = _order_from_spec(args.order, p)
     print(render(encode(p, order), unicode=args.unicode))
     return 0
 

@@ -17,18 +17,19 @@ that differ only in that order share one subterm.
 Parallel composition is eliminated by :func:`_expand`.  When both
 operands have executed actions that did not synchronize, the expansion must
 serialize them into a single chain (executed actions cannot sit on both
-sides of a choice), and a total order over executed-action proofs decides
-which comes first.  The order is an explicit parameter: verification walks
-supply the genuine execution history, static entry points default to a
-fixed lexicographic order, and the equational deciders encode under the
-histories of the least observation trace (:func:`minimal_trace_histories`),
-so that equivalent operand arrangements serialize compatibly: the reverse
-theory takes the first of them, the forward-reverse theory the one whose
-canonical key is least.  The order is read at that point only:
-a process in which no parallel composition has executed actions in both
-operands encodes the same under every order, so the deciders skip the
-history search for it, and an initial parallel composition keeps its
-encoding on the node (:func:`encode_reachable`).
+sides of a choice).  A history decides which comes first, or, without
+one, the left operand's head does.  The history is an explicit parameter
+(:class:`HistoryOrder`): verification walks supply the genuine execution
+history, static entry points supply none, and the equational deciders
+encode under the histories of the least observation trace
+(:func:`minimal_trace_histories`), so that equivalent operand arrangements
+serialize compatibly: the reverse theory takes the first of them, the
+forward-reverse theory the one whose canonical key is least.  The order
+is read at that point only: a process in which no parallel composition
+has executed actions in both operands encodes the same with every history
+and without one, so the deciders skip the history search for it, and an
+initial parallel composition keeps its encoding on the node
+(:func:`encode_reachable`).
 """
 
 from __future__ import annotations
@@ -76,29 +77,7 @@ from .terms import (
 
 # --- serialization orders --------------------------------------------------
 
-class ExecutionOrder:
-    """Total order over proof terms of executed actions."""
-
-    def leq(self, t1: ProofTerm, t2: ProofTerm) -> bool:
-        raise NotImplementedError
-
-    def project(self, prefix: ProofPath) -> "ExecutionOrder":
-        """The order seen from inside an operator context ``prefix``."""
-        raise NotImplementedError
-
-
-class LexOrder(ExecutionOrder):
-    """Static order on the rendered proof terms (operator tags first)."""
-
-    def leq(self, t1: ProofTerm, t2: ProofTerm) -> bool:
-        return render_proof(t1) <= render_proof(t2)
-
-    def project(self, prefix: ProofPath) -> "ExecutionOrder":
-        # Wrapping both sides in the same context preserves the comparison.
-        return self
-
-
-class HistoryOrder(ExecutionOrder):
+class HistoryOrder:
     """Order induced by an actual execution trace, oldest first.
 
     A proof term ranks at the instant of the history entry that executed the
@@ -124,7 +103,8 @@ class HistoryOrder(ExecutionOrder):
     def leq(self, t1: ProofTerm, t2: ProofTerm) -> bool:
         return self._index(t1) <= self._index(t2)
 
-    def project(self, prefix: ProofPath) -> "ExecutionOrder":
+    def project(self, prefix: ProofPath) -> "HistoryOrder":
+        """The order seen from inside an operator context ``prefix``."""
         return HistoryOrder(self.history, self.prefix + tuple(prefix))
 
 
@@ -211,11 +191,6 @@ def _least_walk(p: Process, cap: int | None):
     return least[0], histories[0]
 
 
-def default_order() -> ExecutionOrder:
-    """Serialization order used when no genuine history is supplied."""
-    return LexOrder()
-
-
 # --- the encoding ----------------------------------------------------------
 #
 # An expansion depends only on its operands and its environment: the branch
@@ -225,21 +200,21 @@ def default_order() -> ExecutionOrder:
 # subterm, and the expansion is memoized on exactly that.  The result is a
 # shared DAG; walk it with a memo, not as a tree.
 
-def encode(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
-    """Sequential ready-set form of a reachable process."""
+def encode(p: Process, order: HistoryOrder | None = None) -> BrsProcess:
+    """Sequential ready-set form of a reachable process, serialized by the
+    history ``order`` or, when it is ``None``, left head first (see
+    :func:`_expand`)."""
     require_reachable(p)
     return encode_reachable(p, order)
 
 
-def encode_reachable(p: Process, order: ExecutionOrder | None = None) -> BrsProcess:
+def encode_reachable(p: Process, order: HistoryOrder | None = None) -> BrsProcess:
     """:func:`encode` for a process already known to be reachable.
 
     The encoding of an initial parallel composition reads no order, so it
-    is made once and kept on the node: every later call, under any order,
-    returns the same object.  Other encodings are made afresh.
+    is made once and kept on the node: every later call, with a history
+    or without, returns the same object.  Other encodings are made afresh.
     """
-    if order is None:
-        order = default_order()
     if type(p) is Par and p.initial:
         if p._enc is None:
             p._enc = _encode(p, (), p, order)
@@ -262,7 +237,7 @@ def _order_blind(p: Process) -> bool:
 
 
 def _encode(p: Process, sigma: ProofPath, env: Process,
-            order: ExecutionOrder) -> BrsProcess:
+            order: HistoryOrder | None) -> BrsProcess:
     if isinstance(p, Nil):
         return NIL
     if isinstance(p, Prefix):
@@ -275,8 +250,8 @@ def _encode(p: Process, sigma: ProofPath, env: Process,
             _encode(p.left, sigma + (PlusL,), env, order),
             _encode(p.right, sigma + (PlusR,), env, order),
         )
-    u1 = encode_reachable(p.left, order.project(sigma + (ParL,)))
-    u2 = encode_reachable(p.right, order.project(sigma + (ParR,)))
+    u1 = encode_reachable(p.left, order and order.project(sigma + (ParL,)))
+    u2 = encode_reachable(p.right, order and order.project(sigma + (ParR,)))
     return _expand(u1, u2, sigma, env, order, {})
 
 
@@ -356,7 +331,7 @@ def _put(env: Process, sigma: ProofPath, q: Process) -> Process:
 
 
 def _expand(u1: BrsProcess, u2: BrsProcess, sigma: ProofPath, env: Process,
-            order: ExecutionOrder, memo: dict) -> BrsProcess:
+            order: HistoryOrder | None, memo: dict) -> BrsProcess:
     """Expansion of ``u1 || u2`` under ``env``, whose parallel composition
     at ``sigma`` holds the operand states ``u1`` and ``u2`` start from.
 
@@ -375,7 +350,8 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sigma: ProofPath, env: Process,
     result, each operand fragment to its split, and each summand that fires
     alone, by side, to its proof (the values keep the nodes alive, so their
     ids stay unique).  The order is read only where both operands have an
-    executed head and neither head synchronizes."""
+    executed head and neither head synchronizes; without a history, the
+    left head stays executed."""
     key = (id(u1), id(u2), id(env))
     hit = memo.get(key)
     if hit is not None:
@@ -425,7 +401,8 @@ def _expand(u1: BrsProcess, u2: BrsProcess, sigma: ProofPath, env: Process,
     if in1 and in2:
         emit(head1, head2, True, head1.cont, head2.cont)
     elif head1 is not None and not in1 and (
-            head2 is None or in2 or order.leq(moved(ParL, head1), moved(ParR, head2))):
+            head2 is None or in2 or order is None
+            or order.leq(moved(ParL, head1), moved(ParR, head2))):
         emit(head1, None, True, head1.cont, u2)
         redo1 = False
     elif head2 is not None:

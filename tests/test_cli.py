@@ -129,9 +129,11 @@ def test_lts_state_cap_env_must_be_a_positive_integer(capsys, monkeypatch, value
 
 
 def test_encode(capsys):
-    code, out, _ = run(capsys, "encode", "a!.0 |[]| b.0")
-    assert code == 0
-    assert out.strip() == "<a!,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
+    # --order lex spells the default: the left operand's executed head first
+    for order in ([], ["--order", "lex"]):
+        code, out, _ = run(capsys, "encode", "a!.0 |[]| b.0", *order)
+        assert code == 0
+        assert out.strip() == "<a!,{a}>.<b,{a,b}>.0 + <b,{b}>.<a,{b,a}>.0"
 
 
 def test_encode_with_order_file(capsys, tmp_path):
@@ -140,6 +142,22 @@ def test_encode_with_order_file(capsys, tmp_path):
     code, out, _ = run(capsys, "encode", "a!.0 |[]| b!.0", "--order", f"file:{path}")
     assert code == 0
     assert out.strip() == "<b!,{b}>.<a!,{b,a}>.0 + <a,{a}>.<b,{a,b}>.0"
+
+
+@pytest.mark.parametrize("process,lines,error", [
+    # c follows the a it comes before
+    ("a!.c!.0 |[]| b!.0", ["|l . c", "|r b", "|l a"],
+     "1: |l .c is not a step of a.c.0 |[]| b.0"),
+    ("a!.0 |[]| b!.0", ["|r b", "|l a", "|l a"], "3: |l a is not a step of a!.0 |[]| b!.0"),
+    ("a!.0 |[]| b!.0", ["|r b", "|l a", "|l z"], "3: |l z is not a step of a!.0 |[]| b!.0"),
+    ("a!.0", [], "the order file ends at a.0, not at a!.0"),
+], ids=["out of order", "duplicated", "no such occurrence", "empty"])
+def test_an_order_file_that_is_not_a_history_is_refused(capsys, tmp_path, process,
+                                                          lines, error):
+    path = tmp_path / "order.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, out, err = run(capsys, "encode", process, "--order", f"file:{path}")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_an_order_file_error_gives_the_line_and_column(capsys, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from revexp import (
     Act,
     HistoryOrder,
-    LexOrder,
     ParL,
     ParR,
     Variant,
@@ -23,11 +22,9 @@ from revexp import (
 from revexp import axioms, encoding
 from revexp.axioms import Theory, canonical, normalize_fr, structural_key, theory_encoding
 from revexp.encoding import (
-    ExecutionOrder,
     _order_blind,
     brs_preserved_shape,
     canonical_history,
-    default_order,
     encode_reachable,
     last_executed,
     minimal_trace_histories,
@@ -93,9 +90,8 @@ def test_encode_prefix_compositionality():
     for p in list(enumerate_processes(3, ("a", "b")))[:400]:
         if not is_initial(p):
             continue
-        order = LexOrder()
-        u = encode(p, order)
-        prefixed = encode(Prefix("e", False, p), order)
+        u = encode(p)
+        prefixed = encode(Prefix("e", False, p))
         assert prefixed == BrsPrefix("e", False, frozenset("e"), u)
 
 
@@ -106,10 +102,10 @@ def test_encode_executed_prefix_compositionality():
     # the first prefix of the encoding of a!.b!.0 carries {a}, not {b})
     for src in ("a.0", "b!.c.0", "a.0 |[]| b.0"):
         p = P(src)
-        u = encode(Prefix("e", True, p), LexOrder())
+        u = encode(Prefix("e", True, p))
         assert isinstance(u, BrsPrefix) and u.executed and u.action == "e"
         assert u.ready == frozenset("e")
-        assert u.cont == encode(p, LexOrder())
+        assert u.cont == encode(p)
 
 
 def test_encode_choice_compositionality():
@@ -203,7 +199,7 @@ def _assert_states_are_marked_environments(p, u) -> int:
 
 def test_operand_states_on_the_size_3_family():
     for p in enumerate_processes(3, ("a", "b")):
-        for order in (default_order(), HistoryOrder(canonical_history(p))):
+        for order in (None, HistoryOrder(canonical_history(p))):
             _assert_states_are_marked_environments(p, encode(p, order))
 
 
@@ -234,18 +230,21 @@ def test_operand_states_on_random_nested_products(p, picks):
         if not steps:
             break
         p = steps[pick % len(steps)][1]
-    for order in (default_order(), HistoryOrder(canonical_history(p))):
+    for order in (None, HistoryOrder(canonical_history(p))):
         _assert_states_are_marked_environments(p, encode(p, order))
 
 
 # --- order-blind processes -----------------------------------------------------
 #
 # When no parallel composition has executed actions in both operands, the
-# encoding reads no order, and the deciders encode once under the default
-# order instead of searching histories.  Check both claims against an order
-# that fails when read and against the history path the deciders skip.
+# encoding reads no order, and the deciders encode once without a history
+# instead of searching histories.  Check both claims against a history that
+# fails when read and against the history path the deciders skip.
 
-class _Unreadable(ExecutionOrder):
+class _Unreadable(HistoryOrder):
+    def __init__(self):
+        super().__init__(())
+
     def leq(self, t1, t2):
         raise AssertionError("the order was read")
 
@@ -322,23 +321,6 @@ def test_order_blind_shortcut_on_random_nested_products(p, picks):
 
 
 # --- serialization orders ------------------------------------------------------
-
-def test_lex_order_on_par_sides():
-    order = default_order()
-    assert order.leq(ParL(Act("a")), ParR(Act("b")))
-    assert order.leq(ParL(Act("a")), ParL(Act("a")))
-    assert not order.leq(ParR(Act("a")), ParL(Act("b")))
-
-
-def test_lex_order_is_total_on_executed_addresses():
-    for p in list(enumerate_processes(2, ("a", "b")))[:80]:
-        order = default_order()
-        from revexp.semantics import undo_steps
-        proofs = [t for t, _ in undo_steps(p)]
-        for t1 in proofs:
-            for t2 in proofs:
-                assert order.leq(t1, t2) or order.leq(t2, t1)
-
 
 def test_history_order():
     hist = (ParR(ParR(Act("b"))), ParR(ParL(Act("a"))))
