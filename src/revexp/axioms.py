@@ -20,6 +20,10 @@ its executed spine, which is the process's least observation trace (see
 ``notes/decisions.md``), so the reverse key is that trace, and no encoding
 is built.  The forward-reverse key is the structural key of the canonical
 form, which one memoized pass reads off the encoding (:func:`_fr_key`).
+When no parallel composition of the process has executed actions in both
+operands, the key of a product is folded from its operands' keys by the
+expansion law on keys (:func:`_fr_par`), and no product is encoded; only
+a process whose encoding reads an order, or a traced proof, encodes one.
 Keys are hash-consed so that equal keys are the same object, and no normal
 or canonical form is built unless a derivation is asked for.
 """
@@ -58,6 +62,7 @@ from .terms import (
     Prefix,
     Process,
     is_wellformed,
+    par_ready,
     to_initial,
 )
 
@@ -583,6 +588,98 @@ def _rollback_key(key, table: dict):
     return got
 
 
+# --- the forward-reverse key of an order-blind product ----------------------
+#
+# When no parallel composition of a process has executed actions in both
+# operands, each product's encoding expands two operand encodings of which
+# at most one has an executed head, and the key of its canonical form is a
+# function of the operands' keys and of the backward ready sets the
+# operands' states have along the branch (``notes/decisions.md``).  That
+# function is memoized in the forward-reverse ``table`` under ``(3, sync,
+# id(key1), ready1, id(key2), ready2)``, and a product's ready set under
+# ``(4, sync, ready1, ready2)``.  Its keys are made by :func:`_prefix_key`
+# and :func:`_sum_key` in that table, so each is the object :func:`_fr_key`
+# makes of the same canonical form.
+
+def _fr_blind(p: Process, memo: dict, table: dict):
+    """The key :func:`_fr_encoding` gives the reachable order-blind ``p``,
+    in ``table``: a product's from its operands' keys (:func:`_fr_par`),
+    any other process's from its encoding; ``memo`` keeps each node's key
+    by id (the value keeps the node)."""
+    got = memo.get(id(p))
+    if got is not None:
+        return got[0]
+    if type(p) is Par:
+        key = _fr_par(p.sync, _fr_blind(p.left, memo, table), (),
+                      _fr_blind(p.right, memo, table), (), table)
+    else:
+        key = _fr_key(encode_reachable(p), {}, table)
+    memo[id(p)] = (key, p)
+    return key
+
+
+def _fr_par(sync: tuple, k1, r1: tuple, k2, r2: tuple, table: dict):
+    """Key of the expansion of ``u1 |[sync]| u2`` for operand fragments
+    keyed ``k1`` and ``k2``, at most one of them with an executed head,
+    whose operands stand in states with the sorted backward ready sets
+    ``r1`` and ``r2``: :func:`~revexp.encoding._expand`'s summand that
+    stays executed, then the moves and synchronizations of the initial
+    alternatives, each a prefix over the key of the pair it reaches."""
+    entry = (3, sync, id(k1), r1, id(k2), r2)
+    got = table.get(entry)
+    if got is not None:
+        return got
+    head1, alts1 = _fr_parts(k1)
+    head2, alts2 = _fr_parts(k2)
+    # each summand as (action, executed, ready1, fragment1, ready2,
+    # fragment2), the operand states it moves to: the executed head
+    # against the other fragment as it is, an alternative against the
+    # other fragment rolled back
+    moves = []
+    if head1 is not None:
+        moves.append((head1[1], True, head1[3], head1[4], r2, k2))
+    elif head2 is not None:
+        moves.append((head2[1], True, r1, k1, head2[3], head2[4]))
+    init1 = k1 if head1 is None else _rollback_key(k1, table)
+    init2 = k2 if head2 is None else _rollback_key(k2, table)
+    moves += [(a, False, ready, c, r2, init2) for _, a, _, ready, c in alts1 if a not in sync]
+    moves += [(a, False, r1, init1, ready, c) for _, a, _, ready, c in alts2 if a not in sync]
+    moves += [(a, False, ready1, c1, ready2, c2)
+              for _, a, _, ready1, c1 in alts1 if a in sync
+              for _, b, _, ready2, c2 in alts2 if b == a]
+    parts = []
+    for action, executed, ready1, c1, ready2, c2 in moves:
+        ready = table.get((4, sync, ready1, ready2))
+        if ready is None:
+            ready = table[4, sync, ready1, ready2] = tuple(sorted(
+                par_ready(sync, frozenset(ready1), frozenset(ready2))))
+        parts.append(_prefix_key(action, executed, ready,
+                                 _fr_par(sync, c1, ready1, c2, ready2, table), table))
+    first = None
+    if head1 is not None or head2 is not None:
+        first = parts.pop(0)
+        rollback = _rollback_key(first, table)
+        parts = [k for k in parts if k is not rollback]
+    got = table[entry] = _sum_key(first, parts, table)
+    return got
+
+
+def _fr_parts(key) -> tuple:
+    """``(head, alternatives)``: the key of the executed summand of the
+    canonical form keyed ``key`` (``None`` if it has none), and the keys
+    of its other summands."""
+    leaves = []
+    while key[0] == 2:
+        leaves.append(key[2])
+        key = key[1]
+    if key[0] == 0:
+        return None, leaves
+    if key[2]:
+        return key, leaves  # the executed summand comes first
+    leaves.append(key)
+    return None, leaves
+
+
 # --- the deciders ----------------------------------------------------------
 
 def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
@@ -624,7 +721,8 @@ def _fr_encoding(p: Process, table: dict, orders=None):
     """``(key, u)``: the encoding ``u`` of ``p`` under the first of its
     :func:`_orders` (or of ``orders``, when given) whose canonical normal
     form is least, and that form's key in ``table`` (:func:`_fr_key`);
-    neither form is built."""
+    neither form is built.  Every order is encoded, so :func:`theory_key`
+    calls this only for a process whose encoding reads an order."""
     best = None
     for order in _orders(p, 512) if orders is None else orders:
         u = encode_reachable(p, order)
@@ -639,23 +737,32 @@ def theory_key(p: Process, theory: Theory, tables: dict):
     exactly when their keys, made with one ``tables``, are one object.
 
     The forward key is read off the process (:func:`_f_key`) once it is
-    known to be reachable, the reverse key is the least observation trace
-    (:func:`~revexp.encoding.least_trace`), and the forward-reverse key is
-    that of the theory encoding's canonical normal form
-    (:func:`_fr_encoding`).  ``tables`` lives for one decision and holds one
-    table per theory, so that each theory looks up only its own entries,
-    whose shapes overlap: a forward ``(False, id(summands))`` equals a
-    forward-reverse ``(0, id(key))`` wherever the ids agree.
+    known to be reachable, and the reverse key is the least observation
+    trace (:func:`~revexp.encoding.least_trace`).  The forward-reverse key
+    is that of the theory encoding's canonical normal form
+    (:func:`_fr_encoding`).  For an order-blind process, one in which no
+    parallel composition has executed actions in both operands, it is
+    folded from the keys of its products' operands (:func:`_fr_blind`),
+    and no product is encoded; only a process whose encoding reads an
+    order is encoded, under each of its least-trace histories.  ``tables``
+    lives for one decision and holds one table per theory, so that each
+    theory looks up only its own entries, whose shapes overlap: a forward
+    ``(False, id(summands))`` equals a forward-reverse ``(0, id(key))``
+    wherever the ids agree.
     """
-    if theory is Theory.F:
-        require_reachable(p)
-        memo, table = tables.setdefault(theory, ({}, {}))
-        return _f_key(p, memo, table)
-    table = tables.setdefault(theory, {})
     if theory is Theory.R:
+        table = tables.setdefault(theory, {})
         trace = least_trace(p)
         return table.setdefault(trace, trace)
-    return _fr_encoding(p, table)[0]
+    memo, table = tables.setdefault(theory, ({}, {}))
+    if theory is Theory.F:
+        require_reachable(p)
+        return _f_key(p, memo, table)
+    orders = _orders(p, 512)
+    first = next(orders)  # refuses an unreachable p
+    if first is None:
+        return _fr_blind(p, memo, table)
+    return _fr_encoding(p, table, [first, *orders])[0]
 
 
 def prove_eq(p1: Process, p2: Process, theory: Theory,
@@ -668,18 +775,24 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
     which are the executed spines of the normal forms).  No normal form is
     built, except to log each side's derivation into ``trace``: the forward
     theory normalizes the process itself, the others its theory encoding
-    (see :func:`theory_encoding`).
+    (see :func:`theory_encoding`).  The forward-reverse derivation reads
+    the encoding the key is made from, so a traced proof keys each side by
+    the chosen encoding (:func:`_fr_encoding`) and encodes it once.
     """
     tables: dict = {}
-    k1, k2 = theory_key(p1, theory, tables), theory_key(p2, theory, tables)
-    if trace is not None:
-        for p in (p1, p2):
+    if trace is None:
+        return theory_key(p1, theory, tables) is theory_key(p2, theory, tables)
+    if theory is Theory.FR:
+        table = tables.setdefault(theory, ({}, {}))[1]
+        (k1, u1), (k2, u2) = _fr_encoding(p1, table), _fr_encoding(p2, table)
+        for u in (u1, u2):
             # the normalizer's output is in normal form, so it is not checked again
-            if theory is Theory.F:
-                _Pass(_canon_f, trace).run(normalize_f(p, trace), trace)
-            elif theory is Theory.R:
-                normalize_r(theory_encoding(p, theory), trace)
-            else:
-                u = normalize_fr(theory_encoding(p, theory), trace)
-                _Pass(_canon_fr, trace).run(u, trace)
+            _Pass(_canon_fr, trace).run(normalize_fr(u, trace), trace)
+        return k1 is k2
+    k1, k2 = theory_key(p1, theory, tables), theory_key(p2, theory, tables)
+    for p in (p1, p2):
+        if theory is Theory.F:
+            _Pass(_canon_f, trace).run(normalize_f(p, trace), trace)
+        else:
+            normalize_r(theory_encoding(p, theory), trace)
     return k1 is k2

@@ -202,12 +202,7 @@ class Par(_Node):
         node.right = right
         node.initial = left.initial and right.initial
         node.wellformed = left.wellformed and right.wellformed
-        bl, br_ = left.backward_ready, right.backward_ready
-        if not sync:
-            node.backward_ready = bl | br_ if bl and br_ else bl or br_
-        else:
-            s = frozenset(sync)
-            node.backward_ready = (bl - s) | (br_ - s) | (bl & br_ & s)
+        node.backward_ready = par_ready(sync, left.backward_ready, right.backward_ready)
         node._hash = hash((sync, left._hash, right._hash))
         node._rollback = None
         node._enc = None
@@ -216,6 +211,16 @@ class Par(_Node):
 
     def __repr__(self) -> str:
         return f"Par(sync={self.sync!r}, left={self.left!r}, right={self.right!r})"
+
+
+def par_ready(sync: tuple, bl: frozenset[str], br: frozenset[str]) -> frozenset[str]:
+    """The backward ready set of ``x |[sync]| y`` for operands with the
+    backward ready sets ``bl`` and ``br``: a synchronized action only when
+    both operands last fired it."""
+    if not sync:
+        return bl | br if bl and br else bl or br
+    s = frozenset(sync)
+    return (bl - s) | (br - s) | (bl & br & s)
 
 
 class BrsPrefix(_Node):

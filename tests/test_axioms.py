@@ -443,6 +443,80 @@ def test_untraced_fr_proofs_canonicalize_nothing(monkeypatch):
     assert not prove_eq(P(five), P(five.replace("c.0", "b.0")), Theory.FR)
 
 
+# --- the forward-reverse key of an order-blind product -----------------------
+
+def _assert_fr_keys_are_the_encodings_keys(terms) -> int:
+    """Each term's forward-reverse key, made in one table, is the object
+    that the key of its chosen encoding is; returns how many terms are
+    order-blind products, whose keys are folded from their operands'."""
+    tables: dict = {}
+    for p in terms:
+        key = axioms.theory_key(p, Theory.FR, tables)
+        assert key is axioms._fr_encoding(p, tables[Theory.FR][1])[0], render(p)
+    return sum(isinstance(p, Par) and encoding._order_blind(p) for p in terms)
+
+
+def test_the_order_blind_key_is_the_encodings_key_at_size_4():
+    terms = list(enumerate_processes(4, ("a", "b")))
+    assert _assert_fr_keys_are_the_encodings_keys(terms) == 2203
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_nested_products())
+# the executed head's rollback absorbs a move of the other operand, or one
+# of its own operand's alternatives
+@example(P("a!.0 |[]| a.0"))
+@example(P("(a!.b.0 + a.b.0) |[]| c.0"))
+@example(P("(a!.0 + a.0) |[b]| (b.0 + a.0)"))
+@example(P("(a!.(b.0 + c.0) |[c]| c.0) |[b]| (b.0 + a.0)"))
+def test_the_order_blind_key_is_the_encodings_key_on_walked_products(p):
+    # the initial version and its successors are order-blind, the walked
+    # product and its successors mostly are not
+    start = to_initial(p)
+    terms = [p, _mirrored(p), start] + [q for _, q in forward_steps(start)]
+    terms += [q for _, q in forward_steps(p)]
+    assert _assert_fr_keys_are_the_encodings_keys(terms) > 0
+
+
+def test_untraced_fr_proofs_of_order_blind_products_encode_nothing(monkeypatch):
+    leaves = [P(text.format("a", "b", "c")) for shape in SHAPES for text in shape]
+    products = [Par(sync, x, y) for sync in ((), ("a",), ("a", "b"))
+                for x, y in zip(leaves, leaves[1:] + leaves[:1])]
+    products += [Par((), x, p) for x, p in zip(leaves, products[::2])]
+    terms = [q for p in products for q in [p] + [q for _, q in forward_steps(p)]
+             if encoding._order_blind(q)]
+    pairs = list(zip(terms, terms[1:])) + [(p, _mirrored(p)) for p in terms]
+    # the traced proof decides on the chosen encodings' keys
+    expected = [prove_eq(p, q, Theory.FR, []) for p, q in pairs]
+    assert len(terms) == 80 and expected.count(True) == 91
+
+    def refuse(*args):
+        raise AssertionError("an untraced forward-reverse proof expanded a product")
+    encode_reachable = axioms.encode_reachable
+
+    def leaves_only(p, order=None):
+        assert not isinstance(p, Par), "an untraced forward-reverse proof encoded a product"
+        return encode_reachable(p, order)
+    monkeypatch.setattr(encoding, "_expand", refuse)
+    monkeypatch.setattr(axioms, "encode_reachable", leaves_only)
+    assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
+
+
+def test_a_traced_fr_proof_encodes_each_side_once_per_order(monkeypatch):
+    products = _products()[:12]
+    encoded = []
+    encode_reachable = axioms.encode_reachable
+
+    def counted(p, order=None):
+        encoded.append(p)
+        return encode_reachable(p, order)
+    monkeypatch.setattr(axioms, "encode_reachable", counted)
+    for p, q in zip(products, products[1:]):
+        encoded.clear()
+        prove_eq(p, q, Theory.FR, [])
+        assert len(encoded) == len(list(axioms._orders(p, 512))) + len(list(axioms._orders(q, 512)))
+
+
 # --- one key per theory ------------------------------------------------------
 
 def _classes(keys) -> list[int]:
