@@ -20,12 +20,13 @@ its executed spine, which is the process's least observation trace (see
 ``notes/decisions.md``), so the reverse key is that trace, and no encoding
 is built.  The forward-reverse key is the structural key of the canonical
 form, which one memoized pass reads off the encoding (:func:`_fr_key`).
-When no parallel composition of the process has executed actions in both
-operands, the key of a product is folded from its operands' keys by the
-expansion law on keys (:func:`_fr_par`), and no product is encoded; only
-a process whose encoding reads an order, or a traced proof, encodes one.
-Keys are hash-consed so that equal keys are the same object, and no normal
-or canonical form is built unless a derivation is asked for.
+Under each least-trace history, the key of a product is folded from its
+operands' keys by the expansion law on keys (:func:`_fr_par`), and only
+the processes that are not products are encoded; a product is encoded
+only for :func:`theory_encoding` or a traced proof, under the history
+those keys choose.  Keys are hash-consed so that equal keys are the same
+object, and no normal or canonical form is built unless a derivation is
+asked for.
 """
 
 from __future__ import annotations
@@ -588,75 +589,120 @@ def _rollback_key(key, table: dict):
     return got
 
 
-# --- the forward-reverse key of an order-blind product ----------------------
+# --- the forward-reverse key of a product under a history -------------------
 #
-# When no parallel composition of a process has executed actions in both
-# operands, each product's encoding expands two operand encodings of which
-# at most one has an executed head, and the key of its canonical form is a
-# function of the operands' keys and of the backward ready sets the
-# operands' states have along the branch (``notes/decisions.md``).  That
-# function is memoized in the forward-reverse ``table`` under ``(3, sync,
-# id(key1), ready1, id(key2), ready2)``, and a product's ready set under
-# ``(4, sync, ready1, ready2)``.  Its keys are made by :func:`_prefix_key`
-# and :func:`_sum_key` in that table, so each is the object :func:`_fr_key`
-# makes of the same canonical form.
+# A product's encoding expands two operand encodings, each serialized in the
+# order of the history projected into its operand, and reads the history
+# only to merge the two executed spines.  So the key of its canonical form
+# is a function of the operands' keys, of the backward ready sets the
+# operands' states have along the branch, and of the product's *picks*: the
+# side of each history entry that executed one of its actions, oldest
+# first, ``1`` for the left operand, ``2`` for the right, ``3`` for both
+# (``notes/decisions.md``).  That function is memoized in the
+# forward-reverse ``table`` under ``(3, sync, id(key1), ready1, id(key2),
+# ready2, picks)``, and a product's ready set under ``(4, sync, ready1,
+# ready2)``.  Its keys are made by :func:`_prefix_key` and :func:`_sum_key`
+# in that table, so each is the object :func:`_fr_key` makes of the same
+# canonical form.
 
-def _fr_blind(p: Process, memo: dict, table: dict):
-    """The key :func:`_fr_encoding` gives the reachable order-blind ``p``,
-    in ``table``: a product's from its operands' keys (:func:`_fr_par`),
-    any other process's from its encoding; ``memo`` keeps each node's key
-    by id (the value keeps the node)."""
-    got = memo.get(id(p))
+def _fr_fold(p: Process, hist: tuple, memo: dict, table: dict):
+    """The key of the encoding of the reachable ``p`` under the history
+    ``hist`` (oldest first, proof terms relative to ``p``; empty when ``p``
+    reads no order), in ``table``: a product's from its operands' keys
+    under the projected histories (:func:`_fr_par`), any other process's
+    from its encoding; ``memo`` keeps each node's key by id and history
+    (the value keeps both)."""
+    entry = (id(p), hist)
+    got = memo.get(entry)
     if got is not None:
         return got[0]
     if type(p) is Par:
-        key = _fr_par(p.sync, _fr_blind(p.left, memo, table), (),
-                      _fr_blind(p.right, memo, table), (), table)
+        left, right, picks = [], [], []
+        for t in hist:
+            if type(t) is ParL:
+                left.append(t.inner)
+                picks.append(1)
+            elif type(t) is ParR:
+                right.append(t.inner)
+                picks.append(2)
+            else:
+                left.append(t.left)
+                right.append(t.right)
+                picks.append(3)
+        key = _fr_par(p.sync, _fr_fold(p.left, tuple(left), memo, table), (),
+                      _fr_fold(p.right, tuple(right), memo, table), (),
+                      tuple(picks), table)
     else:
-        key = _fr_key(encode_reachable(p), {}, table)
-    memo[id(p)] = (key, p)
+        key = _fr_key(encode_reachable(p, HistoryOrder(hist) if hist else None), {}, table)
+    memo[entry] = (key, p, hist)
     return key
 
 
-def _fr_par(sync: tuple, k1, r1: tuple, k2, r2: tuple, table: dict):
+def _fr_par(sync: tuple, k1, r1: tuple, k2, r2: tuple, picks: tuple, table: dict):
     """Key of the expansion of ``u1 |[sync]| u2`` for operand fragments
-    keyed ``k1`` and ``k2``, at most one of them with an executed head,
-    whose operands stand in states with the sorted backward ready sets
-    ``r1`` and ``r2``: :func:`~revexp.encoding._expand`'s summand that
-    stays executed, then the moves and synchronizations of the initial
-    alternatives, each a prefix over the key of the pair it reaches."""
-    entry = (3, sync, id(k1), r1, id(k2), r2)
+    keyed ``k1`` and ``k2``, whose operands stand in states with the sorted
+    backward ready sets ``r1`` and ``r2``, and whose executed heads are
+    merged by ``picks`` (without picks, at most one fragment has a head):
+    :func:`~revexp.encoding._expand`'s summand that stays executed, the
+    redo after rollback of each head that did not stay alone, then the
+    moves and synchronizations of the initial alternatives, each a prefix
+    over the key of the pair it reaches."""
+    entry = (3, sync, id(k1), r1, id(k2), r2, picks)
     got = table.get(entry)
     if got is not None:
         return got
     head1, alts1 = _fr_parts(k1)
     head2, alts2 = _fr_parts(k2)
-    # each summand as (action, executed, ready1, fragment1, ready2,
-    # fragment2), the operand states it moves to: the executed head
-    # against the other fragment as it is, an alternative against the
-    # other fragment rolled back
-    moves = []
-    if head1 is not None:
-        moves.append((head1[1], True, head1[3], head1[4], r2, k2))
-    elif head2 is not None:
-        moves.append((head2[1], True, r1, k1, head2[3], head2[4]))
     init1 = k1 if head1 is None else _rollback_key(k1, table)
     init2 = k2 if head2 is None else _rollback_key(k2, table)
+    # each summand as (action, executed, ready1, fragment1, ready2,
+    # fragment2), the operand states it moves to: the summand that stays
+    # executed against the other fragment as it is, under the picks that
+    # remain; any other against the other fragment rolled back
+    moves = []
+    # the first pick names the summand that stays executed; without picks,
+    # the one head there is
+    side = picks[0] if picks else 1 if head1 is not None else 2 if head2 is not None else 0
+    if side == 3:
+        moves.append((head1[1], True, head1[3], head1[4], head2[3], head2[4]))
+    elif side == 1:
+        moves.append((head1[1], True, head1[3], head1[4], r2, k2))
+    elif side == 2:
+        moves.append((head2[1], True, r1, k1, head2[3], head2[4]))
+    # the redo after rollback of each head that did not stay alone; a
+    # synchronizing head is re-offered against the same-action alternatives
+    # of the other operand
+    if head1 is not None and head2 is not None:
+        if side != 1:
+            _, a, _, ready, c = head1
+            c = _rollback_key(c, table)
+            if a not in sync:
+                moves.append((a, False, ready, c, r2, init2))
+            moves += [(a, False, ready, c, ready2, c2)
+                      for _, b, _, ready2, c2 in alts2 if b == a and a in sync]
+        if side != 2:
+            _, a, _, ready, c = head2
+            c = _rollback_key(c, table)
+            if a not in sync:
+                moves.append((a, False, r1, init1, ready, c))
+            moves += [(a, False, ready1, c1, ready, c)
+                      for _, b, _, ready1, c1 in alts1 if b == a and a in sync]
     moves += [(a, False, ready, c, r2, init2) for _, a, _, ready, c in alts1 if a not in sync]
     moves += [(a, False, r1, init1, ready, c) for _, a, _, ready, c in alts2 if a not in sync]
     moves += [(a, False, ready1, c1, ready2, c2)
               for _, a, _, ready1, c1 in alts1 if a in sync
               for _, b, _, ready2, c2 in alts2 if b == a]
+    rest = picks[1:]
     parts = []
     for action, executed, ready1, c1, ready2, c2 in moves:
         ready = table.get((4, sync, ready1, ready2))
         if ready is None:
             ready = table[4, sync, ready1, ready2] = tuple(sorted(
                 par_ready(sync, frozenset(ready1), frozenset(ready2))))
-        parts.append(_prefix_key(action, executed, ready,
-                                 _fr_par(sync, c1, ready1, c2, ready2, table), table))
+        cont = _fr_par(sync, c1, ready1, c2, ready2, rest if executed else (), table)
+        parts.append(_prefix_key(action, executed, ready, cont, table))
     first = None
-    if head1 is not None or head2 is not None:
+    if side:
         first = parts.pop(0)
         rollback = _rollback_key(first, table)
         parts = [k for k in parts if k is not rollback]
@@ -692,16 +738,17 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     observation trace (independent executed actions with identical
     observations), the first one whose canonical normal form is least is
     chosen, so that symmetric arrangements of the same behavior pick
-    compatible serializations.  That choice reads the forms' keys
-    (:func:`_fr_encoding`); a process with a single order is encoded under
-    it and not keyed.
+    compatible serializations.  That choice reads the forms' keys, folded
+    from the operands' keys of each product (:func:`_fr_encoding`), and
+    only the chosen order is encoded; a process with a single order is
+    encoded under it and not keyed.
     """
     if theory is Theory.R:
         return encode_reachable(p, next(_orders(p, 1)))
     orders = list(_orders(p, 512))
     if len(orders) == 1:
         return encode_reachable(p, orders[0])
-    return _fr_encoding(p, {}, orders)[1]
+    return _fr_encoding(p, {}, {}, orders)[1]
 
 
 def _orders(p: Process, cap: int):
@@ -717,19 +764,24 @@ def _orders(p: Process, cap: int):
             yield HistoryOrder(hist)
 
 
-def _fr_encoding(p: Process, table: dict, orders=None):
-    """``(key, u)``: the encoding ``u`` of ``p`` under the first of its
-    :func:`_orders` (or of ``orders``, when given) whose canonical normal
-    form is least, and that form's key in ``table`` (:func:`_fr_key`);
-    neither form is built.  Every order is encoded, so :func:`theory_key`
-    calls this only for a process whose encoding reads an order."""
+def _fr_choice(p: Process, memo: dict, table: dict, orders=None):
+    """``(key, order)``: the first of ``p``'s :func:`_orders` (or of
+    ``orders``, when given) whose canonical normal form is least, and that
+    form's key in ``table``, folded under the order's history
+    (:func:`_fr_fold`, which ``memo`` serves); no form is built."""
     best = None
     for order in _orders(p, 512) if orders is None else orders:
-        u = encode_reachable(p, order)
-        key = _fr_key(u, {}, table)
+        key = _fr_fold(p, () if order is None else order.history, memo, table)
         if best is None or key < best[0]:
-            best = (key, u)
+            best = (key, order)
     return best
+
+
+def _fr_encoding(p: Process, memo: dict, table: dict, orders=None):
+    """``(key, u)``: the encoding ``u`` of ``p`` under the order
+    :func:`_fr_choice` picks, and its key; only that order is encoded."""
+    key, order = _fr_choice(p, memo, table, orders)
+    return key, encode_reachable(p, order)
 
 
 def theory_key(p: Process, theory: Theory, tables: dict):
@@ -739,14 +791,13 @@ def theory_key(p: Process, theory: Theory, tables: dict):
     The forward key is read off the process (:func:`_f_key`) once it is
     known to be reachable, and the reverse key is the least observation
     trace (:func:`~revexp.encoding.least_trace`).  The forward-reverse key
-    is that of the theory encoding's canonical normal form
-    (:func:`_fr_encoding`).  For an order-blind process, one in which no
-    parallel composition has executed actions in both operands, it is
-    folded from the keys of its products' operands (:func:`_fr_blind`),
-    and no product is encoded; only a process whose encoding reads an
-    order is encoded, under each of its least-trace histories.  ``tables``
-    lives for one decision and holds one table per theory, so that each
-    theory looks up only its own entries, whose shapes overlap: a forward
+    is that of the theory encoding's canonical normal form, the least over
+    the process's least-trace histories (:func:`_fr_choice`).  Under each
+    history, a product's key is folded from its operands' keys
+    (:func:`_fr_fold`), and only the processes that are not products are
+    encoded, each under the history projected into it.  ``tables`` lives
+    for one decision and holds one table per theory, so that each theory
+    looks up only its own entries, whose shapes overlap: a forward
     ``(False, id(summands))`` equals a forward-reverse ``(0, id(key))``
     wherever the ids agree.
     """
@@ -758,11 +809,7 @@ def theory_key(p: Process, theory: Theory, tables: dict):
     if theory is Theory.F:
         require_reachable(p)
         return _f_key(p, memo, table)
-    orders = _orders(p, 512)
-    first = next(orders)  # refuses an unreachable p
-    if first is None:
-        return _fr_blind(p, memo, table)
-    return _fr_encoding(p, table, [first, *orders])[0]
+    return _fr_choice(p, memo, table)[0]
 
 
 def prove_eq(p1: Process, p2: Process, theory: Theory,
@@ -776,15 +823,15 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
     built, except to log each side's derivation into ``trace``: the forward
     theory normalizes the process itself, the others its theory encoding
     (see :func:`theory_encoding`).  The forward-reverse derivation reads
-    the encoding the key is made from, so a traced proof keys each side by
-    the chosen encoding (:func:`_fr_encoding`) and encodes it once.
+    the encoding under the history the key chose, so a traced proof keys
+    each side by :func:`_fr_encoding`, which encodes only that history.
     """
     tables: dict = {}
     if trace is None:
         return theory_key(p1, theory, tables) is theory_key(p2, theory, tables)
     if theory is Theory.FR:
-        table = tables.setdefault(theory, ({}, {}))[1]
-        (k1, u1), (k2, u2) = _fr_encoding(p1, table), _fr_encoding(p2, table)
+        memo, table = tables.setdefault(theory, ({}, {}))
+        (k1, u1), (k2, u2) = _fr_encoding(p1, memo, table), _fr_encoding(p2, memo, table)
         for u in (u1, u2):
             # the normalizer's output is in normal form, so it is not checked again
             _Pass(_canon_fr, trace).run(normalize_fr(u, trace), trace)

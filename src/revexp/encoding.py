@@ -29,11 +29,11 @@ is read at that point only: a process in which no parallel composition
 has executed actions in both operands encodes the same with every history
 and without one, so the deciders skip the history search for it, and an
 initial parallel composition keeps its encoding on the node
-(:func:`encode_reachable`).  The untraced forward-reverse decider does not
-encode such a process when it is a parallel composition: it folds the
-key from its operands' keys (:func:`~revexp.axioms._fr_par`) and encodes
-only the operands that are not parallel compositions.  It encodes a
-process whose encoding reads an order under each least-trace history.
+(:func:`encode_reachable`).  The untraced forward-reverse decider
+encodes no parallel composition: under each least-trace history it folds
+a product's key from its operands' keys (:func:`~revexp.axioms._fr_par`)
+and encodes only the processes that are not parallel compositions, each
+under the history projected into it.
 """
 
 from __future__ import annotations

@@ -271,19 +271,20 @@ def _mirrored(p):
     return p
 
 
-def _nested_products():
+def _nested_products(syncs=("", "a", "b", "c", "ab", "ac", "bc"), min_steps=0):
     """Products of two or three four-state components over {a, b, c}, in
-    either nesting, each parallel composition under {}, one action or two,
-    walked up to six steps."""
+    either nesting, each parallel composition under one of ``syncs``,
+    walked ``min_steps`` to six steps."""
     component = st.builds(lambda text, letters: P(text.format(*letters)),
                           st.sampled_from([text for shape in SHAPES for text in shape]),
                           st.lists(st.sampled_from("abc"), min_size=3, max_size=3))
-    sync = st.sampled_from(["", "a", "b", "c", "ab", "ac", "bc"])
+    sync = st.sampled_from(syncs)
     par = lambda s, l, r: Par(tuple(s), l, r)
     two = st.builds(par, sync, component, component)
     tree = st.one_of(two, st.builds(par, sync, two, component),
                      st.builds(par, sync, component, two))
-    return st.builds(_walked_to, tree, st.lists(st.integers(0, 10**6), max_size=6))
+    return st.builds(_walked_to, tree,
+                     st.lists(st.integers(0, 10**6), min_size=min_steps, max_size=6))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -447,12 +448,17 @@ def test_untraced_fr_proofs_canonicalize_nothing(monkeypatch):
 
 def _assert_fr_keys_are_the_encodings_keys(terms) -> int:
     """Each term's forward-reverse key, made in one table, is the object
-    that the key of its chosen encoding is; returns how many terms are
-    order-blind products, whose keys are folded from their operands'."""
+    that the key of its encoding under each least-trace history is, least
+    and first on ties, and the key of the encoding the decider picks;
+    returns how many terms are order-blind products."""
     tables: dict = {}
     for p in terms:
         key = axioms.theory_key(p, Theory.FR, tables)
-        assert key is axioms._fr_encoding(p, tables[Theory.FR][1])[0], render(p)
+        memo, table = tables[Theory.FR]
+        encoded = [axioms._fr_key(encoding.encode_reachable(p, order), {}, table)
+                   for order in axioms._orders(p, 512)]
+        assert key is min(encoded), render(p)
+        assert axioms._fr_key(axioms._fr_encoding(p, memo, table)[1], {}, table) is key
     return sum(isinstance(p, Par) and encoding._order_blind(p) for p in terms)
 
 
@@ -478,18 +484,23 @@ def test_the_order_blind_key_is_the_encodings_key_on_walked_products(p):
     assert _assert_fr_keys_are_the_encodings_keys(terms) > 0
 
 
-def test_untraced_fr_proofs_of_order_blind_products_encode_nothing(monkeypatch):
-    leaves = [P(text.format("a", "b", "c")) for shape in SHAPES for text in shape]
+def _products_of_leaves(letters, walks, ordered):
+    """The component shapes over ``letters`` in products under {}, {a} and
+    {a, b}, some nested once, walked by each of ``walks``, with their
+    successors: those whose encodings read an order (``ordered``) or
+    those that read none, and pairs of them, each with the next and with
+    its mirror."""
+    leaves = [P(text.format(*letters)) for shape in SHAPES for text in shape]
     products = [Par(sync, x, y) for sync in ((), ("a",), ("a", "b"))
                 for x, y in zip(leaves, leaves[1:] + leaves[:1])]
     products += [Par((), x, p) for x, p in zip(leaves, products[::2])]
-    terms = [q for p in products for q in [p] + [q for _, q in forward_steps(p)]
-             if encoding._order_blind(q)]
-    pairs = list(zip(terms, terms[1:])) + [(p, _mirrored(p)) for p in terms]
-    # the traced proof decides on the chosen encodings' keys
-    expected = [prove_eq(p, q, Theory.FR, []) for p, q in pairs]
-    assert len(terms) == 80 and expected.count(True) == 91
+    walked = [_walked_to(p, picks) for p in products for picks in walks]
+    terms = [q for p in walked for q in [p] + [q for _, q in forward_steps(p)]
+             if encoding._order_blind(q) != ordered]
+    return terms, list(zip(terms, terms[1:])) + [(p, _mirrored(p)) for p in terms]
 
+
+def _refuse_to_encode_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("an untraced forward-reverse proof expanded a product")
     encode_reachable = axioms.encode_reachable
@@ -499,10 +510,18 @@ def test_untraced_fr_proofs_of_order_blind_products_encode_nothing(monkeypatch):
         return encode_reachable(p, order)
     monkeypatch.setattr(encoding, "_expand", refuse)
     monkeypatch.setattr(axioms, "encode_reachable", leaves_only)
+
+
+def test_untraced_fr_proofs_of_order_blind_products_encode_nothing(monkeypatch):
+    terms, pairs = _products_of_leaves("abc", [[]], False)
+    # the traced proof decides on the chosen encodings' keys
+    expected = [prove_eq(p, q, Theory.FR, []) for p, q in pairs]
+    assert len(terms) == 80 and expected.count(True) == 91
+    _refuse_to_encode_products(monkeypatch)
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
 
 
-def test_a_traced_fr_proof_encodes_each_side_once_per_order(monkeypatch):
+def test_a_traced_fr_proof_encodes_each_side_once(monkeypatch):
     products = _products()[:12]
     encoded = []
     encode_reachable = axioms.encode_reachable
@@ -511,10 +530,51 @@ def test_a_traced_fr_proof_encodes_each_side_once_per_order(monkeypatch):
         encoded.append(p)
         return encode_reachable(p, order)
     monkeypatch.setattr(axioms, "encode_reachable", counted)
+    several = 0
     for p, q in zip(products, products[1:]):
         encoded.clear()
         prove_eq(p, q, Theory.FR, [])
-        assert len(encoded) == len(list(axioms._orders(p, 512))) + len(list(axioms._orders(q, 512)))
+        # the keys choose the order, and only the chosen one is encoded
+        assert [x for x in encoded if isinstance(x, Par)] == [p, q]
+        several += len(list(axioms._orders(p, 512))) > 1
+    assert several == 5
+
+
+# --- the forward-reverse key of a product under a history --------------------
+
+def test_the_ordered_key_is_the_encodings_key_at_size_4():
+    terms = [p for p in enumerate_processes(4, ("a", "b")) if not encoding._order_blind(p)]
+    assert len(terms) == 996
+    _assert_fr_keys_are_the_encodings_keys(terms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_nested_products(("", "a", "ab"), min_steps=3))
+# both heads synchronized: the pair stays, and each head is redone against
+# the other operand's same-action alternative
+@example(P("(a!.b.0 + a.c.0) |[a]| (a!.0 + a.b.0)"))
+# the left head stays because the right head synchronizes, whose redo
+# meets the left alternative b.0
+@example(P("(a!.b!.0 + b.0) |[b]| b!.0"))
+# the history puts the right head first
+@example(P("a!.0 |[]| b!.0"))
+# under two heads, the redo of the head that did not stay is the rollback
+# of the executed summand, which absorbs it
+@example(P("a!.0 |[]| a!.0"))
+def test_the_ordered_key_is_the_encodings_key_on_walked_products(p):
+    terms = [p, _mirrored(p)] + [q for _, q in forward_steps(p)]
+    _assert_fr_keys_are_the_encodings_keys(terms)
+
+
+def test_untraced_fr_proofs_of_ordered_products_encode_no_product(monkeypatch):
+    # both operands of a product have executed actions; "a" repeats, so
+    # heads synchronize under {a} and {a, b}
+    terms, pairs = _products_of_leaves("aba", [[0, 0, 0], [1, 2, 3], [5, 4]], True)
+    expected = [prove_eq(p, q, Theory.FR, []) for p, q in pairs]
+    assert len(terms) == 126 and expected.count(True) == 142
+    assert sum(p.sync == ("a", "b") for p in terms) == 18
+    _refuse_to_encode_products(monkeypatch)
+    assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
 
 
 # --- one key per theory ------------------------------------------------------
