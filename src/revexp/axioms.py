@@ -19,14 +19,16 @@ building its expansion.  The reverse normal form of a theory encoding is
 its executed spine, which is the process's least observation trace (see
 ``notes/decisions.md``), so the reverse key is that trace, and no encoding
 is built.  The forward-reverse key is the structural key of the canonical
-form, which one memoized pass reads off the encoding (:func:`_fr_key`).
-Under each least-trace history, the key of a product is folded from its
-operands' keys by the expansion law on keys (:func:`_fr_par`), and only
-the processes that are not products are encoded; a product is encoded
-only for :func:`theory_encoding` or a traced proof, under the history
-those keys choose.  Keys are hash-consed so that equal keys are the same
-object, and no normal or canonical form is built unless a derivation is
-asked for.
+form, which one memoized pass reads off an encoding (:func:`_fr_key`).
+Under each least-trace history, that key is folded from the process's
+parts instead (:func:`_fr_fold`): a prefix carries its own action as its
+ready set, a choice pools its branches' summands, and a product's key
+comes from its operands' keys by the expansion law on keys
+(:func:`_fr_par`).  So no untraced decision encodes anything; a process
+is encoded only for :func:`theory_encoding` or a traced proof, under the
+history those keys choose.  Keys are hash-consed so that equal keys are
+the same object, and no normal or canonical form is built unless a
+derivation is asked for.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .terms import (
     BrsPrefix,
     BrsProcess,
     Choice,
+    Dot,
     Nil,
     PAST,
     Par,
@@ -524,13 +527,8 @@ def _fr_key(u: BrsProcess, memo: dict, table: dict):
     if got is not None:
         return got[0]
     head, rest, _ = _split(u)
-    parts = [_summand_key(s, memo, table) for s in rest]
-    first = None
-    if head is not None:
-        first = _summand_key(head, memo, table)
-        rollback = _rollback_key(first, table)
-        parts = [k for k in parts if k is not rollback]
-    key = _sum_key(first, parts, table)
+    first = None if head is None else _summand_key(head, memo, table)
+    key = _fr_sum(first, [_summand_key(s, memo, table) for s in rest], table)
     memo[id(u)] = (key, u)
     return key
 
@@ -546,6 +544,16 @@ def _prefix_key(action: str, executed: bool, ready: tuple, cont, table: dict):
     if key is None:
         key = table[entry] = (1, action, executed, ready, cont)
     return key
+
+
+def _fr_sum(first, parts: list, table: dict):
+    """Key of the canonical form of a choice of the executed summand keyed
+    ``first`` (unless ``None``) and the initial summands keyed ``parts``:
+    the rollback of ``first`` is absorbed, then :func:`_sum_key`."""
+    if first is not None:
+        rollback = _rollback_key(first, table)
+        parts = [k for k in parts if k is not rollback]
+    return _sum_key(first, parts, table)
 
 
 def _sum_key(first, parts: list, table: dict):
@@ -589,7 +597,15 @@ def _rollback_key(key, table: dict):
     return got
 
 
-# --- the forward-reverse key of a product under a history -------------------
+# --- the forward-reverse key of a process under a history -------------------
+#
+# Outside a product, the encoding of a prefix carries its own action as its
+# ready set over the encoding of its continuation, and that of a choice is
+# the choice of its branches' encodings; a history reaches the continuation
+# through its ``Dot`` entries and each branch through its ``PlusL`` or
+# ``PlusR`` entries.  So the key of a prefix is folded from its
+# continuation's key, and that of a choice from its branches' summands,
+# the executed one absorbing its rollback (``notes/decisions.md``).
 #
 # A product's encoding expands two operand encodings, each serialized in the
 # order of the history projected into its operand, and reads the history
@@ -601,22 +617,33 @@ def _rollback_key(key, table: dict):
 # (``notes/decisions.md``).  That function is memoized in the
 # forward-reverse ``table`` under ``(3, sync, id(key1), ready1, id(key2),
 # ready2, picks)``, and a product's ready set under ``(4, sync, ready1,
-# ready2)``.  Its keys are made by :func:`_prefix_key` and :func:`_sum_key`
+# ready2)``.  Its keys are made by :func:`_prefix_key` and :func:`_fr_sum`
 # in that table, so each is the object :func:`_fr_key` makes of the same
 # canonical form.
 
 def _fr_fold(p: Process, hist: tuple, memo: dict, table: dict):
     """The key of the encoding of the reachable ``p`` under the history
     ``hist`` (oldest first, proof terms relative to ``p``; empty when ``p``
-    reads no order), in ``table``: a product's from its operands' keys
-    under the projected histories (:func:`_fr_par`), any other process's
-    from its encoding; ``memo`` keeps each node's key by id and history
+    reads no order), in ``table``, folded from the keys of ``p``'s parts
+    under the histories projected into them: a prefix over its
+    continuation's key, with its own action as its ready set; a choice by
+    pooling its branches' summands; a product by the expansion law
+    (:func:`_fr_par`).  ``memo`` keeps each node's key by id and history
     (the value keeps both)."""
     entry = (id(p), hist)
     got = memo.get(entry)
     if got is not None:
         return got[0]
-    if type(p) is Par:
+    if type(p) is Prefix:
+        cont = _fr_fold(p.cont, tuple(t.inner for t in hist if type(t) is Dot), memo, table)
+        key = _prefix_key(p.action, p.executed, (p.action,), cont, table)
+    elif type(p) is Choice:
+        head1, alts1 = _fr_parts(_fr_fold(
+            p.left, tuple(t.inner for t in hist if type(t) is PlusL), memo, table))
+        head2, alts2 = _fr_parts(_fr_fold(
+            p.right, tuple(t.inner for t in hist if type(t) is PlusR), memo, table))
+        key = _fr_sum(head1 or head2, alts1 + alts2, table)
+    elif type(p) is Par:
         left, right, picks = [], [], []
         for t in hist:
             if type(t) is ParL:
@@ -633,7 +660,7 @@ def _fr_fold(p: Process, hist: tuple, memo: dict, table: dict):
                       _fr_fold(p.right, tuple(right), memo, table), (),
                       tuple(picks), table)
     else:
-        key = _fr_key(encode_reachable(p, HistoryOrder(hist) if hist else None), {}, table)
+        key = NIL._key
     memo[entry] = (key, p, hist)
     return key
 
@@ -701,12 +728,8 @@ def _fr_par(sync: tuple, k1, r1: tuple, k2, r2: tuple, picks: tuple, table: dict
                 par_ready(sync, frozenset(ready1), frozenset(ready2))))
         cont = _fr_par(sync, c1, ready1, c2, ready2, rest if executed else (), table)
         parts.append(_prefix_key(action, executed, ready, cont, table))
-    first = None
-    if side:
-        first = parts.pop(0)
-        rollback = _rollback_key(first, table)
-        parts = [k for k in parts if k is not rollback]
-    got = table[entry] = _sum_key(first, parts, table)
+    first = parts.pop(0) if side else None
+    got = table[entry] = _fr_sum(first, parts, table)
     return got
 
 
@@ -739,9 +762,9 @@ def theory_encoding(p: Process, theory: Theory) -> BrsProcess:
     observations), the first one whose canonical normal form is least is
     chosen, so that symmetric arrangements of the same behavior pick
     compatible serializations.  That choice reads the forms' keys, folded
-    from the operands' keys of each product (:func:`_fr_encoding`), and
-    only the chosen order is encoded; a process with a single order is
-    encoded under it and not keyed.
+    from the keys of the process's parts (:func:`_fr_fold`), and only the
+    chosen order is encoded; a process with a single order is encoded
+    under it and not keyed.
     """
     if theory is Theory.R:
         return encode_reachable(p, next(_orders(p, 1)))
@@ -793,13 +816,12 @@ def theory_key(p: Process, theory: Theory, tables: dict):
     trace (:func:`~revexp.encoding.least_trace`).  The forward-reverse key
     is that of the theory encoding's canonical normal form, the least over
     the process's least-trace histories (:func:`_fr_choice`).  Under each
-    history, a product's key is folded from its operands' keys
-    (:func:`_fr_fold`), and only the processes that are not products are
-    encoded, each under the history projected into it.  ``tables`` lives
-    for one decision and holds one table per theory, so that each theory
-    looks up only its own entries, whose shapes overlap: a forward
-    ``(False, id(summands))`` equals a forward-reverse ``(0, id(key))``
-    wherever the ids agree.
+    history, it is folded from the keys of the process's parts, each under
+    the history projected into it (:func:`_fr_fold`), and nothing is
+    encoded.  ``tables`` lives for one decision and holds one table per
+    theory, so that each theory looks up only its own entries, whose
+    shapes overlap: a forward ``(False, id(summands))`` equals a
+    forward-reverse ``(0, id(key))`` wherever the ids agree.
     """
     if theory is Theory.R:
         table = tables.setdefault(theory, {})

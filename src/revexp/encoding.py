@@ -29,11 +29,12 @@ is read at that point only: a process in which no parallel composition
 has executed actions in both operands encodes the same with every history
 and without one, so the deciders skip the history search for it, and an
 initial parallel composition keeps its encoding on the node
-(:func:`encode_reachable`).  The untraced forward-reverse decider
-encodes no parallel composition: under each least-trace history it folds
-a product's key from its operands' keys (:func:`~revexp.axioms._fr_par`)
-and encodes only the processes that are not parallel compositions, each
-under the history projected into it.
+(:func:`encode_reachable`).  No untraced decider encodes: the reverse
+theory compares least traces, and the forward-reverse theory folds the
+key of each least-trace history's encoding from the keys of the
+process's parts (:func:`~revexp.axioms._fr_fold`).  The encoder serves
+:func:`encode`, the deciders' :func:`~revexp.axioms.theory_encoding`,
+traced proofs and :func:`verify_correspondence`.
 """
 
 from __future__ import annotations

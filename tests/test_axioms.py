@@ -427,6 +427,14 @@ def test_the_canonical_key_is_the_canonical_forms_key_on_walked_products(p):
     assert render(theory_encoding(p, Theory.FR)) == render(encoding.encode_reachable(p, order))
 
 
+def _refuse_to_encode(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an untraced forward-reverse proof encoded a process")
+    monkeypatch.setattr(encoding, "_expand", refuse)
+    monkeypatch.setattr(encoding, "_encode", refuse)
+    monkeypatch.setattr(axioms, "encode_reachable", refuse)
+
+
 def test_untraced_fr_proofs_canonicalize_nothing(monkeypatch):
     terms = list(enumerate_processes(3, ("a", "b")))[::7]
     pairs = list(zip(terms, terms[1:])) + [(p, p) for p in terms[::5]]
@@ -439,6 +447,9 @@ def test_untraced_fr_proofs_canonicalize_nothing(monkeypatch):
     monkeypatch.setattr(axioms, "normalize_fr", refuse)
     monkeypatch.setattr(BrsPrefix, "__eq__", refuse)
     monkeypatch.setattr(Choice, "__eq__", refuse)
+    # the prefixes and choices of size 3, and the products under them, are
+    # keyed without an encoding
+    _refuse_to_encode(monkeypatch)
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
     assert prove_eq(P(five), P(five.replace("a.b.0 + c.0", "c.0 + a.b.0")), Theory.FR)
     assert not prove_eq(P(five), P(five.replace("c.0", "b.0")), Theory.FR)
@@ -500,24 +511,12 @@ def _products_of_leaves(letters, walks, ordered):
     return terms, list(zip(terms, terms[1:])) + [(p, _mirrored(p)) for p in terms]
 
 
-def _refuse_to_encode_products(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("an untraced forward-reverse proof expanded a product")
-    encode_reachable = axioms.encode_reachable
-
-    def leaves_only(p, order=None):
-        assert not isinstance(p, Par), "an untraced forward-reverse proof encoded a product"
-        return encode_reachable(p, order)
-    monkeypatch.setattr(encoding, "_expand", refuse)
-    monkeypatch.setattr(axioms, "encode_reachable", leaves_only)
-
-
 def test_untraced_fr_proofs_of_order_blind_products_encode_nothing(monkeypatch):
     terms, pairs = _products_of_leaves("abc", [[]], False)
     # the traced proof decides on the chosen encodings' keys
     expected = [prove_eq(p, q, Theory.FR, []) for p, q in pairs]
     assert len(terms) == 80 and expected.count(True) == 91
-    _refuse_to_encode_products(monkeypatch)
+    _refuse_to_encode(monkeypatch)
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
 
 
@@ -573,8 +572,41 @@ def test_untraced_fr_proofs_of_ordered_products_encode_no_product(monkeypatch):
     expected = [prove_eq(p, q, Theory.FR, []) for p, q in pairs]
     assert len(terms) == 126 and expected.count(True) == 142
     assert sum(p.sync == ("a", "b") for p in terms) == 18
-    _refuse_to_encode_products(monkeypatch)
+    _refuse_to_encode(monkeypatch)
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
+
+
+# --- the forward-reverse key of a prefix or a choice -------------------------
+
+# contexts that put a process under a prefix or in a choice; the last one
+# offers the rollback of a non-initial branch as the other branch
+_CONTEXTS = [
+    lambda p: Prefix("c", True, p),
+    lambda p: Prefix("c", False, to_initial(p)),
+    lambda p: Choice(p, P("c.0")),
+    lambda p: Choice(P("c.0"), p),
+    lambda p: Choice(p, to_initial(p)),
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.builds(lambda context, p: context(p), st.sampled_from(_CONTEXTS), _nested_products()))
+# the history reaches the products through a prefix, a left branch and a
+# right branch
+@example(P("d!.(c!.(a!.b.0 |[a]| a!.c.0) + (a.0 |[]| b.0))"))
+@example(P("(a!.0 |[]| b.0) + (a.0 |[]| b.0)"))
+@example(P("c.0 + (a!.0 |[]| b!.0)"))
+def test_the_key_of_products_in_a_context_is_the_encodings_key(p):
+    _assert_fr_keys_are_the_encodings_keys([p] + [q for _, q in forward_steps(p)])
+
+
+def test_fr_proofs_of_a_long_initial_chain_answer():
+    # each prefix adds one frame to the fold, and none to an encoder
+    chain = NIL
+    for i in range(600):
+        chain = Prefix("ab"[i % 2], False, chain)
+    assert prove_eq(chain, chain, Theory.FR)
+    assert not prove_eq(chain, chain.cont, Theory.FR)
 
 
 # --- one key per theory ------------------------------------------------------
