@@ -818,10 +818,12 @@ def theory_key(p: Process, theory: Theory, tables: dict):
     the process's least-trace histories (:func:`_fr_choice`).  Under each
     history, it is folded from the keys of the process's parts, each under
     the history projected into it (:func:`_fr_fold`), and nothing is
-    encoded.  ``tables`` lives for one decision and holds one table per
-    theory, so that each theory looks up only its own entries, whose
-    shapes overlap: a forward ``(False, id(summands))`` equals a
-    forward-reverse ``(0, id(key))`` wherever the ids agree.
+    encoded.  The forward key, the backward ready set and the least
+    observation trace are each a function of the forward-reverse key
+    (``notes/decisions.md``).  ``tables`` lives for one decision and holds
+    one table per theory, so that each theory looks up only its own
+    entries, whose shapes overlap: a forward ``(False, id(summands))``
+    equals a forward-reverse ``(0, id(key))`` wherever the ids agree.
     """
     if theory is Theory.R:
         table = tables.setdefault(theory, {})
@@ -834,6 +836,18 @@ def theory_key(p: Process, theory: Theory, tables: dict):
     return _fr_choice(p, memo, table)[0]
 
 
+def _refuted(p1: Process, p2: Process) -> bool:
+    """Whether the forward keys or the backward ready sets of ``p1`` and
+    ``p2`` differ, which refutes their forward-reverse equality: both are
+    functions of the forward-reverse key (``notes/decisions.md``).  The
+    forward keys live in tables of their own, freed before any fold: kept
+    alive through it, they made the cyclic garbage collector run about
+    five times as often there."""
+    tables: dict = {}
+    return (theory_key(p1, Theory.F, tables) is not theory_key(p2, Theory.F, tables)
+            or p1.backward_ready != p2.backward_ready)
+
+
 def prove_eq(p1: Process, p2: Process, theory: Theory,
              trace: Trace | None = None) -> bool:
     """Equality in the chosen axiom system, decided via normal forms.
@@ -841,13 +855,19 @@ def prove_eq(p1: Process, p2: Process, theory: Theory,
     Both sides are keyed by :func:`theory_key` in one set of tables, so
     their keys are one object exactly when their canonical normal forms are
     equal (for the reverse theory, when their least observation traces are,
-    which are the executed spines of the normal forms).  No normal form is
-    built, except to log each side's derivation into ``trace``: the forward
-    theory normalizes the process itself, the others its theory encoding
-    (see :func:`theory_encoding`).  The forward-reverse derivation reads
+    which are the executed spines of the normal forms).  An untraced
+    forward-reverse proof first compares the sides' forward keys and
+    backward ready sets, which that key determines, and folds the
+    forward-reverse keys only when both agree; ``p1``, then ``p2``, is
+    still checked for reachability first.  No normal form is built, except
+    to log each side's derivation into ``trace``: the forward theory
+    normalizes the process itself, the others its theory encoding (see
+    :func:`theory_encoding`).  The forward-reverse derivation reads
     the encoding under the history the key chose, so a traced proof keys
     each side by :func:`_fr_encoding`, which encodes only that history.
     """
+    if trace is None and theory is Theory.FR and _refuted(p1, p2):
+        return False
     tables: dict = {}
     if trace is None:
         return theory_key(p1, theory, tables) is theory_key(p2, theory, tables)

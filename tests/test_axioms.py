@@ -451,18 +451,31 @@ def test_untraced_fr_proofs_canonicalize_nothing(monkeypatch):
     # keyed without an encoding
     _refuse_to_encode(monkeypatch)
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
-    assert prove_eq(P(five), P(five.replace("a.b.0 + c.0", "c.0 + a.b.0")), Theory.FR)
-    assert not prove_eq(P(five), P(five.replace("c.0", "b.0")), Theory.FR)
+    fives = [(P(five), P(five.replace("a.b.0 + c.0", "c.0 + a.b.0"))),
+             (P(five), P(five.replace("c.0", "b.0")))]
+    assert [prove_eq(p, q, Theory.FR) for p, q in fives] == [True, False]
+    _assert_fr_keys_decide(pairs + fives, expected + [True, False])
+
+
+def _assert_fr_keys_decide(pairs, expected):
+    """In one set of tables, the forward-reverse keys of each pair are one
+    object exactly when ``expected`` says so: unlike ``prove_eq``, which
+    refutes most unequal pairs by their projections, this folds every
+    side."""
+    tables: dict = {}
+    assert [axioms.theory_key(p, Theory.FR, tables) is axioms.theory_key(q, Theory.FR, tables)
+            for p, q in pairs] == expected
 
 
 # --- the forward-reverse key of an order-blind product -----------------------
 
-def _assert_fr_keys_are_the_encodings_keys(terms) -> int:
-    """Each term's forward-reverse key, made in one table, is the object
-    that the key of its encoding under each least-trace history is, least
-    and first on ties, and the key of the encoding the decider picks;
-    returns how many terms are order-blind products."""
-    tables: dict = {}
+def _assert_fr_keys_are_the_encodings_keys(terms, tables=None) -> int:
+    """Each term's forward-reverse key, made in one table (in ``tables``,
+    when given), is the object that the key of its encoding under each
+    least-trace history is, least and first on ties, and the key of the
+    encoding the decider picks; returns how many terms are order-blind
+    products."""
+    tables = {} if tables is None else tables
     for p in terms:
         key = axioms.theory_key(p, Theory.FR, tables)
         memo, table = tables[Theory.FR]
@@ -518,6 +531,7 @@ def test_untraced_fr_proofs_of_order_blind_products_encode_nothing(monkeypatch):
     assert len(terms) == 80 and expected.count(True) == 91
     _refuse_to_encode(monkeypatch)
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
+    _assert_fr_keys_decide(pairs, expected)
 
 
 def test_a_traced_fr_proof_encodes_each_side_once(monkeypatch):
@@ -574,6 +588,7 @@ def test_untraced_fr_proofs_of_ordered_products_encode_no_product(monkeypatch):
     assert sum(p.sync == ("a", "b") for p in terms) == 18
     _refuse_to_encode(monkeypatch)
     assert [prove_eq(p, q, Theory.FR) for p, q in pairs] == expected
+    _assert_fr_keys_decide(pairs, expected)
 
 
 # --- the forward-reverse key of a prefix or a choice -------------------------
@@ -597,7 +612,17 @@ _CONTEXTS = [
 @example(P("(a!.0 |[]| b.0) + (a.0 |[]| b.0)"))
 @example(P("c.0 + (a!.0 |[]| b!.0)"))
 def test_the_key_of_products_in_a_context_is_the_encodings_key(p):
-    _assert_fr_keys_are_the_encodings_keys([p] + [q for _, q in forward_steps(p)])
+    terms = [p] + [q for _, q in forward_steps(p)]
+    tables: dict = {}
+    # the fold keys a product under a prefix or in a choice without the
+    # encoder; Hypothesis reruns the test, so the refusal is scoped here
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _refuse_to_encode(monkeypatch)
+        for q in terms:
+            axioms.theory_key(q, Theory.FR, tables)
+    # one table hash-conses every key, so the encodings' keys are compared
+    # with the keys folded under the refusal
+    _assert_fr_keys_are_the_encodings_keys(terms, tables)
 
 
 def test_fr_proofs_of_a_long_initial_chain_answer():
@@ -607,6 +632,109 @@ def test_fr_proofs_of_a_long_initial_chain_answer():
         chain = Prefix("ab"[i % 2], False, chain)
     assert prove_eq(chain, chain, Theory.FR)
     assert not prove_eq(chain, chain.cont, Theory.FR)
+    _assert_fr_keys_decide([(chain, chain), (chain, chain.cont)], [True, False])
+
+
+# --- forward-reverse proofs are refuted by their projections ---------------
+
+def _fr_chain(key) -> tuple:
+    """The executed summands of the forward-reverse canonical form keyed
+    ``key``, each the head of the one before's continuation, oldest first,
+    and the initial summands under the last of them."""
+    chain = []
+    head, alts = axioms._fr_parts(key)
+    while head is not None:
+        chain.append(head)
+        head, alts = axioms._fr_parts(head[4])
+    return chain, alts
+
+
+def _f_of_fr(key, table):
+    """The forward key in the forward ``table`` that the forward-reverse
+    ``key`` projects to: its executed chain walked to the bottom, with
+    ready sets dropped, under a head exactly when the chain is not empty."""
+    chain, alts = _fr_chain(key)
+    memo: dict = {}
+
+    def summands(alts):
+        return axioms._f_set({(k[1], continuation(k[4])) for k in alts}, table)
+
+    def continuation(k):
+        got = memo.get(id(k))
+        if got is None:
+            got = memo[id(k)] = summands(axioms._fr_parts(k)[1])
+        return got
+    return axioms._f_form(bool(chain), summands(alts), table)
+
+
+def _brs_of_fr(key) -> tuple:
+    """The ready set of the last executed prefix on ``key``'s chain, or
+    none when the chain is empty."""
+    chain, _ = _fr_chain(key)
+    return chain[-1][3] if chain else ()
+
+
+def _r_of_fr(key) -> tuple:
+    """The ``(action, ready)`` pairs of ``key``'s chain, newest first: the
+    least trace's form."""
+    chain, _ = _fr_chain(key)
+    return tuple((k[1], k[3]) for k in reversed(chain))
+
+
+def _assert_fr_key_projects(terms):
+    """Each term's forward key, backward ready set and least trace are the
+    projections of its forward-reverse key, made in one set of tables."""
+    tables: dict = {}
+    for p in terms:
+        f_key = axioms.theory_key(p, Theory.F, tables)
+        key = axioms.theory_key(p, Theory.FR, tables)
+        assert _f_of_fr(key, tables[Theory.F][1]) is f_key, render(p)
+        assert _brs_of_fr(key) == tuple(sorted(p.backward_ready)), render(p)
+        assert _r_of_fr(key) == least_trace(p), render(p)
+
+
+def test_the_fr_key_projects_to_the_other_keys_at_size_4():
+    _assert_fr_key_projects(enumerate_processes(4, ("a", "b")))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_nested_products(("", "a", "b", "c", "ab", "ac", "bc", "abc")))
+# the chain runs through a prefix, and the product is a branch beside an
+# initial one
+@example(P("c!.(a!.b.0 |[a]| a!.c.0)"))
+@example(P("c!.(a!.(b.0 + c.0) |[]| (b!.0 |[b]| b!.a.0))"))
+@example(P("(a!.b!.0 |[]| b!.a.0) + c.0"))
+@example(P("(a!.0 |[a,b,c]| (a!.0 + b.0)) + c.0"))
+def test_the_fr_key_projects_to_the_other_keys_on_walked_products(p):
+    _assert_fr_key_projects([p, _mirrored(p), to_initial(p)]
+                            + [q for _, q in forward_steps(p)])
+
+
+def test_fr_proofs_refuted_by_the_projections_fold_nothing(monkeypatch):
+    terms = list(enumerate_processes(3, ("a", "b")))[::7]
+    pairs = list(zip(terms, terms[1:])) + [(p, p) for p in terms[::5]]
+    folded = []
+    for p, q in pairs:
+        tables: dict = {}
+        folded.append(axioms.theory_key(p, Theory.FR, tables)
+                      is axioms.theory_key(q, Theory.FR, tables))
+    calls = []
+    fr_choice = axioms._fr_choice
+
+    def recorded(p, *args):
+        calls.append(p)
+        return fr_choice(p, *args)
+    monkeypatch.setattr(axioms, "_fr_choice", recorded)
+    refuted = 0
+    for (p, q), verdict in zip(pairs, folded):
+        tables = {}
+        agree = (axioms.theory_key(p, Theory.F, tables) is axioms.theory_key(q, Theory.F, tables)
+                 and p.backward_ready == q.backward_ready)
+        calls.clear()
+        assert prove_eq(p, q, Theory.FR) is verdict, (render(p), render(q))
+        assert calls == ([p, q] if agree else []), (render(p), render(q))
+        refuted += not agree
+    assert (len(pairs), refuted) == (556, 405)
 
 
 # --- one key per theory ------------------------------------------------------
